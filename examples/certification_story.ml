@@ -62,10 +62,10 @@ let () =
   let corrupt () : bool =
     let g = res.Vcomp.Regalloc.ra_graph in
     let found = ref false in
-    Hashtbl.iter
+    Array.iteri
       (fun a neighbors ->
          if not !found then
-           Vcomp.Regalloc.RegSet.iter
+           Array.iter
              (fun b ->
                 if (not !found) && Vcomp.Rtl.reg_class f a = Vcomp.Rtl.reg_class f b
                    && not

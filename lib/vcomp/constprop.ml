@@ -25,26 +25,34 @@ let approx_equal (a : approx) (b : approx) : bool =
     Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
   | (Vtop | Vcint _ | Vcfloat _), _ -> false
 
-(* Abstract environment: registers absent from the map are Top.
-   (Registers never written before use are parameters or garbage; Top is
-   the sound default.) *)
+(* Abstract environment: registers absent from the map are Top, and the
+   map never binds Top, so it holds only the constants — one
+   representation per abstract value. (Registers never written before
+   use are parameters or garbage; Top is the sound default.) *)
 type aenv = approx RegMap.t
 
 let get (env : aenv) (r : Rtl.reg) : approx =
   Option.value ~default:Vtop (RegMap.find_opt r env)
 
-let join_approx (a : approx) (b : approx) : approx =
-  if approx_equal a b then a else Vtop
+let set (env : aenv) (r : Rtl.reg) (a : approx) : aenv =
+  match a with
+  | Vtop -> RegMap.remove r env
+  | Vcint _ | Vcfloat _ -> RegMap.add r a env
 
+(* A register stays constant across a join only if both sides bind it
+   to the same constant. *)
 let join_env (a : aenv) (b : aenv) : aenv =
-  RegMap.merge
-    (fun _ x y ->
-       match x, y with
-       | Some x, Some y -> Some (join_approx x y)
-       | Some _, None | None, Some _ | None, None -> Some Vtop)
-    a b
+  if a == b then a
+  else
+    RegMap.merge
+      (fun _ x y ->
+         match x, y with
+         | Some x, Some y when approx_equal x y -> Some x
+         | _, _ -> None)
+      a b
 
-let env_equal (a : aenv) (b : aenv) : bool = RegMap.equal approx_equal a b
+let env_equal (a : aenv) (b : aenv) : bool =
+  a == b || RegMap.equal approx_equal a b
 
 let value_of_approx (a : approx) : Minic.Value.t option =
   match a with
@@ -94,8 +102,8 @@ let eval_cond_abstract (c : Rtl.condition) (args : approx list) : bool option =
 let transfer (i : Rtl.instruction) (env : aenv) : aenv =
   match i with
   | Rtl.Iop (op, args, d, _) ->
-    RegMap.add d (eval_op_abstract op (List.map (fun r -> get env r) args)) env
-  | Rtl.Iload (_, _, _, d, _) | Rtl.Iacq (_, d, _) -> RegMap.add d Vtop env
+    set env d (eval_op_abstract op (List.map (fun r -> get env r) args))
+  | Rtl.Iload (_, _, _, d, _) | Rtl.Iacq (_, d, _) -> RegMap.remove d env
   | Rtl.Inop _ | Rtl.Istore _ | Rtl.Icond _ | Rtl.Iout _ | Rtl.Iannot _
   | Rtl.Ireturn _ -> env
 
@@ -103,6 +111,13 @@ let transfer (i : Rtl.instruction) (env : aenv) : aenv =
 let analyze (f : Rtl.func) : (Rtl.node, aenv) Hashtbl.t =
   let preds = Rtl.predecessors f in
   let in_env : (Rtl.node, aenv) Hashtbl.t = Hashtbl.create 251 in
+  (* out-environments, kept in step with the in-environments: a node's
+     transfer runs once per change of its input *)
+  let out_env : (Rtl.node, aenv) Hashtbl.t = Hashtbl.create 251 in
+  let set_in n e =
+    Hashtbl.replace in_env n e;
+    Hashtbl.replace out_env n (transfer (Rtl.get_instr f n) e)
+  in
   let worklist = Queue.create () in
   let workset = Hashtbl.create 251 in
   let push n =
@@ -112,7 +127,7 @@ let analyze (f : Rtl.func) : (Rtl.node, aenv) Hashtbl.t =
     end
   in
   List.iter push (Rtl.reverse_postorder f);
-  Hashtbl.replace in_env f.Rtl.f_entry RegMap.empty;
+  set_in f.Rtl.f_entry RegMap.empty;
   while not (Queue.is_empty worklist) do
     let n = Queue.pop worklist in
     Hashtbl.remove workset n;
@@ -122,19 +137,11 @@ let analyze (f : Rtl.func) : (Rtl.node, aenv) Hashtbl.t =
       else
         (* join over predecessors that have been reached *)
         let reached =
-          List.filter_map
-            (fun p -> Hashtbl.find_opt in_env p |> Option.map (fun e -> (p, e)))
-            (Option.value ~default:[] (Hashtbl.find_opt preds n))
+          List.filter_map (Hashtbl.find_opt out_env) preds.(n)
         in
         match reached with
         | [] -> RegMap.empty (* unreached; keep bottom-ish empty env *)
-        | (p0, e0) :: rest ->
-          List.fold_left
-            (fun acc (p, e) ->
-               ignore p;
-               join_env acc (transfer (Rtl.get_instr f p) e))
-            (transfer (Rtl.get_instr f p0) e0)
-            rest
+        | e0 :: rest -> List.fold_left join_env e0 rest
     in
     let old = Hashtbl.find_opt in_env n in
     let changed =
@@ -143,7 +150,7 @@ let analyze (f : Rtl.func) : (Rtl.node, aenv) Hashtbl.t =
       | Some o -> not (env_equal o env_in)
     in
     if changed || old = None then begin
-      Hashtbl.replace in_env n env_in;
+      set_in n env_in;
       List.iter push (Rtl.successors (Rtl.get_instr f n))
     end
   done;

@@ -100,16 +100,16 @@ let block_heads (f : Rtl.func) : Rtl.node list =
     (fun n ->
        if n = f.Rtl.f_entry then true
        else
-         match Hashtbl.find_opt preds n with
-         | Some [ p ] ->
+         match preds.(n) with
+         | [ p ] ->
            (match Rtl.get_instr f p with
             | Rtl.Icond _ -> true
             | _ -> false)
-         | Some _ | None -> true)
+         | _ -> true)
     nodes
 
 (* Walk one basic block starting at [head], rewriting instructions. *)
-let process_block (f : Rtl.func) (preds : (Rtl.node, Rtl.node list) Hashtbl.t)
+let process_block (f : Rtl.func) (preds : Rtl.node list array)
     (head : Rtl.node) : unit =
   let st = create_state () in
   let rec walk (n : Rtl.node) : unit =
@@ -169,9 +169,9 @@ let process_block (f : Rtl.func) (preds : (Rtl.node, Rtl.node list) Hashtbl.t)
       let s_is_head =
         s = f.Rtl.f_entry
         ||
-        (match Hashtbl.find_opt preds s with
-         | Some [ _ ] -> false
-         | Some _ | None -> true)
+        (match preds.(s) with
+         | [ _ ] -> false
+         | _ -> true)
       in
       if not s_is_head then walk s
     | [] | _ :: _ :: _ -> ()

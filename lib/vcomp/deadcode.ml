@@ -12,7 +12,7 @@ let eliminate_once (f : Rtl.func) : bool =
        if not (Rtl.has_effect i) then
          match i, Rtl.instr_def i with
          | (Rtl.Iop (_, _, _, s) | Rtl.Iload (_, _, _, _, s)), Some d ->
-           if not (Liveness.RegSet.mem d (Liveness.live_after lv n)) then begin
+           if not (Liveness.is_live_after lv n d) then begin
              Rtl.set_instr f n (Rtl.Inop s);
              changed := true
            end

@@ -17,8 +17,7 @@ let compute (f : Rtl.func) : t =
   let rpo = Rtl.reverse_postorder f in
   let rpo_index = Array.make n (-1) in
   List.iteri (fun i b -> rpo_index.(b) <- i) rpo;
-  let preds_tbl = Rtl.predecessors f in
-  let preds b = Option.value ~default:[] (Hashtbl.find_opt preds_tbl b) in
+  let preds = Array.get (Rtl.predecessors f) in
   let idom = Array.make n (-1) in
   idom.(f.Rtl.f_entry) <- f.Rtl.f_entry;
   let rec intersect (a : int) (b : int) : int =

@@ -65,8 +65,11 @@ let hoist_once (f : Rtl.func) : bool =
   | dom, loopnest ->
     let lv = Liveness.analyze f in
     let rpo = Rtl.reverse_postorder f in
-    let live_in (n : Rtl.node) : Liveness.RegSet.t =
-      Liveness.live_before (Rtl.get_instr f n) (Liveness.live_after lv n)
+    (* [r] is live on entry to [n] *)
+    let live_in (n : Rtl.node) (r : Rtl.reg) : bool =
+      let i = Rtl.get_instr f n in
+      List.mem r (Rtl.instr_uses i)
+      || (Rtl.instr_def i <> Some r && Liveness.is_live_after lv n r)
     in
     (* definition sites over reachable nodes *)
     let defs : (Rtl.reg, Rtl.node list) Hashtbl.t = Hashtbl.create 251 in
@@ -122,11 +125,11 @@ let hoist_once (f : Rtl.func) : bool =
         in
         let dest_ok n d =
           defs_of d = [ n ]
-          && (not (Liveness.RegSet.mem d (live_in header)))
+          && (not (live_in header d))
           && (dominates_exits n
               || not
                    (List.exists
-                      (fun t -> Liveness.RegSet.mem d (live_in t))
+                      (fun t -> live_in t d)
                       exit_targets))
         in
         let hoistable n =

@@ -1,11 +1,24 @@
 (* Liveness analysis over RTL: backward dataflow fixpoint computing, for
    every node, the set of pseudo-registers live *after* the instruction
-   at that node. Used by dead-code elimination and by the interference
-   graph construction of the register allocator. *)
+   at that node. Used by dead-code elimination, loop-invariant code
+   motion and by the interference graph construction of the register
+   allocator.
+
+   Pseudo-registers are small dense integers, so the fixpoint runs over
+   bit vectors, 63 registers a word, one row per node in a single flat
+   array: a union is a few word-wise [lor]s. Clients that want the sets
+   as [RegSet.t]s get them built once, on first use, sharing structure
+   along straight-line code. *)
 
 module RegSet = Set.Make (Int)
 
-type t = (Rtl.node, RegSet.t) Hashtbl.t
+type t = {
+  words : int;       (* words per row *)
+  rows : int;        (* node bound: row [n] is the live-after set of [n] *)
+  bits : int array;
+  post : (Rtl.node * Rtl.instruction) list; (* reachable nodes, postorder *)
+  mutable sets : RegSet.t array option;     (* the rows as sets *)
+}
 
 (* live_before(n) = (live_after(n) \ def(n)) ∪ use(n) *)
 let live_before (i : Rtl.instruction) (after : RegSet.t) : RegSet.t =
@@ -16,51 +29,127 @@ let live_before (i : Rtl.instruction) (after : RegSet.t) : RegSet.t =
   in
   List.fold_left (fun s r -> RegSet.add r s) minus_def (Rtl.instr_uses i)
 
+let create (f : Rtl.func) (post : Rtl.node list) : t =
+  let words = (Rtl.reg_bound f + 62) / 63 in
+  let rows = Rtl.node_bound f in
+  { words;
+    rows;
+    bits = Array.make (rows * words) 0;
+    post = List.map (fun n -> (n, Rtl.get_instr f n)) post;
+    sets = None }
+
+(* Set or clear bit [r] of the row starting at [base]. *)
+let set_bit (a : int array) (base : int) (r : Rtl.reg) : unit =
+  let w = base + (r / 63) in
+  a.(w) <- a.(w) lor (1 lsl (r mod 63))
+
+let clear_bit (a : int array) (base : int) (r : Rtl.reg) : unit =
+  let w = base + (r / 63) in
+  a.(w) <- a.(w) land lnot (1 lsl (r mod 63))
+
 (* Compute live-after sets for all reachable nodes with a worklist
    iteration seeded in postorder (fast convergence for reducible CFGs). *)
 let analyze (f : Rtl.func) : t =
   let preds = Rtl.predecessors f in
-  let live_after : t = Hashtbl.create 251 in
-  let get (n : Rtl.node) : RegSet.t =
-    Option.value ~default:RegSet.empty (Hashtbl.find_opt live_after n)
-  in
-  let workset = Hashtbl.create 251 in
+  (* postorder = reverse of reverse-postorder *)
+  let post = List.rev (Rtl.reverse_postorder f) in
+  let lv = create f post in
+  let words = lv.words in
+  let before = Array.make words 0 in
+  let queued = Bytes.make lv.rows '\000' in
   let worklist = Queue.create () in
   let push (n : Rtl.node) : unit =
-    if not (Hashtbl.mem workset n) then begin
-      Hashtbl.replace workset n ();
+    if Bytes.get queued n = '\000' then begin
+      Bytes.set queued n '\001';
       Queue.add n worklist
     end
   in
-  (* postorder = reverse of reverse-postorder *)
-  List.iter push (List.rev (Rtl.reverse_postorder f));
+  List.iter push post;
   while not (Queue.is_empty worklist) do
     let n = Queue.pop worklist in
-    Hashtbl.remove workset n;
+    Bytes.set queued n '\000';
     let i = Rtl.get_instr f n in
-    let after = get n in
-    let before = live_before i after in
+    Array.blit lv.bits (n * words) before 0 words;
+    Option.iter (clear_bit before 0) (Rtl.instr_def i);
+    List.iter (set_bit before 0) (Rtl.instr_uses i);
     (* propagate into predecessors' live-after *)
     List.iter
       (fun p ->
-         let old = get p in
-         let updated = RegSet.union old before in
-         if not (RegSet.equal old updated) then begin
-           Hashtbl.replace live_after p updated;
-           push p
-         end)
-      (Option.value ~default:[] (Hashtbl.find_opt preds n))
+         let base = p * words in
+         let grew = ref false in
+         for w = 0 to words - 1 do
+           let old = lv.bits.(base + w) in
+           let updated = old lor before.(w) in
+           if updated <> old then begin
+             lv.bits.(base + w) <- updated;
+             grew := true
+           end
+         done;
+         if !grew then push p)
+      preds.(n)
   done;
-  live_after
+  lv
+
+let is_live_after (lv : t) (n : Rtl.node) (r : Rtl.reg) : bool =
+  n < lv.rows
+  && r / 63 < lv.words
+  && lv.bits.((n * lv.words) + (r / 63)) land (1 lsl (r mod 63)) <> 0
+
+(* Registers live after [n], ascending. Live sets are sparse: skip
+   empty words, then empty bytes. *)
+let iter_live_after (lv : t) (n : Rtl.node) (k : Rtl.reg -> unit) : unit =
+  if n < lv.rows then
+    for w = 0 to lv.words - 1 do
+      let word = lv.bits.((n * lv.words) + w) in
+      if word <> 0 then
+        for byte = 0 to 7 do
+          let chunk = (word lsr (8 * byte)) land 0xFF in
+          if chunk <> 0 then
+            for b = 0 to 7 do
+              if chunk land (1 lsl b) <> 0 then k ((w * 63) + (8 * byte) + b)
+            done
+        done
+    done
+
+let row_set (lv : t) (n : Rtl.node) : RegSet.t =
+  let rev = ref [] in
+  iter_live_after lv n (fun r -> rev := r :: !rev);
+  RegSet.of_list (List.rev !rev)
+
+(* In postorder a node's only successor comes first unless the edge
+   closes a loop, and then live_after(n) = live_before(successor). *)
+let build_sets (lv : t) : RegSet.t array =
+  let sets = Array.make lv.rows RegSet.empty in
+  let code = Array.make lv.rows None in
+  List.iter
+    (fun (n, i) ->
+       sets.(n) <-
+         (match Rtl.successors i with
+          | [ s ] ->
+            (match code.(s) with
+             | Some si -> live_before si sets.(s)
+             | None -> row_set lv n)
+          | _ -> row_set lv n);
+       code.(n) <- Some i)
+    lv.post;
+  sets
 
 let live_after (lv : t) (n : Rtl.node) : RegSet.t =
-  Option.value ~default:RegSet.empty (Hashtbl.find_opt lv n)
+  let sets =
+    match lv.sets with
+    | Some sets -> sets
+    | None ->
+      let sets = build_sets lv in
+      lv.sets <- Some sets;
+      sets
+  in
+  if n < Array.length sets then sets.(n) else RegSet.empty
 
 (* Naive recomputation used by property tests: iterate the equations
-   globally until fixpoint, no worklist. *)
+   globally over register sets until fixpoint, no worklist. *)
 let analyze_naive (f : Rtl.func) : t =
   let nodes = Rtl.reverse_postorder f in
-  let live_after : t = Hashtbl.create 251 in
+  let live_after : (Rtl.node, RegSet.t) Hashtbl.t = Hashtbl.create 251 in
   let get n = Option.value ~default:RegSet.empty (Hashtbl.find_opt live_after n) in
   let changed = ref true in
   while !changed do
@@ -80,4 +169,12 @@ let analyze_naive (f : Rtl.func) : t =
          end)
       nodes
   done;
-  live_after
+  let lv = create f [] in
+  let sets = Array.make lv.rows RegSet.empty in
+  Hashtbl.iter
+    (fun n s ->
+       sets.(n) <- s;
+       RegSet.iter (set_bit lv.bits (n * lv.words)) s)
+    live_after;
+  lv.sets <- Some sets;
+  lv

@@ -18,8 +18,7 @@ type t = { loops : loop list }
 
 let compute (f : Rtl.func) (dom : Dom.t) : t =
   let rpo = Rtl.reverse_postorder f in
-  let preds_tbl = Rtl.predecessors f in
-  let preds b = Option.value ~default:[] (Hashtbl.find_opt preds_tbl b) in
+  let preds = Array.get (Rtl.predecessors f) in
   (* find back edges *)
   let back = Hashtbl.create 17 in (* header -> back-edge source list *)
   List.iter

@@ -14,7 +14,6 @@
    simultaneously-live pseudo-registers share a location. *)
 
 module RegSet = Liveness.RegSet
-module RegMap = Map.Make (Int)
 
 type loc =
   | Lireg of Target.Asm.ireg
@@ -30,270 +29,270 @@ let loc_equal (a : loc) (b : loc) : bool =
 
 (* ---- interference graph ------------------------------------------ *)
 
+(* Pseudo-registers are small dense integers (below [Rtl.reg_bound]), so
+   every per-register table is an array indexed by register. *)
 type graph = {
-  g_adj : (Rtl.reg, RegSet.t) Hashtbl.t;
-  g_uses : (Rtl.reg, int) Hashtbl.t;   (* occurrence count, for spill cost *)
+  g_node : bool array;           (* the register occurs in the function *)
+  g_adj : Rtl.reg array array;   (* interfering registers, ascending *)
+  g_uses : int array;            (* occurrence count, for spill cost *)
   g_moves : (Rtl.reg * Rtl.reg) list;  (* move-related pairs, same class *)
 }
 
-let adj (g : graph) (r : Rtl.reg) : RegSet.t =
-  Option.value ~default:RegSet.empty (Hashtbl.find_opt g.g_adj r)
+(* The allocator's working copy of the graph: an edge bit matrix for
+   membership, unordered neighbor lists and degrees. Coalescing merges
+   nodes in place, so once it has run, the lists of the representatives
+   (ignoring entries that are no longer representatives) describe the
+   coalesced graph. *)
+type work = {
+  w_size : int;
+  w_bits : Bytes.t;            (* edge (a, b) is bit [a * w_size + b] *)
+  w_adj : Rtl.reg list array;
+  w_deg : int array;
+}
 
-let add_node (g : graph) (r : Rtl.reg) : unit =
-  if not (Hashtbl.mem g.g_adj r) then Hashtbl.replace g.g_adj r RegSet.empty
+let bit (w : work) (a : Rtl.reg) (b : Rtl.reg) : int = (a * w.w_size) + b
 
-let add_edge (g : graph) (a : Rtl.reg) (b : Rtl.reg) : unit =
-  if a <> b then begin
-    Hashtbl.replace g.g_adj a (RegSet.add b (adj g a));
-    Hashtbl.replace g.g_adj b (RegSet.add a (adj g b))
+let interferes (w : work) (a : Rtl.reg) (b : Rtl.reg) : bool =
+  let i = bit w a b in
+  Char.code (Bytes.get w.w_bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let set_bit (w : work) (i : int) : unit =
+  let byte = i lsr 3 in
+  Bytes.set w.w_bits byte
+    (Char.unsafe_chr (Char.code (Bytes.get w.w_bits byte) lor (1 lsl (i land 7))))
+
+let add_edge (w : work) (a : Rtl.reg) (b : Rtl.reg) : unit =
+  if a <> b && not (interferes w a b) then begin
+    set_bit w (bit w a b);
+    set_bit w (bit w b a);
+    w.w_adj.(a) <- b :: w.w_adj.(a);
+    w.w_adj.(b) <- a :: w.w_adj.(b);
+    w.w_deg.(a) <- w.w_deg.(a) + 1;
+    w.w_deg.(b) <- w.w_deg.(b) + 1
   end
 
-let count_use (g : graph) (r : Rtl.reg) : unit =
-  Hashtbl.replace g.g_uses r
-    (1 + Option.value ~default:0 (Hashtbl.find_opt g.g_uses r))
+(* Symmetric neighbor lists in ascending order, restricted to the
+   registers [keep] accepts: listing each kept [r] as a neighbor of its
+   neighbors, for [r] in descending order, builds every list sorted. *)
+let sorted_neighbors (w : work) (keep : Rtl.reg -> bool) : Rtl.reg list array =
+  let out = Array.make w.w_size [] in
+  for r = w.w_size - 1 downto 0 do
+    if keep r then
+      List.iter (fun x -> if keep x then out.(x) <- r :: out.(x)) w.w_adj.(r)
+  done;
+  out
 
-let build_graph (f : Rtl.func) : graph =
+let class_table (f : Rtl.func) (size : int) : Rtl.mclass array =
+  let cls = Array.make size Rtl.Cint in
+  Hashtbl.iter (fun r c -> cls.(r) <- c) f.Rtl.f_classes;
+  cls
+
+let build (f : Rtl.func) (cls : Rtl.mclass array) : graph * work =
+  let size = Array.length cls in
   let lv = Liveness.analyze f in
-  let g =
-    { g_adj = Hashtbl.create 251;
-      g_uses = Hashtbl.create 251;
-      g_moves = [] }
+  let w =
+    { w_size = size;
+      w_bits = Bytes.make (((size * size) + 7) / 8) '\000';
+      w_adj = Array.make size [];
+      w_deg = Array.make size 0 }
+  in
+  let node = Array.make size false in
+  let uses = Array.make size 0 in
+  let add_node r =
+    if not node.(r) then begin
+      ignore (Rtl.reg_class f r);
+      node.(r) <- true
+    end
+  in
+  let count_use r =
+    add_node r;
+    uses.(r) <- uses.(r) + 1
   in
   let moves = ref [] in
   (* ensure every mentioned register is a node *)
-  List.iter (fun (r, _) -> add_node g r) f.Rtl.f_params;
+  List.iter (fun (r, _) -> add_node r) f.Rtl.f_params;
   List.iter
     (fun n ->
        let i = Rtl.get_instr f n in
-       List.iter
-         (fun r ->
-            add_node g r;
-            count_use g r)
-         (Rtl.instr_uses i);
-       (match Rtl.instr_def i with
-        | Some d ->
-          add_node g d;
-          count_use g d;
-          let live = Liveness.live_after lv n in
-          let exclude =
-            match i with
-            | Rtl.Iop (Rtl.Omove, [ s ], _, _) ->
-              if Rtl.reg_class f s = Rtl.reg_class f d then
-                moves := (d, s) :: !moves;
-              RegSet.of_list [ d; s ]
-            | _ -> RegSet.singleton d
-          in
-          RegSet.iter
-            (fun r ->
-               if not (RegSet.mem r exclude)
-               && Rtl.reg_class f r = Rtl.reg_class f d then add_edge g d r)
-            live
-        | None -> ()))
+       List.iter count_use (Rtl.instr_uses i);
+       match Rtl.instr_def i with
+       | Some d ->
+         count_use d;
+         let src =
+           match i with
+           | Rtl.Iop (Rtl.Omove, [ s ], _, _) ->
+             if cls.(s) = cls.(d) then moves := (d, s) :: !moves;
+             s
+           | _ -> d
+         in
+         Liveness.iter_live_after lv n (fun r ->
+             if r <> src && cls.(r) = cls.(d) then add_edge w d r)
+       | None -> ())
     (Rtl.reverse_postorder f);
   (* parameters interfere with each other (they arrive simultaneously) *)
   let rec pairs = function
     | [] -> ()
     | (a, ca) :: rest ->
-      List.iter (fun (b, cb) -> if ca = cb then add_edge g a b) rest;
+      List.iter (fun (b, cb) -> if ca = cb then add_edge w a b) rest;
       pairs rest
   in
   pairs f.Rtl.f_params;
-  { g with g_moves = !moves }
+  let g =
+    { g_node = node;
+      g_adj = Array.map Array.of_list (sorted_neighbors w (fun _ -> true));
+      g_uses = uses;
+      g_moves = !moves }
+  in
+  (g, w)
 
 (* ---- coalescing ---------------------------------------------------- *)
 
-(* Union-find over registers for coalesced move webs. *)
-type uf = (Rtl.reg, Rtl.reg) Hashtbl.t
-
-let rec uf_find (u : uf) (r : Rtl.reg) : Rtl.reg =
-  match Hashtbl.find_opt u r with
-  | None -> r
-  | Some p ->
-    let root = uf_find u p in
-    Hashtbl.replace u r root;
+(* Union-find over registers for coalesced move webs: [alias.(r) = r]
+   for representatives. *)
+let rec find (alias : Rtl.reg array) (r : Rtl.reg) : Rtl.reg =
+  let p = alias.(r) in
+  if p = r then r
+  else begin
+    let root = find alias p in
+    alias.(r) <- root;
     root
+  end
+
+let is_rep (alias : Rtl.reg array) (r : Rtl.reg) : bool = alias.(r) = r
 
 (* Conservative (Briggs) coalescing: merge the ends of a move if the
    merged node would have fewer than K neighbors of significant degree. *)
-let coalesce (g : graph) (f : Rtl.func) (kof : Rtl.mclass -> int) : uf =
-  let u : uf = Hashtbl.create 61 in
-  let merged_adj = Hashtbl.create 251 in
-  let madj r =
-    match Hashtbl.find_opt merged_adj r with
-    | Some s -> s
-    | None -> adj g r
-  in
+let coalesce (g : graph) (w : work) (cls : Rtl.mclass array)
+    (kof : Rtl.mclass -> int) : Rtl.reg array =
+  let alias = Array.init w.w_size Fun.id in
   List.iter
     (fun (d, s) ->
-       let rd = uf_find u d and rs = uf_find u s in
-       if rd <> rs then begin
-         let nd = madj rd and ns = madj rs in
-         if not (RegSet.mem rs nd) then begin
-           let k = kof (Rtl.reg_class f d) in
-           let combined = RegSet.union nd ns in
-           let significant =
-             RegSet.fold
-               (fun n acc ->
-                  if RegSet.cardinal (madj n) >= k then acc + 1 else acc)
-               combined 0
-           in
-           if significant < k then begin
-             (* merge rs into rd *)
-             Hashtbl.replace u rs rd;
-             Hashtbl.replace merged_adj rd combined;
-             (* update neighbors to see rd instead of rs *)
-             RegSet.iter
-               (fun n ->
-                  let na = madj n in
-                  Hashtbl.replace merged_adj n (RegSet.add rd (RegSet.remove rs na)))
-               ns
-           end
+       let rd = find alias d and rs = find alias s in
+       if rd <> rs && not (interferes w rd rs) then begin
+         let k = kof cls.(d) in
+         let significant = ref 0 in
+         let count n = if w.w_deg.(n) >= k then incr significant in
+         List.iter (fun n -> if is_rep alias n then count n) w.w_adj.(rd);
+         List.iter
+           (fun n -> if is_rep alias n && not (interferes w rd n) then count n)
+           w.w_adj.(rs);
+         if !significant < k then begin
+           (* merge rs into rd: each neighbor of rs loses its edge to
+              rs and gains one to rd unless it already had it *)
+           alias.(rs) <- rd;
+           List.iter
+             (fun n ->
+                if is_rep alias n then begin
+                  add_edge w rd n;
+                  w.w_deg.(n) <- w.w_deg.(n) - 1
+                end)
+             w.w_adj.(rs)
          end
        end)
     g.g_moves;
-  u
+  alias
 
 (* ---- coloring ------------------------------------------------------ *)
 
-let color_class (f : Rtl.func) (g : graph) (u : uf) (cls : Rtl.mclass)
-    (palette : int list) (alloc : allocation) (next_slot : int ref) : unit =
+let uncolored = max_int
+
+let color_class (g : graph) (w : work) (cls : Rtl.mclass array)
+    (alias : Rtl.reg array) (c : Rtl.mclass) (palette : int list)
+    (alloc : allocation) (next_slot : int ref) : unit =
   let k = List.length palette in
-  (* representative nodes of this class *)
-  let nodes =
-    Hashtbl.fold
-      (fun r _ acc ->
-         if Rtl.reg_class f r = cls && uf_find u r = r then RegSet.add r acc
-         else acc)
-      g.g_adj RegSet.empty
-  in
-  (* adjacency among representatives *)
-  let radj = Hashtbl.create 251 in
-  RegSet.iter
-    (fun r ->
-       Hashtbl.replace radj r RegSet.empty)
-    nodes;
-  Hashtbl.iter
-    (fun r ns ->
-       if Rtl.reg_class f r = cls then begin
-         let rr = uf_find u r in
-         RegSet.iter
-           (fun n ->
-              if Rtl.reg_class f n = cls then begin
-                let rn = uf_find u n in
-                if rr <> rn then begin
-                  Hashtbl.replace radj rr
-                    (RegSet.add rn
-                       (Option.value ~default:RegSet.empty
-                          (Hashtbl.find_opt radj rr)));
-                  Hashtbl.replace radj rn
-                    (RegSet.add rr
-                       (Option.value ~default:RegSet.empty
-                          (Hashtbl.find_opt radj rn)))
-                end
-              end)
-           ns
-       end)
-    g.g_adj;
-  let degree = Hashtbl.create 251 in
-  RegSet.iter
-    (fun r ->
-       Hashtbl.replace degree r
-         (RegSet.cardinal
-            (Option.value ~default:RegSet.empty (Hashtbl.find_opt radj r))))
-    nodes;
-  let removed = Hashtbl.create 251 in
+  let size = Array.length g.g_node in
+  let in_class r = g.g_node.(r) && cls.(r) = c in
+  (* representative nodes of this class, ascending, and the coalesced
+     adjacency among them *)
+  let rep r = in_class r && is_rep alias r in
+  let nodes = List.filter rep (List.init size Fun.id) in
+  let radj = sorted_neighbors w rep in
+  let degree = Array.map List.length radj in
+  let removed = Array.make size false in
   let stack = ref [] in
-  let remaining = ref (RegSet.cardinal nodes) in
-  let deg r = Option.value ~default:0 (Hashtbl.find_opt degree r) in
+  let remaining = ref (List.length nodes) in
   let spill_cost (r : Rtl.reg) : float =
-    let uses =
-      float_of_int (1 + Option.value ~default:0 (Hashtbl.find_opt g.g_uses r))
-    in
-    uses /. float_of_int (1 + deg r)
+    float_of_int (1 + g.g_uses.(r)) /. float_of_int (1 + degree.(r))
   in
   (* Simplify worklist: nodes of insignificant degree; when it dries up,
      optimistically remove the cheapest potential spill. *)
   let low = Queue.create () in
-  RegSet.iter (fun r -> if deg r < k then Queue.add r low) nodes;
+  List.iter (fun r -> if degree.(r) < k then Queue.add r low) nodes;
   let remove_node (r : Rtl.reg) : unit =
-    Hashtbl.replace removed r ();
+    removed.(r) <- true;
     stack := r :: !stack;
     decr remaining;
-    RegSet.iter
+    List.iter
       (fun n ->
-         if not (Hashtbl.mem removed n) then begin
-           let d = deg n in
-           Hashtbl.replace degree n (d - 1);
+         if not removed.(n) then begin
+           let d = degree.(n) in
+           degree.(n) <- d - 1;
            if d = k then Queue.add n low
          end)
-      (Option.value ~default:RegSet.empty (Hashtbl.find_opt radj r))
+      radj.(r)
   in
   while !remaining > 0 do
     let rec pop_low () : Rtl.reg option =
       if Queue.is_empty low then None
       else
         let r = Queue.pop low in
-        if Hashtbl.mem removed r then pop_low () else Some r
+        if removed.(r) then pop_low () else Some r
     in
     match pop_low () with
     | Some r -> remove_node r
     | None ->
-      (* no trivially colorable node: pick the cheapest potential spill *)
+      (* no trivially colorable node: pick the cheapest potential spill,
+         the lowest-numbered one on a tie *)
       let candidate =
-        RegSet.fold
-          (fun r acc ->
-             if Hashtbl.mem removed r then acc
+        List.fold_left
+          (fun acc r ->
+             if removed.(r) then acc
              else
+               let cost = spill_cost r in
                match acc with
-               | Some best when spill_cost best <= spill_cost r -> acc
-               | Some _ | None -> Some r)
-          nodes None
+               | Some (_, best) when best <= cost -> acc
+               | Some _ | None -> Some (r, cost))
+          None nodes
       in
       (match candidate with
-       | Some r -> remove_node r
+       | Some (r, _) -> remove_node r
        | None -> remaining := 0)
   done;
-  (* pop and assign colors *)
-  let color = Hashtbl.create 251 in
+  (* pop and assign colors: the first palette color that no colored
+     neighbor holds ([taken.(c) = r] while coloring r), else a fresh
+     frame slot *)
+  let color = Array.make size uncolored in
+  let taken = Array.make (1 + List.fold_left max 0 palette) (-1) in
   List.iter
     (fun r ->
-       let neighbor_colors =
-         RegSet.fold
-           (fun n acc ->
-              match Hashtbl.find_opt color n with
-              | Some c -> c :: acc
-              | None -> acc)
-           (Option.value ~default:RegSet.empty (Hashtbl.find_opt radj r))
-           []
-       in
-       match List.find_opt (fun c -> not (List.mem c neighbor_colors)) palette with
-       | Some c -> Hashtbl.replace color r c
+       List.iter
+         (fun n ->
+            let cn = color.(n) in
+            if cn <> uncolored && cn >= 0 then taken.(cn) <- r)
+         radj.(r);
+       match List.find_opt (fun c -> taken.(c) <> r) palette with
+       | Some c -> color.(r) <- c
        | None ->
          (* actual spill: a fresh frame slot *)
          let s = !next_slot in
          incr next_slot;
-         Hashtbl.replace color r (-1 - s))
+         color.(r) <- -1 - s)
     !stack;
   (* write out locations for all registers of the class *)
-  Hashtbl.iter
-    (fun r _ ->
-       if Rtl.reg_class f r = cls then begin
-         let rep = uf_find u r in
-         match Hashtbl.find_opt color rep with
-         | Some c when c >= 0 ->
-           Hashtbl.replace alloc r
-             (match cls with
-              | Rtl.Cint -> Lireg c
-              | Rtl.Cfloat -> Lfreg c)
-         | Some c -> Hashtbl.replace alloc r (Lslot (-1 - c))
-         | None ->
+  for r = 0 to size - 1 do
+    if in_class r then begin
+      let cr = color.(find alias r) in
+      Hashtbl.replace alloc r
+        (if cr = uncolored then
            (* node never appeared (dead register): any location works *)
-           Hashtbl.replace alloc r
-             (match cls with
-              | Rtl.Cint -> Lireg (List.hd palette)
-              | Rtl.Cfloat -> Lfreg (List.hd palette))
-       end)
-    g.g_adj
+           (match c with
+            | Rtl.Cint -> Lireg (List.hd palette)
+            | Rtl.Cfloat -> Lfreg (List.hd palette))
+         else if cr >= 0 then
+           (match c with Rtl.Cint -> Lireg cr | Rtl.Cfloat -> Lfreg cr)
+         else Lslot (-1 - cr))
+    end
+  done
 
 type result = {
   ra_alloc : allocation;
@@ -302,17 +301,20 @@ type result = {
 }
 
 let allocate (f : Rtl.func) : result =
-  let g = build_graph f in
+  let cls = class_table f (Rtl.reg_bound f) in
+  let g, w = build f cls in
   let kof (c : Rtl.mclass) : int =
     match c with
     | Rtl.Cint -> List.length Target.Asm.allocatable_iregs
     | Rtl.Cfloat -> List.length Target.Asm.allocatable_fregs
   in
-  let u = coalesce g f kof in
+  let alias = coalesce g w cls kof in
   let alloc : allocation = Hashtbl.create 251 in
   let next_slot = ref 0 in
-  color_class f g u Rtl.Cint Target.Asm.allocatable_iregs alloc next_slot;
-  color_class f g u Rtl.Cfloat Target.Asm.allocatable_fregs alloc next_slot;
+  color_class g w cls alias Rtl.Cint Target.Asm.allocatable_iregs alloc
+    next_slot;
+  color_class g w cls alias Rtl.Cfloat Target.Asm.allocatable_fregs alloc
+    next_slot;
   { ra_alloc = alloc; ra_nslots = !next_slot; ra_graph = g }
 
 let location (res : result) (r : Rtl.reg) : loc =
@@ -323,7 +325,7 @@ let location (res : result) (r : Rtl.reg) : loc =
 (* ---- validation ---------------------------------------------------- *)
 
 (* Independent check: rebuild liveness and verify that interfering
-   registers (by the same construction rule as [build_graph]) never
+   registers (by the same construction rule as [build]) never
    share a location. A deliberately corrupted allocation must be
    rejected — the test suite checks this by mutation. *)
 let verify (f : Rtl.func) (res : result) : (unit, string) Result.t =

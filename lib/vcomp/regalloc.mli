@@ -4,8 +4,6 @@
     float pseudo-registers are colored separately against the EABI
     allocatable banks; uncolorable nodes spill to frame slots. *)
 
-module RegSet = Liveness.RegSet
-
 type loc =
   | Lireg of Target.Asm.ireg
   | Lfreg of Target.Asm.freg
@@ -15,13 +13,14 @@ type allocation = (Rtl.reg, loc) Hashtbl.t
 
 val loc_equal : loc -> loc -> bool
 
+(** The interference graph as built, before coalescing. Every table is
+    indexed by register. *)
 type graph = {
-  g_adj : (Rtl.reg, RegSet.t) Hashtbl.t;
-  g_uses : (Rtl.reg, int) Hashtbl.t;
-  g_moves : (Rtl.reg * Rtl.reg) list;
+  g_node : bool array;  (** the register occurs in the function *)
+  g_adj : Rtl.reg array array;  (** interfering registers, ascending *)
+  g_uses : int array;  (** occurrence count, for spill cost *)
+  g_moves : (Rtl.reg * Rtl.reg) list;  (** move-related pairs, same class *)
 }
-
-val build_graph : Rtl.func -> graph
 
 type result = {
   ra_alloc : allocation;

@@ -163,6 +163,20 @@ let instr_def (i : instruction) : reg option =
   | Iop (_, _, d, _) | Iload (_, _, _, d, _) | Iacq (_, d, _) -> Some d
   | Inop _ | Istore _ | Icond _ | Iout _ | Iannot _ | Ireturn _ -> None
 
+(* Exclusive upper bounds of the register and node numbers a function
+   uses, for tables indexed by register or by node. *)
+let reg_bound (f : func) : int =
+  let bound m r = max m (r + 1) in
+  Hashtbl.fold
+    (fun _ i m ->
+       let m = List.fold_left bound m (instr_uses i) in
+       match instr_def i with Some d -> bound m d | None -> m)
+    f.f_code
+    (Hashtbl.fold (fun r _ m -> bound m r) f.f_classes f.f_next_reg)
+
+let node_bound (f : func) : int =
+  Hashtbl.fold (fun n _ m -> max m (n + 1)) f.f_code f.f_next_node
+
 (* Does the instruction have an effect beyond defining its destination?
    Such instructions are never removed by dead-code elimination. *)
 let has_effect (i : instruction) : bool =
@@ -170,33 +184,46 @@ let has_effect (i : instruction) : bool =
   | Istore _ | Iacq _ | Iout _ | Iannot _ | Ireturn _ -> true
   | Inop _ | Iop _ | Iload _ | Icond _ -> false
 
-(* All nodes reachable from the entry, in reverse postorder. *)
+(* All nodes reachable from the entry, in reverse postorder. Every pass
+   asks for it, several times per function, so it marks visited nodes
+   in a byte per node rather than a hash table. *)
 let reverse_postorder (f : func) : node list =
-  let visited = Hashtbl.create 251 in
+  let bound = node_bound f in
+  let visited = Bytes.make bound '\000' in
   let order = ref [] in
   let rec dfs (n : node) : unit =
-    if not (Hashtbl.mem visited n) then begin
-      Hashtbl.replace visited n ();
-      List.iter dfs (successors (get_instr f n));
+    if n < 0 || n >= bound then ignore (get_instr f n) (* not a node: raises *)
+    else if Bytes.get visited n = '\000' then begin
+      Bytes.set visited n '\001';
+      (* [successors] without its list allocation *)
+      (match get_instr f n with
+       | Inop s
+       | Iop (_, _, _, s)
+       | Iload (_, _, _, _, s)
+       | Istore (_, _, _, _, s)
+       | Iacq (_, _, s)
+       | Iout (_, _, s)
+       | Iannot (_, _, s) -> dfs s
+       | Icond (_, _, s1, s2) ->
+         dfs s1;
+         dfs s2
+       | Ireturn _ -> ());
       order := n :: !order
     end
   in
   dfs f.f_entry;
   !order
 
-(* Predecessor map over reachable nodes. *)
-let predecessors (f : func) : (node, node list) Hashtbl.t =
-  let preds = Hashtbl.create 251 in
-  let nodes = reverse_postorder f in
-  List.iter (fun n -> Hashtbl.replace preds n []) nodes;
+(* Predecessors over reachable nodes, indexed by node (empty for the
+   unreachable ones); each list is in reverse of reverse postorder. *)
+let predecessors (f : func) : node list array =
+  let preds = Array.make (node_bound f) [] in
   List.iter
     (fun n ->
        List.iter
-         (fun s ->
-            let cur = Option.value ~default:[] (Hashtbl.find_opt preds s) in
-            Hashtbl.replace preds s (n :: cur))
+         (fun s -> preds.(s) <- n :: preds.(s))
          (successors (get_instr f n)))
-    nodes;
+    (reverse_postorder f);
   preds
 
 type program = {

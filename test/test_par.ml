@@ -114,6 +114,22 @@ let test_stream_empty_and_exception () =
            (Printf.sprintf "prefix before failure (jobs=%d)" jobs)
            [ (0, 0); (1, 1); (2, 2); (3, 3); (4, 4) ]
            (List.rev !seen))
+    [ 1; 4 ];
+  (* a raising producer: its exception reaches the caller *)
+  let producer k =
+    if k < 2 then Some (Array.init 3 (fun j () -> (3 * k) + j))
+    else raise (Boom (-1))
+  in
+  List.iter
+    (fun jobs ->
+       match
+         Fcstack.Par.run_stream ~jobs ~lookahead:1 ~producer
+           ~consumer:(fun acc _ v -> v :: acc) ~init:[] ()
+       with
+       | _ -> Alcotest.fail "expected the producer's exception"
+       | exception Boom g ->
+         Alcotest.check Alcotest.int
+           (Printf.sprintf "producer exception (jobs=%d)" jobs) (-1) g)
     [ 1; 4 ]
 
 let test_stream_bounded_window () =

@@ -167,10 +167,10 @@ let regalloc_mutation_prop =
        let res = Vcomp.Regalloc.allocate f in
        (* find an interfering pair with different locations *)
        let victim = ref None in
-       Hashtbl.iter
+       Array.iteri
          (fun a neighbors ->
             if !victim = None then
-              Vcomp.Regalloc.RegSet.iter
+              Array.iter
                 (fun b ->
                    if !victim = None
                       && Vcomp.Rtl.reg_class f a = Vcomp.Rtl.reg_class f b
@@ -379,6 +379,173 @@ let ablation_chain_prop =
            Vcomp.Driver.{ no_validation with opt_deadcode = false };
            { Vcomp.Pass.all_off with Vcomp.Pass.opt_validate = false } ])
 
+(* ---- pinned assembly ---- *)
+
+(* The compiler's output on fixed inputs, recorded as MD5 digests of the
+   emitted assembly. A change to a pass's data structures must leave
+   every rewrite, coalesce, color, spill slot and unit of fuel charged
+   as it was, so these digests may only move with a deliberate change
+   to the generated code. *)
+
+let asm_text (options : Vcomp.Pass.options) (p : Minic.Ast.program) : string =
+  Target.Emit.program_to_string (Vcomp.Driver.compile ~options p)
+
+let digest (s : string) : string = Digest.to_hex (Digest.string s)
+
+(* Ten generated nodes per profile (seeds 2026 + 7919 i) at -O 2. Fuel
+   3 starves GVN and LICM and stops dead-code elimination after 3
+   sweeps; 64 is the sweep cap; the default lets every pass converge. *)
+let golden_profiles =
+  Scade.Workload.
+    [ ("io", io_node); ("small", small_node); ("medium", medium_node);
+      ("large", large_node) ]
+
+let golden_digests =
+  [ ("io", 3, "82b0e9c54f424967e849dfd562422cec");
+    ("io", 64, "487750e18388d5517a4b628b6e5e978d");
+    ("io", Vcomp.Pass.default_fuel, "c77812b17882b58fcdb38143cdacb9b8");
+    ("small", 3, "63fe9fd40684f26cb56917bd92392ee5");
+    ("small", 64, "63fe9fd40684f26cb56917bd92392ee5");
+    ("small", Vcomp.Pass.default_fuel, "a534bb4a52e0fe2f687ed9c3d21b1dfd");
+    ("medium", 3, "f7f050b9691ceb5372f559615c2d840d");
+    ("medium", 64, "3bd4fe44fc74e90fe3f8cb19194d0364");
+    ("medium", Vcomp.Pass.default_fuel, "5b46f902d88982b6f62120716d128dbe");
+    ("large", 3, "a113280aa9cd0012135818820b8c3d20");
+    ("large", 64, "a113280aa9cd0012135818820b8c3d20");
+    ("large", Vcomp.Pass.default_fuel, "57c2c3c4503aba2955f6713a95cc8170") ]
+
+(* Medium node 5 needs exactly 367 GVN worklist steps to converge: with
+   one unit less GVN skips its function. Pinning both sides catches any
+   change to the fuel a step is charged. *)
+let fuel_boundary_digests =
+  [ (366, "e131b9831acebc94098e18794372b198");
+    (367, "a05ff304283bf97190aed95b58337275") ]
+
+let golden_node (profile : Scade.Workload.profile) (i : int) : Minic.Ast.program =
+  Scade.Acg.generate
+    (Scade.Workload.generate_node ~profile ~seed:(2026 + (7919 * i))
+       (Printf.sprintf "g%02d" i))
+
+let test_golden_assembly () =
+  let profile name = List.assoc name golden_profiles in
+  let at_fuel fuel = { (Vcomp.Pass.level 2) with Vcomp.Pass.opt_fuel = fuel } in
+  List.iter
+    (fun (name, fuel, expected) ->
+       let text =
+         String.concat ""
+           (List.init 10 (fun i -> asm_text (at_fuel fuel) (golden_node (profile name) i)))
+       in
+       Alcotest.check Alcotest.string
+         (Printf.sprintf "%s nodes, fuel %d" name fuel)
+         expected (digest text))
+    golden_digests;
+  List.iter
+    (fun (fuel, expected) ->
+       Alcotest.check Alcotest.string
+         (Printf.sprintf "medium node 5, fuel %d" fuel)
+         expected
+         (digest (asm_text (at_fuel fuel) (golden_node Scade.Workload.medium_node 5))))
+    fuel_boundary_digests
+
+(* More simultaneously live ints and floats than the allocatable banks
+   hold: the optimistic-spill branch must run, and spill slots must keep
+   the program correct. *)
+let pressure_program : string =
+  let n =
+    6
+    + max
+        (List.length Target.Asm.allocatable_iregs)
+        (List.length Target.Asm.allocatable_fregs)
+  in
+  let each fmt = String.concat " " (List.init n fmt) in
+  Printf.sprintf
+    {| volatile in int k; volatile in double s;
+       volatile out int q; volatile out double o;
+       void m() { %s %s var int ia; var double fa;
+         %s %s
+         ia = 0; fa = 0.0;
+         %s %s
+         volatile(q) = ia; volatile(o) = fa; } main m; |}
+    (each (Printf.sprintf "var int a%d;"))
+    (each (Printf.sprintf "var double b%d;"))
+    (each (fun i -> Printf.sprintf "a%d = volatile(k) * %d;" i (i + 3)))
+    (each (fun i -> Printf.sprintf "b%d = volatile(s) *. %d.5;" i (i + 1)))
+    (each (fun i -> Printf.sprintf "ia = ia + a%d;" (n - 1 - i)))
+    (each (fun i -> Printf.sprintf "fa = fa +. b%d;" (n - 1 - i)))
+
+let test_register_pressure () =
+  let p = Minic.Parser.parse_program pressure_program in
+  Minic.Typecheck.check_program_exn p;
+  let rtl, _ =
+    Vcomp.Pass.run_pipeline Vcomp.Pass.default_options
+      (Vcomp.Selection.trans_program p)
+  in
+  List.iter
+    (fun f ->
+       let res = Vcomp.Regalloc.allocate f in
+       checkb "validator accepts the allocation" true
+         (Result.is_ok (Vcomp.Regalloc.verify f res));
+       checkb
+         (Printf.sprintf "spills (%d slots)" res.Vcomp.Regalloc.ra_nslots)
+         true
+         (res.Vcomp.Regalloc.ra_nslots > 0))
+    rtl.Vcomp.Rtl.p_funcs;
+  List.iter
+    (fun seed ->
+       checkb
+         (Printf.sprintf "machine = source (world %d)" seed)
+         true
+         (chain_equal (Vcomp.Driver.compile ~options:Vcomp.Driver.no_validation)
+            p seed))
+    [ 1; 2; 3 ];
+  Alcotest.check Alcotest.string "assembly digest"
+    "b41726acb8d6c3fc36888732f928059a"
+    (digest (asm_text Vcomp.Driver.default_options p))
+
+(* GVN names a load's result by its node. Here the value loaded at that
+   node on the previous iteration reaches it again in [prev] over the
+   back edge: [prev * 3] and [cur * 3] must not be numbered equal, or
+   the loop would sum zeros. (The meet at the loop header already drops
+   [prev]'s binding, so this pins the outcome, not invalidation.) *)
+let test_gvn_loop_carried_load () =
+  let p =
+    Minic.Parser.parse_program
+      {| array int a = {3, 1, 4, 1, 5, 9, 2, 6};
+         int m() {
+           var int i; var int prev; var int cur; var int s;
+           var int x; var int y;
+           prev = 0; s = 0;
+           for (i = 0; i < 8) {
+             cur = $a[i];
+             x = prev * 3;
+             y = cur * 3;
+             s = s + y - x;
+             prev = cur;
+           }
+           return s;
+         } main m; |}
+  in
+  Minic.Typecheck.check_program_exn p;
+  let rtl = Vcomp.Selection.trans_program p in
+  let rtl = Vcomp.Cse.transform (Vcomp.Constprop.transform rtl) in
+  let before = Vcomp.Rtl.copy_program rtl in
+  let after = Vcomp.Gvn.transform rtl in
+  Vcomp.Validate.check_pass ~pass:"gvn" ~before ~after;
+  checkb "gvn result = source" true
+    (Minic.Interp.result_equal
+       (Minic.Interp.run_cycle p (worlds 1))
+       (Vcomp.Rtl_interp.run after (worlds 1) []));
+  List.iter
+    (fun fuel ->
+       checkb
+         (Printf.sprintf "machine = source (fuel %d)" fuel)
+         true
+         (chain_equal
+            (Vcomp.Driver.compile
+               ~options:{ Vcomp.Pass.default_options with Vcomp.Pass.opt_fuel = fuel })
+            p 1))
+    [ 3; 64; Vcomp.Pass.default_fuel ]
+
 let suite =
   [ QCheck_alcotest.to_alcotest selection_preserves_prop;
     QCheck_alcotest.to_alcotest constprop_prop;
@@ -402,4 +569,10 @@ let suite =
     ("licm tightens the loop WCET bound", `Quick, test_licm_improves_loop_wcet);
     ("pass spec round-trips", `Quick, test_pass_spec_roundtrip);
     QCheck_alcotest.to_alcotest starved_passes_prop;
-    QCheck_alcotest.to_alcotest ablation_chain_prop ]
+    QCheck_alcotest.to_alcotest ablation_chain_prop;
+    ("assembly digests pinned (profiles x fuels, GVN fuel edge)", `Quick,
+     test_golden_assembly);
+    ("regalloc spills under int and float pressure", `Quick,
+     test_register_pressure);
+    ("gvn: loop-carried load copy stays distinct", `Quick,
+     test_gvn_loop_carried_load) ]
