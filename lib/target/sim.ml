@@ -6,6 +6,15 @@
    semantic preservation (traces equal) and one property harness checks
    timing soundness (analyzer WCET >= [rr_stats.cycles]).
 
+   Differential validation runs the simulator on every node, so a run
+   costs what the node touches, not the size of the machine: memory is
+   paged lazily (untouched pages share one zero page), and the entry
+   point is prepared once per [run] — code array, per-instruction costs
+   from [Timing.static_costs] (the very function the analyzer's pipeline
+   phase folds over each block), resolved branch targets and symbol
+   addresses. Precomputing the costs is exact: overlap windows reset at
+   labels and branches, and every jump lands on a label.
+
    The instruction cache is deliberately NOT simulated: the analyzer
    classifies instruction fetches against a worst-case abstract cache
    and charges the misses it cannot exclude, so leaving concrete
@@ -33,7 +42,7 @@ type machine = {
   mutable cr_lt : bool;
   mutable cr_gt : bool;
   mutable cr_eq : bool;
-  mem : Bytes.t;
+  pages : Bytes.t array;  (* [lay_mem_size] bytes, [page_size] per page *)
   dcache : Cache.t;
   vol_counts : (string, int) Hashtbl.t;
   mutable events_rev : Minic.Interp.event list;
@@ -45,14 +54,60 @@ let runtime_error msg = raise (Minic.Interp.Runtime_error msg)
 
 (* ---- memory ---- *)
 
-let load32 (m : machine) (a : int) : int32 = Bytes.get_int32_be m.mem a
-let store32 (m : machine) (a : int) (v : int32) = Bytes.set_int32_be m.mem a v
+(* Every page starts as the shared [zero_page], which is never written
+   (so domains can share it), and gets its own buffer on its first
+   write. Loads and stores are big-endian; the rare access that
+   straddles a page goes byte by byte. *)
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+let zero_page = Bytes.make page_size '\000'
+
+let writable_page (m : machine) (a : int) : Bytes.t =
+  let p = a lsr page_bits in
+  let page = m.pages.(p) in
+  if page != zero_page then page
+  else begin
+    let page = Bytes.make page_size '\000' in
+    m.pages.(p) <- page;
+    page
+  end
+
+let load_bytes (m : machine) (a : int) (n : int) : int64 =
+  let v = ref 0L in
+  for k = a to a + n - 1 do
+    let b = Bytes.get_uint8 m.pages.(k lsr page_bits) (k land page_mask) in
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int b)
+  done;
+  !v
+
+let store_bytes (m : machine) (a : int) (n : int) (v : int64) : unit =
+  for k = 0 to n - 1 do
+    let b = Int64.to_int (Int64.shift_right_logical v (8 * (n - 1 - k))) in
+    Bytes.set_uint8 (writable_page m (a + k)) ((a + k) land page_mask) (b land 0xff)
+  done
+
+let load32 (m : machine) (a : int) : int32 =
+  let off = a land page_mask in
+  if off <= page_size - 4 then Bytes.get_int32_be m.pages.(a lsr page_bits) off
+  else Int64.to_int32 (load_bytes m a 4)
+
+let store32 (m : machine) (a : int) (v : int32) : unit =
+  let off = a land page_mask in
+  if off <= page_size - 4 then Bytes.set_int32_be (writable_page m a) off v
+  else store_bytes m a 4 (Int64.of_int32 v)
 
 let loadf (m : machine) (a : int) : float =
-  Int64.float_of_bits (Bytes.get_int64_be m.mem a)
+  let off = a land page_mask in
+  Int64.float_of_bits
+    (if off <= page_size - 8 then Bytes.get_int64_be m.pages.(a lsr page_bits) off
+     else load_bytes m a 8)
 
-let storef (m : machine) (a : int) (v : float) =
-  Bytes.set_int64_be m.mem a (Int64.bits_of_float v)
+let storef (m : machine) (a : int) (v : float) : unit =
+  let off = a land page_mask in
+  let v = Int64.bits_of_float v in
+  if off <= page_size - 8 then Bytes.set_int64_be (writable_page m a) off v
+  else store_bytes m a 8 v
 
 let ea (m : machine) (a : Asm.address) : int =
   match a with
@@ -61,11 +116,14 @@ let ea (m : machine) (a : Asm.address) : int =
   | Asm.Aglob (s, off) | Asm.Asda (s, off) ->
     Layout.sym_addr m.lay s + Int32.to_int off
 
+let check_range (m : machine) (addr : int) (size : int) : unit =
+  if addr < 0 || addr + size > m.lay.Layout.lay_mem_size then
+    runtime_error (Printf.sprintf "memory access out of range: 0x%x" addr)
+
 (* Concrete data-cache access: charge the miss penalty, bump the
    matching performance counter. *)
 let daccess (m : machine) ~(write : bool) (addr : int) (size : int) : unit =
-  if addr < 0 || addr + size > Bytes.length m.mem then
-    runtime_error (Printf.sprintf "memory access out of range: 0x%x" addr);
+  check_range m addr size;
   let misses = Cache.access m.dcache addr size in
   m.st.cycles <- m.st.cycles + (misses * Timing.cache_miss_penalty);
   if write then m.st.dcache_writes <- m.st.dcache_writes + 1
@@ -74,7 +132,7 @@ let daccess (m : machine) ~(write : bool) (addr : int) (size : int) : unit =
 (* ---- machine construction ---- *)
 
 let init_memory (m : machine) : unit =
-  (* Globals are zero already (Bytes.make '\000'); arrays take their
+  (* Globals are zero already (fresh pages are); arrays take their
      initializer, converted to the element type exactly like the
      reference interpreter's [initial_state]. *)
   List.iter
@@ -104,7 +162,8 @@ let create (src : Minic.Ast.program) (asm : Asm.program) (lay : Layout.t)
       cr_lt = false;
       cr_gt = false;
       cr_eq = false;
-      mem = Bytes.make lay.Layout.lay_mem_size '\000';
+      pages =
+        Array.make ((lay.Layout.lay_mem_size + page_mask) lsr page_bits) zero_page;
       dcache = Cache.create Cache.mpc755_l1;
       vol_counts = Hashtbl.create 17;
       events_rev = [];
@@ -155,19 +214,38 @@ let eval_cond (m : machine) (c : Asm.branch_cond) : bool =
 
 (* ---- annotation arguments ---- *)
 
+(* Stack slots are range-checked like any access, but annotations are
+   pro-forma: reading one goes through no data cache and costs nothing. *)
 let annot_value (m : machine) (a : Asm.annot_arg) : Minic.Value.t =
-  let sp = Int32.to_int m.regs.(Asm.sp) in
+  let slot off size =
+    let addr = Int32.to_int m.regs.(Asm.sp) + Int32.to_int off in
+    check_range m addr size;
+    addr
+  in
   match a with
   | Asm.AA_ireg r -> Minic.Value.Vint m.regs.(r)
   | Asm.AA_freg f -> Minic.Value.Vfloat m.fregs.(f)
   | Asm.AA_const_int n -> Minic.Value.Vint n
   | Asm.AA_const_float c -> Minic.Value.Vfloat c
-  | Asm.AA_stack_int off -> Minic.Value.Vint (load32 m (sp + Int32.to_int off))
-  | Asm.AA_stack_float off -> Minic.Value.Vfloat (loadf m (sp + Int32.to_int off))
+  | Asm.AA_stack_int off -> Minic.Value.Vint (load32 m (slot off 4))
+  | Asm.AA_stack_float off -> Minic.Value.Vfloat (loadf m (slot off 8))
 
 (* ---- one function activation ---- *)
 
-let exec_func (m : machine) (f : Asm.func) : unit =
+(* A function prepared once per [run]. [resolved.(i)] is the branch
+   target index of a [Pb]/[Pbc], or the address of an [Aglob]/[Asda]
+   operand, a [Pla] symbol or a [Plfdc] constant; it is [unresolved]
+   for every other instruction and for an undefined label or symbol,
+   whose error is raised only if the instruction executes. *)
+type prepared = {
+  code : Asm.instr array;
+  costs : int array;  (* [Timing.static_costs] over the whole body *)
+  resolved : int array;
+}
+
+let unresolved = min_int
+
+let prepare (lay : Layout.t) (f : Asm.func) : prepared =
   let code = Array.of_list f.Asm.fn_code in
   let labels = Hashtbl.create 31 in
   Array.iteri
@@ -176,12 +254,34 @@ let exec_func (m : machine) (f : Asm.func) : unit =
        | Asm.Plabel l -> Hashtbl.replace labels l i
        | _ -> ())
     code;
-  let target l =
-    match Hashtbl.find_opt labels l with
-    | Some i -> i
-    | None -> runtime_error ("undefined label " ^ string_of_int l)
+  let lookup find x = try find x with Invalid_argument _ -> unresolved in
+  let resolve ins =
+    match ins with
+    | Asm.Pb l | Asm.Pbc (_, l) ->
+      Option.value ~default:unresolved (Hashtbl.find_opt labels l)
+    | Asm.Plwz (_, a) | Asm.Pstw (_, a) | Asm.Plfd (_, a) | Asm.Pstfd (_, a) ->
+      (match a with
+       | Asm.Aglob (s, off) | Asm.Asda (s, off) ->
+         let base = lookup (Layout.sym_addr lay) s in
+         if base = unresolved then unresolved else base + Int32.to_int off
+       | Asm.Aind _ | Asm.Aindx _ -> unresolved)
+    | Asm.Pla (_, s) -> lookup (Layout.sym_addr lay) s
+    | Asm.Plfdc (_, c) -> lookup (Layout.const_addr lay) c
+    | _ -> unresolved
   in
-  let w = Timing.fresh_window () in
+  { code; costs = Timing.static_costs code; resolved = Array.map resolve code }
+
+let exec_func (m : machine) (p : prepared) : unit =
+  let code = p.code and costs = p.costs and resolved = p.resolved in
+  let target pc l =
+    let t = resolved.(pc) in
+    if t = unresolved then runtime_error ("undefined label " ^ string_of_int l)
+    else t
+  in
+  let addr pc a =
+    let r = resolved.(pc) in
+    if r = unresolved then ea m a else r
+  in
   let regs = m.regs and fregs = m.fregs in
   let pc = ref 0 in
   let running = ref true in
@@ -189,17 +289,17 @@ let exec_func (m : machine) (f : Asm.func) : unit =
     m.fuel <- m.fuel - 1;
     if m.fuel <= 0 then raise Minic.Interp.Out_of_fuel;
     let i = code.(!pc) in
-    m.st.cycles <- m.st.cycles + Timing.step w i;
+    m.st.cycles <- m.st.cycles + costs.(!pc);
     let next = ref (!pc + 1) in
     (match i with
      | Asm.Plabel _ -> ()
      | Asm.Pb l ->
        m.st.cycles <- m.st.cycles + Timing.branch_cost ~taken:true;
-       next := target l
+       next := target !pc l
      | Asm.Pbc (c, l) ->
        let taken = eval_cond m c in
        m.st.cycles <- m.st.cycles + Timing.branch_cost ~taken;
-       if taken then next := target l
+       if taken then next := target !pc l
      | Asm.Pblr ->
        m.st.cycles <- m.st.cycles + Timing.branch_cost ~taken:true;
        running := false
@@ -228,25 +328,30 @@ let exec_func (m : machine) (f : Asm.func) : unit =
      | Asm.Pori (d, a, n) -> regs.(d) <- Int32.logor regs.(a) n
      | Asm.Pslwi (d, a, n) -> regs.(d) <- Int32.shift_left regs.(a) (n land 31)
      | Asm.Plwz (d, a) ->
-       let addr = ea m a in
+       let addr = addr !pc a in
        daccess m ~write:false addr 4;
        regs.(d) <- load32 m addr
      | Asm.Pstw (s, a) ->
-       let addr = ea m a in
+       let addr = addr !pc a in
        daccess m ~write:true addr 4;
        store32 m addr regs.(s)
      | Asm.Plfd (d, a) ->
-       let addr = ea m a in
+       let addr = addr !pc a in
        daccess m ~write:false addr 8;
        fregs.(d) <- loadf m addr
      | Asm.Pstfd (s, a) ->
-       let addr = ea m a in
+       let addr = addr !pc a in
        daccess m ~write:true addr 8;
        storef m addr fregs.(s)
      | Asm.Plfdc (d, c) ->
-       daccess m ~write:false (Layout.const_addr m.lay c) 8;
+       let r = resolved.(!pc) in
+       daccess m ~write:false
+         (if r = unresolved then Layout.const_addr m.lay c else r) 8;
        fregs.(d) <- c
-     | Asm.Pla (d, s) -> regs.(d) <- Int32.of_int (Layout.sym_addr m.lay s)
+     | Asm.Pla (d, s) ->
+       let r = resolved.(!pc) in
+       regs.(d) <-
+         Int32.of_int (if r = unresolved then Layout.sym_addr m.lay s else r)
      | Asm.Pcmpw (a, b) -> set_cr_int m regs.(a) regs.(b)
      | Asm.Pcmpwi (a, n) -> set_cr_int m regs.(a) n
      | Asm.Pfcmpu (a, b) -> set_cr_float m fregs.(a) fregs.(b)
@@ -359,6 +464,7 @@ let run ?cycles ?(fuel = 10_000_000) ~(source : Minic.Ast.program)
     | None -> runtime_error ("no source function " ^ fname)
   in
   let m = create source asm lay world ~fuel in
+  let fasm = prepare lay fasm in
   (match cycles with
    | None ->
      place_args m fsrc args;

@@ -26,5 +26,6 @@ val run :
     control cycles of a nullary entry point, with memory, cache and
     volatile read counters persisting (the machine-level mirror of
     [Minic.Interp.run_cycles]).
-    @raise Minic.Interp.Runtime_error on undefined names or bad arity;
+    @raise Minic.Interp.Runtime_error on undefined names, bad arity or a
+    memory access (annotation stack slots included) out of range;
     @raise Minic.Interp.Out_of_fuel when the step budget runs out. *)

@@ -1,14 +1,15 @@
 (* The MPC755-flavoured timing model (DESIGN section 5), shared verbatim
    by the executable simulator and the WCET analyzer's pipeline phase:
-   there is exactly ONE per-instruction cost function, [step], and both
-   [Sim] and [Wcet.Pipeline] (via [static_costs]) fold it over the same
-   instruction sequences. Overlap windows (dual-issue pairing, FPU
-   pipelining, load-to-use forwarding) reset at labels and branches, so
-   block costs compose: summing [static_costs] over any executed path
-   reproduces the simulator's cycle count exactly. The analyzer's only
-   over-approximations are the cache classification and the worst-path
-   selection — which is what makes "analyzer WCET >= simulated cycles"
-   a checkable invariant rather than a hope. *)
+   there is exactly ONE cost function, [static_costs], and both [Sim]
+   (over a whole function body, once per run) and [Wcet.Pipeline] (over
+   each basic block) call it. Overlap windows (dual-issue pairing, FPU
+   pipelining, load-to-use forwarding) reset at labels and branches and
+   every jump lands on a label, so block costs compose: summing
+   [static_costs] over any executed path reproduces the simulator's
+   cycle count exactly. The analyzer's only over-approximations are the
+   cache classification and the worst-path selection — which is what
+   makes "analyzer WCET >= simulated cycles" a checkable invariant
+   rather than a hope. *)
 
 (* ---- constants ---- *)
 
@@ -27,7 +28,7 @@ let load_use_stall = 2 (* extra when the next instruction consumes the load *)
 let cost_acquisition = 3200  (* volatile signal read: slow serial bus *)
 let cost_actuator = 1000     (* actuator command write *)
 
-(* ---- the shared stepper ---- *)
+(* ---- the stepper behind [static_costs] ---- *)
 
 type window = {
   mutable pair_ready : bool;       (* prev was an unpaired 1-cycle int op *)
@@ -126,7 +127,7 @@ let step (w : window) (i : Asm.instr) : int =
       end
       else base_cost i
     in
-    let cost = if is_fpu_arith i then cost + stall else cost + stall in
+    let cost = cost + stall in
     (* window update *)
     w.pair_ready <- pairable i && cost = 1;
     w.pair_defs <- (if pairable i then defs else []);
@@ -135,8 +136,9 @@ let step (w : window) (i : Asm.instr) : int =
     w.load_defs <- (if is_load i then defs else []);
     cost
 
-(* Per-instruction costs of a straight-line sequence (one basic block),
-   starting from a fresh window — the analyzer's block-cost input. *)
+(* Per-instruction costs of an instruction sequence, starting from a
+   fresh window: the analyzer's block costs and the simulator's
+   per-instruction costs. *)
 let static_costs (code : Asm.instr array) : int array =
   let w = fresh_window () in
   Array.map (step w) code
