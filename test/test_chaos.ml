@@ -157,12 +157,24 @@ let test_exit_codes () =
 
 (* ---- the chaos matrix ---- *)
 
+(* the legs every run reports, in report order; the daemon legs follow
+   them when an fcd binary is given *)
+let in_process_legs =
+  [ "j1/nocache"; "j4/nocache"; "j1/memcache"; "j4/memcache";
+    "j4/stream/memcache"; "truncated-store"; "enospc-store" ]
+
+let daemon_legs =
+  [ "fcd-kill-restart"; "oversized-frame"; "slow-loris";
+    "sigstop-deadline"; "kill-under-load" ]
+
 let test_chaos_matrix () =
   let r = Fcstack.Chaos.run ~seed:20260806 ~nodes:10 ~victims:3 () in
   Alcotest.check Alcotest.int "three victims" 3
     (List.length r.Fcstack.Chaos.ch_victims);
   Alcotest.check (Alcotest.list Alcotest.string) "no containment violations"
-    [] r.Fcstack.Chaos.ch_problems
+    [] r.Fcstack.Chaos.ch_problems;
+  Alcotest.check (Alcotest.list Alcotest.string) "in-process legs, in order"
+    in_process_legs r.Fcstack.Chaos.ch_legs
 
 (* the same seeded matrix must hold under the OMT and Both engines:
    fault containment is engine-independent (survivors byte-identical
@@ -202,6 +214,8 @@ let test_chaos_server_leg () =
       [ "fcd-kill-restart"; "oversized-frame"; "slow-loris";
         "sigstop-deadline"; "kill-under-load"; "truncated-store";
         "enospc-store" ];
+    Alcotest.check (Alcotest.list Alcotest.string) "all legs, in order"
+      (in_process_legs @ daemon_legs) r.Fcstack.Chaos.ch_legs;
     Alcotest.check (Alcotest.list Alcotest.string) "no containment violations"
       [] r.Fcstack.Chaos.ch_problems
 
