@@ -146,20 +146,17 @@ let run_chaos (seed : int) (engine : Wcet.Report.engine) : int =
   Format.eprintf "%a@." Fcstack.Chaos.print_report r;
   if r.Fcstack.Chaos.ch_problems = [] then 0 else 1
 
-(* ---- scaling study (-e scale / -e scale-leg) ----------------------- *)
+(* ---- one scale leg (-e scale-leg) ---------------------------------- *)
 
-(* [-e scale-leg]: one leg of the study in *this* process — compile +
-   analyze the -n workload under the config the flags describe, print
-   the measured leg as one JSON line on stdout. The study driver
-   ([-e scale]) spawns each leg as a child process so every leg starts
-   from a fresh heap: RSS never shrinks under the OCaml runtime, so
-   in-process legs would inherit the high-water mark of whichever leg
-   ran before them and the per-leg peak-RSS numbers would be
+(* [-e scale-leg]: compile + analyze the -n workload under the config
+   the flags describe, print the measured leg as one JSON line on
+   stdout. One leg per process: RSS never shrinks under the OCaml
+   runtime, so a second leg in the same process would inherit the
+   first one's high-water mark and its peak-RSS number would be
    meaningless. *)
-let run_scale_leg (label : string) (nodes : int)
-    (config : Fcstack.Toolchain.config) : int =
+let run_scale_leg (nodes : int) (config : Fcstack.Toolchain.config) : int =
   let leg = Fcstack.Experiments.run_scale_leg ~nodes ~config () in
-  print_string (Fcstack.Experiments.scale_leg_json ~label ~config leg);
+  print_string (Fcstack.Experiments.scale_leg_json ~config leg);
   print_newline ();
   Fcstack.Cliopts.report_stats ~always:true config;
   Fcstack.Cliopts.finalize config;
@@ -172,81 +169,6 @@ let rec rm_rf (path : string) : unit =
       Sys.rmdir path
     end
     else Sys.remove path
-
-(* [-e scale]: the scaling trajectory — for each -n point, stream legs
-   sequential/parallel/cold-cache/warm-cache plus (up to a size cap) a
-   batch reference leg, each in a fresh child process, aggregated into
-   one JSON document (the published BENCH_scale.json). The disk cache
-   backing the cold/warm pair is a per-point temporary directory, so
-   "cold" is truly cold and "warm" replays exactly that point. *)
-let run_scale (points : int list) (jobs : int) (shard_size : int)
-    (compiler : string) : int =
-  let exe = Sys.executable_name in
-  let failed = ref false in
-  (* child spawning goes through the service's argv helper — the same
-     quoting/reaping path the chaos server leg uses, not a per-call-site
-     copy *)
-  let leg ~(label : string) (args : string list) : string option =
-    let line, status = Fcstack.Service.open_process_line (exe :: args) in
-    (match status with
-     | Unix.WEXITED 0 -> ()
-     | _ ->
-       failed := true;
-       Printf.eprintf "scale: leg %s exited non-zero\n%!" label);
-    if line = None then begin
-      failed := true;
-      Printf.eprintf "scale: leg %s produced no output\n%!" label
-    end;
-    line
-  in
-  (* the batch reference materializes the whole workload; past this
-     size it stops being a reference and starts being a memory stunt *)
-  let batch_cap = 25_000 in
-  let jpar = if jobs > 1 then jobs else 4 in
-  let legs_of_point (n : int) : string list =
-    let base =
-      [ "-e"; "scale-leg"; "-n"; string_of_int n; "--scale-compiler"; compiler ]
-    in
-    (* --shard-size implies --stream, so only streaming legs get it;
-       the batch reference must run with no stream flags at all *)
-    let sharded = [ "--shard-size"; string_of_int shard_size ] in
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "fcstack-scale-%d-%d" (Unix.getpid ()) n)
-    in
-    let specs =
-      [ ("stream-seq-nocache", sharded @ [ "-j"; "1"; "--no-cache" ]);
-        ("stream-par-nocache",
-         sharded @ [ "-j"; string_of_int jpar; "--no-cache" ]);
-        ("stream-seq-cold", sharded @ [ "-j"; "1"; "--cache-dir"; dir ]);
-        ("stream-seq-warm", sharded @ [ "-j"; "1"; "--cache-dir"; dir ]) ]
-      @ (if n <= batch_cap then
-           [ ("batch-seq-nocache", [ "-j"; "1"; "--no-cache" ]) ]
-         else [])
-    in
-    let rows =
-      List.filter_map
-        (fun (label, extra) ->
-           leg ~label (base @ [ "--scale-label"; label ] @ extra))
-        specs
-    in
-    rm_rf dir;
-    rows
-  in
-  let rows = List.concat_map legs_of_point points in
-  Printf.printf
-    "{\n\
-    \  \"benchmark\": \"scale\",\n\
-    \  \"seed\": 2026,\n\
-    \  \"compiler\": %S,\n\
-    \  \"shard_size\": %d,\n\
-    \  \"legs\": [\n%s\n\
-    \  ]\n\
-     }\n"
-    compiler shard_size
-    (String.concat ",\n" (List.map (fun r -> "    " ^ r) rows));
-  if !failed then 1 else 0
 
 (* ---- warm-latency serve study (-e serve) ---------------------------- *)
 
@@ -414,9 +336,9 @@ let run_serve (nodes : int) (engine : Wcet.Report.engine) (jobs : int)
   if !failed then 1 else 0
 
 (* Compiler selection for the scale legs ([--scale-compiler]); the
-   default study compiles with the cheapest configuration — the study
-   measures pipeline scaling, not code quality, and the analyzer
-   dominates either way. *)
+   default compiles with the cheapest configuration — a leg measures
+   pipeline scaling, not code quality, and the analyzer dominates
+   either way. *)
 let scale_compilers : (string * Fcstack.Toolchain.compiler) list =
   [ ("o0", Fcstack.Chain.Cdefault_o0);
     ("o1", Fcstack.Chain.Cdefault_o1);
@@ -426,29 +348,18 @@ let scale_compilers : (string * Fcstack.Toolchain.compiler) list =
 let run_bench (experiment : string) (nodes : int)
     (passes : Vcomp.Pass.options) (engine : Wcet.Report.engine) (jobs : int)
     (stream : Fcstack.Toolchain.stream_opts option) (chaos : bool)
-    (chaos_seed : int) (scale_points : int list)
-    (scale_compiler : Fcstack.Toolchain.compiler) (scale_label : string)
+    (chaos_seed : int) (scale_compiler : Fcstack.Toolchain.compiler)
     (serve_rounds : int) (deadline_ms : int option)
     (copts : Fcstack.Cliopts.cache_opts) : int =
   if chaos then run_chaos chaos_seed engine
   else if experiment = "serve" then
     run_serve nodes engine jobs serve_rounds deadline_ms
-  else if experiment = "scale" then
-    let shard_size =
-      match stream with
-      | Some s -> s.Fcstack.Toolchain.so_shard_size
-      | None -> Fcstack.Toolchain.default_stream.Fcstack.Toolchain.so_shard_size
-    in
-    let name =
-      fst (List.find (fun (_, c) -> c = scale_compiler) scale_compilers)
-    in
-    run_scale scale_points jobs shard_size name
   else if experiment = "scale-leg" then begin
     let config =
       Fcstack.Cliopts.config_of_opts ~jobs ~passes ~engine
         ~compiler:scale_compiler ?stream copts
     in
-    run_scale_leg scale_label nodes config
+    run_scale_leg nodes config
   end
   else begin
   let want (e : string) : bool = experiment = "all" || experiment = e in
@@ -544,15 +455,13 @@ let experiment_arg =
                  ablation, overestimation, micro, gvnlicm (pure-JSON \
                  GVN/LICM deltas; never part of $(b,all)), engines \
                  (pure-JSON IPET-vs-OMT differential study; never part \
-                 of $(b,all)), scale (pure-JSON scaling study: wall \
-                 clock, peak RSS, throughput and cache hit rate per \
-                 $(b,--scale-points) workload size, each leg in a fresh \
-                 child process; never part of $(b,all)), scale-leg \
-                 (one scale leg in-process), or serve (pure-JSON \
-                 warm-latency study of the fcd serve loop: cold, warm \
-                 and restarted-daemon legs against one store, \
-                 byte-checked against the batch pipeline; never part \
-                 of $(b,all)) (default: all).")
+                 of $(b,all)), scale-leg (pure-JSON wall clock, peak \
+                 RSS, throughput and cache hit rate of one -n workload \
+                 in this process; never part of $(b,all)), or serve \
+                 (pure-JSON warm-latency study of the fcd serve loop: \
+                 cold, warm and restarted-daemon legs against one \
+                 store, byte-checked against the batch pipeline; never \
+                 part of $(b,all)) (default: all).")
 
 let nodes_arg =
   Arg.(value & opt int 60
@@ -577,11 +486,6 @@ let chaos_seed_arg =
        & info [ "chaos-seed" ] ~docv:"SEED" ~docs:Manpage.s_none
            ~doc:"Seed for --chaos fault selection.")
 
-let scale_points_arg =
-  Arg.(value & opt (list int) [ 2500; 25000; 250000 ]
-       & info [ "scale-points" ] ~docv:"N,..." ~docs:Manpage.s_none
-           ~doc:"Workload sizes the -e scale study sweeps.")
-
 let scale_compiler_arg =
   Arg.(value & opt (enum scale_compilers) Fcstack.Chain.Cdefault_o0
        & info [ "scale-compiler" ] ~docv:"CC" ~docs:Manpage.s_none
@@ -593,11 +497,6 @@ let serve_rounds_arg =
        & info [ "serve-rounds" ] ~docv:"K" ~docs:Manpage.s_none
            ~doc:"Warm rounds the -e serve study repeats (default 1).")
 
-let scale_label_arg =
-  Arg.(value & opt string ""
-       & info [ "scale-label" ] ~docv:"LABEL" ~docs:Manpage.s_none
-           ~doc:"Leg label embedded in -e scale-leg JSON output.")
-
 let cmd =
   let doc = "regenerate the paper's evaluation tables and figures" in
   Cmd.v
@@ -606,7 +505,7 @@ let cmd =
       const run_bench $ experiment_arg $ nodes_arg
       $ Fcstack.Cliopts.passes_term $ Fcstack.Cliopts.engine_term $ jobs_arg
       $ Fcstack.Cliopts.stream_term $ chaos_arg $ chaos_seed_arg
-      $ scale_points_arg $ scale_compiler_arg $ scale_label_arg
+      $ scale_compiler_arg
       $ serve_rounds_arg $ Fcstack.Cliopts.deadline_ms_term
       $ Fcstack.Cliopts.cache_term)
 

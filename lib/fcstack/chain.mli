@@ -14,14 +14,6 @@ val all_compilers : compiler list
 val compiler_name : compiler -> string
 val compiler_description : compiler -> string
 
-val compiler_of_string : string -> (compiler, string) Result.t
-  [@@ocaml.deprecated
-    "use Fcstack.Request.compiler_of_string: the request surface is the \
-     single home of the CLI name<->variant maps (round-trip pinned there)."]
-(** Parse the CLI spelling ([o0]/[o1]/[o2]/[vcomp], or the long
-    [default-O*] names); [Error] carries the usage message.
-    @deprecated alias of {!Request.compiler_of_string}. *)
-
 val pipeline_spec :
   ?exact:bool -> ?passes:Vcomp.Pass.options -> compiler -> string
 (** Canonical spec of what produces the assembly under a configuration

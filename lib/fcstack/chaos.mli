@@ -3,13 +3,12 @@
 
     The harness runs a fault-free reference, injects a seeded set of
     per-node faults (corrupted source, analyzer refusal, starved
-    analysis fuel), re-runs the chain under a matrix of
-    (jobs x cache) legs plus a truncated-persistent-store leg, and
-    checks that: survivors are byte-identical to the reference, the
-    diagnostics name exactly the victims at the expected stages, the
-    exit code classifies the run, and store corruption causes zero
-    failures. [test/test_chaos.ml] and [bench --chaos] both drive
-    {!run}. *)
+    analysis fuel), re-runs the chain under every leg of the matrix,
+    and checks that: survivors are byte-identical to the reference,
+    the diagnostics name exactly the victims at the expected stages,
+    the exit code classifies the run, store corruption causes zero
+    failures, and a daemon exits 0 after every hostile episode.
+    [test/test_chaos.ml] and [bench --chaos] both drive {!run}. *)
 
 type fault =
   | Fcorrupt_source  (** undeclared-variable write: fails typecheck *)
@@ -48,30 +47,15 @@ val run :
     exercised per engine (survivor byte-identity is well-defined
     within one engine).
 
-    Beyond the (jobs x cache) legs, the matrix always runs two store
-    legs: [truncated-store] (read corruption is a silent miss) and
-    [enospc-store] (entry WRITE failures are a silent miss — the run
-    is byte-identical to an uncached one, zero failures).
-
-    [fcd_exe] adds the server legs against a real fcd child:
-    - [fcd-kill-restart]: SIGKILL under two seeded requests
-      mid-stream; the in-flight request surfaces as a transport
-      failure (never a wrong answer), the retry against a restarted
-      daemon on the same socket and disk store succeeds, and every
-      final response is byte-identical to a cold in-process batch run;
-    - [oversized-frame]: a hostile length prefix is refused before
-      allocation and poisons its stream; a torn frame and well-framed
-      garbage each cost only themselves;
-    - [slow-loris]: a sender that stalls mid-frame is poisoned by the
-      daemon's read timeout, never parks it;
-    - [sigstop-deadline]: a SIGSTOP'd daemon surfaces as a client
-      transport failure (deadline fires); after SIGCONT the retry
-      policy succeeds byte-identically;
-    - [kill-under-load]: past the pending budget a request is shed
-      with a fast busy frame and retried to success once the load
-      drains; a SIGKILL mid-stream is retried through a restart.
-
-    In every server leg the daemon must exit 0 at the end: no
-    contained connection failure may leak into its exit status. *)
+    The legs are the rows of one table in [chaos.ml], run in table
+    order; [ch_legs] names the rows that ran and [ch_problems] is
+    their violations, concatenated in the same order. The in-process
+    rows always run: the faulted workload per (jobs x cache x shape),
+    plus two fault-free store rows (read corruption and write failure
+    must both be silent misses). [fcd_exe] adds the daemon rows, each
+    against a real fcd child: kill/restart mid-stream, hostile frames,
+    a stalled sender, a SIGSTOP'd daemon under a client deadline, and
+    shedding plus a SIGKILL under load. A daemon that cannot be
+    spawned is a problem of its row, never an exception. *)
 
 val print_report : Format.formatter -> report -> unit

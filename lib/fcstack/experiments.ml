@@ -472,7 +472,7 @@ let print_gvn_licm_json (ppf : Format.formatter) ?(nodes = 30) ?(seed = 2026)
    BENCH_engines.json is this output. *)
 let print_engines_json (ppf : Format.formatter) ?(nodes = 30) ?(seed = 2026)
     ?(config = Toolchain.default) () : unit =
-  let config = Toolchain.with_engine Wcet.Report.Both config in
+  let config = { config with Toolchain.engine = Wcet.Report.Both } in
   let measure (c : Toolchain.compiler) : int * int * int * int * int =
     let outcomes =
       map_workload ~config ~nodes ~seed
@@ -614,7 +614,7 @@ let print_overestimation (ppf : Format.formatter) ?(nodes = 20) ?(seed = 2026)
   Format.fprintf ppf "@]";
   Diag.print_summary ~total:nodes (Diag.errors_of outcomes)
 
-(* ---- scaling study (BENCH_scale.json) ------------------------------- *)
+(* ---- scale legs (bench -e scale-leg) ------------------------------- *)
 
 (* Peak resident set, measured rather than asserted: a watcher Domain
    samples VmRSS from /proc/self/status while the leg runs. VmRSS (not
@@ -682,12 +682,12 @@ type scale_leg = {
   sc_stats : Wcet.Report.analysis_stats option;  (* None: no cache *)
 }
 
-(* One leg of the scaling study: compile ([config.compiler], under
+(* One scale leg: compile ([config.compiler], under
    [config.passes]) and analyze every node of the workload, in the
    execution shape the config picks (batch or stream, [config.jobs]
    domains, [config.cache]) — and measure the run itself: wall clock,
    peak RSS, throughput, cache accounting. No simulation or
-   differential validation: the study measures pipeline scaling, and
+   differential validation: a leg measures pipeline scaling, and
    compile+analyze is the service-shaped hot path. The WCET total is
    carried as a cross-leg determinism witness — every leg of one
    (nodes, seed, compiler) point must agree on it no matter the jobs /
@@ -720,11 +720,9 @@ let run_scale_leg ?(nodes = 2500) ?(seed = 2026) ?(config = Toolchain.default)
     sc_throughput = (if wall > 0.0 then float_of_int nodes /. wall else 0.0);
     sc_stats = Option.map Wcet.Memo.stats config.Toolchain.cache }
 
-(* One leg as one JSON object. [label] names the leg in the study
-   ("j1-cold", ...); the jobs/shape fields come from the config that
-   ran it. *)
-let scale_leg_json ?(label = "") ~(config : Toolchain.config)
-    (leg : scale_leg) : string =
+(* One leg as one JSON object; the jobs/shape fields come from the
+   config that ran it. *)
+let scale_leg_json ~(config : Toolchain.config) (leg : scale_leg) : string =
   let stream_fields =
     match config.Toolchain.stream with
     | None -> "\"stream\": false"
@@ -734,10 +732,9 @@ let scale_leg_json ?(label = "") ~(config : Toolchain.config)
         s.Toolchain.so_shard_size s.Toolchain.so_lookahead
   in
   Printf.sprintf
-    "{ %s\"nodes\": %d, \"jobs\": %d, %s, \"compiler\": %S, \
+    "{ \"nodes\": %d, \"jobs\": %d, %s, \"compiler\": %S, \
      \"wall_s\": %.3f, \"peak_rss_kb\": %d, \"nodes_per_s\": %.1f, \
      \"wcet_total_cycles\": %d, \"failures\": %d, \"cache\": %s }"
-    (if label = "" then "" else Printf.sprintf "\"leg\": %S, " label)
     leg.sc_nodes config.Toolchain.jobs stream_fields
     (Chain.compiler_name config.Toolchain.compiler)
     leg.sc_wall_s leg.sc_peak_rss_kb leg.sc_throughput leg.sc_wcet_total

@@ -105,7 +105,7 @@ val print_engines_json :
     analysis (a violation is a refusal, summarized on stderr — never
     in the JSON). Pure JSON — the published BENCH_engines.json. *)
 
-(** {1 Scaling study (BENCH_scale.json)} *)
+(** {1 Scale legs ([bench -e scale-leg])} *)
 
 type scale_leg = {
   sc_nodes : int;
@@ -121,7 +121,7 @@ type scale_leg = {
 
 val run_scale_leg :
   ?nodes:int -> ?seed:int -> ?config:Toolchain.config -> unit -> scale_leg
-(** One leg of the scaling study: compile + analyze the whole workload
+(** One scale leg: compile + analyze the whole workload
     in the execution shape the config picks (batch or [config.stream],
     [config.jobs] domains, [config.cache]), while a watcher Domain
     samples peak RSS from [/proc/self/status]. No simulation or
@@ -129,6 +129,5 @@ val run_scale_leg :
     2500 nodes, seed 2026. *)
 
 val scale_leg_json :
-  ?label:string -> config:Toolchain.config -> scale_leg -> string
-(** The leg as one JSON object (no trailing newline); [label] names it
-    within the study. *)
+  config:Toolchain.config -> scale_leg -> string
+(** The leg as one JSON object (no trailing newline). *)

@@ -6,7 +6,7 @@
    worlds, fuel ([Toolchain.request_opts]); session state (cache,
    jobs) deliberately cannot be expressed here. This module is also
    the one home of the CLI name<->variant maps for compilers and
-   engines: [Chain.compiler_of_string] is deprecated in its favor, and
+   engines: the CLIs and the wire decoder both parse through it, and
    [of_string (to_string c) = Ok c] is qcheck-pinned
    (test/test_service.ml). *)
 

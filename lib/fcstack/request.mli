@@ -4,7 +4,7 @@
     be expressed here by construction.
 
     Also the one home of the CLI name<->variant maps for compilers and
-    engines: {!Chain.compiler_of_string} is deprecated in favor of
+    engines: the CLIs and the wire decoder both parse through
     {!compiler_of_string}, and [of_string (to_string c) = Ok c] is
     qcheck-pinned ([test/test_service.ml]). *)
 

@@ -533,21 +533,8 @@ end
 
 (* ---- child-process plumbing ------------------------------------------ *)
 
-(* The one argv-quoting + spawn helper of the stack: bench's scale legs
-   and the chaos server leg both build child invocations through these
-   instead of hand-rolling quoting per call site. *)
-
-let quote_argv (argv : string list) : string =
-  String.concat " " (List.map Filename.quote argv)
-
-(* Spawn [argv], read the single line of stdout the child contracts to
-   produce, reap it. *)
-let open_process_line (argv : string list) :
-  string option * Unix.process_status =
-  let ic = Unix.open_process_in (quote_argv argv) in
-  let line = try Some (input_line ic) with End_of_file -> None in
-  let status = Unix.close_process_in ic in
-  (line, status)
+(* How the chaos harness and the serve benchmark spawn a real [fcd]
+   child. *)
 
 let daemon_argv ~(exe : string) ~(socket : string) ?cache_dir ?gc_mb
     ?max_requests ?jobs ?pending_budget ?read_timeout_ms () : string list =

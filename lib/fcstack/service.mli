@@ -120,16 +120,8 @@ end
 
 (** {2 Child-process plumbing}
 
-    The one argv-quoting + spawn surface of the stack: bench's scale
-    legs and the chaos server leg build child invocations through
-    these instead of hand-rolling quoting per call site. *)
-
-val quote_argv : string list -> string
-(** Shell-quote an argv for [Unix.open_process_in]. *)
-
-val open_process_line : string list -> string option * Unix.process_status
-(** Spawn [argv], read the single stdout line the child contracts to
-    produce, reap it. *)
+    How the chaos harness and the serve benchmark spawn a real [fcd]
+    child. *)
 
 val daemon_argv :
   exe:string -> socket:string -> ?cache_dir:string -> ?gc_mb:int ->

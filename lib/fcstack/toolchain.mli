@@ -114,33 +114,3 @@ val of_session_request : session -> request_opts -> config
     session state with one request's options. [Chain]/[Par]/
     [Experiments] still consume the combined [config]; the service
     layer builds one per request through this function. *)
-
-val session_of_config : config -> session
-(** Project the session-scoped fields out of a combined config. *)
-
-val request_of_config : config -> request_opts
-(** Project the request-scoped fields out of a combined config. *)
-
-val config :
-  ?jobs:int -> ?cache:Wcet.Memo.t -> ?worlds:int -> ?compiler:compiler ->
-  ?fail_fast:bool -> ?sim_fuel:int -> ?analysis_fuel:Wcet.Fuel.t ->
-  ?passes:Vcomp.Pass.options -> ?engine:Wcet.Report.engine ->
-  ?stream:stream_opts -> unit -> config
-  [@@ocaml.deprecated
-    "combine Toolchain.session with Toolchain.request_opts via \
-     of_session_request instead; the variadic builder conflates \
-     session- and request-scoped state and is removed next PR."]
-(** Build a config in one call; omitted fields take {!default}s.
-    @deprecated use {!of_session_request} — the flat builder conflates
-    session- and request-scoped state. *)
-
-val with_jobs : int -> config -> config
-val with_cache : Wcet.Memo.t option -> config -> config
-val with_worlds : int option -> config -> config
-val with_compiler : compiler -> config -> config
-val with_fail_fast : bool -> config -> config
-val with_sim_fuel : int option -> config -> config
-val with_analysis_fuel : Wcet.Fuel.t -> config -> config
-val with_passes : Vcomp.Pass.options -> config -> config
-val with_engine : Wcet.Report.engine -> config -> config
-val with_stream : stream_opts option -> config -> config

@@ -70,5 +70,4 @@ val stats_to_string : analysis_stats -> string
 
 val stats_json : analysis_stats -> string
 (** Hit/miss/entry accounting as one flat JSON object (no trailing
-    newline) — embedded per leg in the scaling study
-    ([BENCH_scale.json]). *)
+    newline) — embedded in each [bench -e scale-leg] JSON line. *)

@@ -219,6 +219,29 @@ let test_chaos_server_leg () =
     Alcotest.check (Alcotest.list Alcotest.string) "no containment violations"
       [] r.Fcstack.Chaos.ch_problems
 
+(* a daemon binary that cannot be spawned is a problem every daemon leg
+   reports, never an exception escaping [run], and no leg directory of
+   this process survives the run *)
+let test_chaos_missing_daemon () =
+  let r =
+    Fcstack.Chaos.run ~seed:20260806 ~nodes:2 ~victims:1
+      ~fcd_exe:"/nonexistent/fcd.exe" ()
+  in
+  List.iter
+    (fun leg ->
+       checkb (leg ^ " reports a problem") true
+         (List.exists
+            (String.starts_with ~prefix:(leg ^ ": "))
+            r.Fcstack.Chaos.ch_problems))
+    daemon_legs;
+  let suffix = Printf.sprintf "-%d" (Unix.getpid ()) in
+  Alcotest.check (Alcotest.list Alcotest.string) "no leg directory left" []
+    (List.filter
+       (fun f ->
+          String.starts_with ~prefix:"fcchaos-" f
+          && String.ends_with ~suffix f)
+       (Array.to_list (Sys.readdir (Filename.get_temp_dir_name ()))))
+
 (* ---- containment property: survivors are byte-identical ---- *)
 
 let survivors_identical_prop =
@@ -301,4 +324,6 @@ let suite =
     ("chaos: matrix holds under the OMT and Both engines", `Slow,
      test_chaos_matrix_engines);
     ("chaos: fcd kill/restart server leg", `Slow, test_chaos_server_leg);
+    ("chaos: an unspawnable daemon is a reported problem", `Slow,
+     test_chaos_missing_daemon);
     QCheck_alcotest.to_alcotest survivors_identical_prop ]
