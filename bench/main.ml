@@ -158,206 +158,21 @@ let run_scale_leg (nodes : int) (config : Fcstack.Toolchain.config) : int =
   let leg = Fcstack.Experiments.run_scale_leg ~nodes ~config () in
   print_string (Fcstack.Experiments.scale_leg_json ~config leg);
   print_newline ();
-  Fcstack.Cliopts.report_stats ~always:true config;
   Fcstack.Cliopts.finalize config;
   if leg.Fcstack.Experiments.sc_failures = 0 then 0 else 1
-
-let rec rm_rf (path : string) : unit =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-(* ---- warm-latency serve study (-e serve) ---------------------------- *)
-
-(* [-e serve]: drive a real fcd serve loop (in a Domain, over a real
-   Unix-domain socket) with the flight workload, three legs against one
-   store directory:
-
-     cold       fresh daemon, empty store — every analysis is a miss
-     warm       same daemon, same requests — answered entirely from the
-                in-memory Wcet.Memo (the leg asserts 0 misses)
-     disk-warm  daemon restarted on the same store — answered from the
-                persistent half
-
-   Every leg's responses must be byte-identical to an in-process cold
-   batch run of the same requests (serve == batch), and the stats
-   deltas per leg are part of the published JSON (BENCH_serve.json).
-   Wall clock varies run to run; the hit/miss columns and the
-   byte-identity verdicts are the stable part. *)
-let run_serve (nodes : int) (engine : Wcet.Report.engine) (jobs : int)
-    (rounds : int) (deadline_ms : int option) : int =
-  let open Fcstack in
-  let nodes = min 12 nodes in
-  let tmp =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fcserve-%d" (Unix.getpid ()))
-  in
-  rm_rf tmp;
-  Unix.mkdir tmp 0o755;
-  let socket = Filename.concat tmp "fcd.sock" in
-  let store = Filename.concat tmp "cache" in
-  let opts = Toolchain.request_opts ~engine () in
-  let requests =
-    List.map
-      (fun (n, prog) ->
-         Request.make ~name:n.Scade.Symbol.n_name
-           ~action:
-             (Request.Analyze
-                { an_compare = false; an_simulate = false; an_annot = None })
-           ~opts ?deadline_ms
-           (Minic.Pp.program_to_string prog))
-      (Scade.Workload.flight_program ~nodes ~seed:2026)
-  in
-  (* the batch reference: same requests, fresh cacheless in-process
-     session — what a cold `aitw` run would print *)
-  let reference =
-    let s = Service.create () in
-    List.map
-      (fun rq -> (Service.run_request s rq).Response.rs_output)
-      requests
-  in
-  let failed = ref false in
-  let problem fmt =
-    Printf.ksprintf
-      (fun m ->
-         failed := true;
-         Printf.eprintf "serve: %s\n%!" m)
-      fmt
-  in
-  let start_daemon () : Service.session * unit Domain.t =
-    let session =
-      Service.create
-        ~state:
-          (Toolchain.session ~jobs
-             ~cache:(Wcet.Memo.create ~dir:store ())
-             ())
-        ()
-    in
-    let d =
-      Domain.spawn (fun () -> Service.serve_unix ~log:false session socket)
-    in
-    if not (Service.wait_for_path socket) then
-      problem "daemon socket %s never appeared" socket;
-    (session, d)
-  in
-  let stop_daemon ((_, d) : Service.session * unit Domain.t) : unit =
-    (match Service.Client.connect socket with
-     | Ok conn -> Service.Client.shutdown conn
-     | Error msg -> problem "shutdown connect failed: %s" msg);
-    Domain.join d
-  in
-  (* one leg = the whole request list over one connection; the JSON row
-     carries the latency profile and this leg's stats delta *)
-  let run_leg (session : Service.session) ~(label : string)
-      ~(expect_no_miss : bool) : string option =
-    let before = Service.stats session in
-    match Service.Client.connect socket with
-    | Error msg ->
-      problem "%s: %s" label msg;
-      None
-    | Ok conn ->
-      let t_leg0 = Unix.gettimeofday () in
-      let times, outputs =
-        List.fold_left
-          (fun (times, outputs) rq ->
-             let t0 = Unix.gettimeofday () in
-             let r = Service.Client.request conn rq in
-             let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
-             if r.Response.rs_status <> Response.Sok then
-               problem "%s: request %s not ok (%s)" label rq.Request.rq_name
-                 (Response.status_to_string r.Response.rs_status);
-             (dt :: times, r.Response.rs_output :: outputs))
-          ([], []) requests
-      in
-      let total_ms = (Unix.gettimeofday () -. t_leg0) *. 1000.0 in
-      Service.Client.close conn;
-      let outputs = List.rev outputs in
-      let identical = outputs = reference in
-      if not identical then
-        problem "%s: responses differ from the cold batch reference" label;
-      let delta f =
-        match (before, Service.stats session) with
-        | Some b, Some a -> f a - f b
-        | _ -> 0
-      in
-      let misses = delta (fun st -> st.Wcet.Report.st_misses) in
-      if expect_no_miss && misses <> 0 then
-        problem "%s: expected a fully warm leg, saw %d misses" label misses;
-      let n = List.length times in
-      Some
-        (Printf.sprintf
-           "    { \"label\": %S, \"requests\": %d, \"total_ms\": %.2f, \
-            \"mean_ms\": %.2f, \"max_ms\": %.2f, \"memory_hits\": %d, \
-            \"disk_hits\": %d, \"misses\": %d, \"identical_to_batch\": %b }"
-           label n total_ms
-           (if n = 0 then 0.0 else List.fold_left ( +. ) 0.0 times /. float_of_int n)
-           (List.fold_left max 0.0 times)
-           (delta (fun st -> st.Wcet.Report.st_hits))
-           (delta (fun st -> st.Wcet.Report.st_disk_hits))
-           misses identical)
-  in
-  let daemon = start_daemon () in
-  let session = fst daemon in
-  let rows =
-    List.filter_map
-      (fun f -> f ())
-      ([ (fun () -> run_leg session ~label:"cold" ~expect_no_miss:false) ]
-       @ List.init (max 1 rounds) (fun i () ->
-             run_leg session
-               ~label:(Printf.sprintf "warm-%d" (i + 1))
-               ~expect_no_miss:true))
-  in
-  stop_daemon daemon;
-  (* restart on the same store: the persistent half serves the repeats *)
-  let daemon2 = start_daemon () in
-  let rows =
-    rows
-    @ Option.to_list
-        (run_leg (fst daemon2) ~label:"disk-warm" ~expect_no_miss:true)
-  in
-  stop_daemon daemon2;
-  rm_rf tmp;
-  Printf.printf
-    "{\n\
-    \  \"benchmark\": \"serve\",\n\
-    \  \"seed\": 2026,\n\
-    \  \"nodes\": %d,\n\
-    \  \"engine\": %S,\n\
-    \  \"legs\": [\n%s\n\
-    \  ]\n\
-     }\n"
-    nodes
-    (Fcstack.Request.engine_to_string engine)
-    (String.concat ",\n" rows);
-  if !failed then 1 else 0
-
-(* Compiler selection for the scale legs ([--scale-compiler]); the
-   default compiles with the cheapest configuration — a leg measures
-   pipeline scaling, not code quality, and the analyzer dominates
-   either way. *)
-let scale_compilers : (string * Fcstack.Toolchain.compiler) list =
-  [ ("o0", Fcstack.Chain.Cdefault_o0);
-    ("o1", Fcstack.Chain.Cdefault_o1);
-    ("o2", Fcstack.Chain.Cdefault_o2);
-    ("vcomp", Fcstack.Chain.Cvcomp) ]
 
 let run_bench (experiment : string) (nodes : int)
     (passes : Vcomp.Pass.options) (engine : Wcet.Report.engine) (jobs : int)
     (stream : Fcstack.Toolchain.stream_opts option) (chaos : bool)
-    (chaos_seed : int) (scale_compiler : Fcstack.Toolchain.compiler)
-    (serve_rounds : int) (deadline_ms : int option)
-    (copts : Fcstack.Cliopts.cache_opts) : int =
+    (chaos_seed : int) (copts : Fcstack.Cliopts.cache_opts) : int =
   if chaos then run_chaos chaos_seed engine
-  else if experiment = "serve" then
-    run_serve nodes engine jobs serve_rounds deadline_ms
   else if experiment = "scale-leg" then begin
+    (* a leg measures pipeline scaling, not code quality: it compiles
+       with the cheapest configuration (the analyzer dominates either
+       way) *)
     let config =
       Fcstack.Cliopts.config_of_opts ~jobs ~passes ~engine
-        ~compiler:scale_compiler ?stream copts
+        ~compiler:Fcstack.Chain.Cdefault_o0 ?stream copts
     in
     run_scale_leg nodes config
   end
@@ -390,7 +205,6 @@ let run_bench (experiment : string) (nodes : int)
     Fcstack.Experiments.print_gvn_licm_json ppf ~nodes:(min 30 nodes) ~config
       ();
     Format.pp_print_flush ppf ();
-    Fcstack.Cliopts.report_stats ~always:true config;
     Fcstack.Cliopts.finalize config;
     0
   end
@@ -401,7 +215,6 @@ let run_bench (experiment : string) (nodes : int)
     Fcstack.Experiments.print_engines_json ppf ~nodes:(min 30 nodes) ~config
       ();
     Format.pp_print_flush ppf ();
-    Fcstack.Cliopts.report_stats ~always:true config;
     Fcstack.Cliopts.finalize config;
     0
   end
@@ -440,7 +253,6 @@ let run_bench (experiment : string) (nodes : int)
   Format.pp_print_flush ppf ();
   (* cache accounting to stderr only: stdout tables stay byte-identical
      with and without the cache (CI cmp-enforces this) *)
-  Fcstack.Cliopts.report_stats ~always:true config;
   Fcstack.Cliopts.finalize config;
   0
   end
@@ -457,11 +269,7 @@ let experiment_arg =
                  (pure-JSON IPET-vs-OMT differential study; never part \
                  of $(b,all)), scale-leg (pure-JSON wall clock, peak \
                  RSS, throughput and cache hit rate of one -n workload \
-                 in this process; never part of $(b,all)), or serve \
-                 (pure-JSON warm-latency study of the fcd serve loop: \
-                 cold, warm and restarted-daemon legs against one \
-                 store, byte-checked against the batch pipeline; never \
-                 part of $(b,all)) (default: all).")
+                 in this process; never part of $(b,all)) (default: all).")
 
 let nodes_arg =
   Arg.(value & opt int 60
@@ -486,17 +294,6 @@ let chaos_seed_arg =
        & info [ "chaos-seed" ] ~docv:"SEED" ~docs:Manpage.s_none
            ~doc:"Seed for --chaos fault selection.")
 
-let scale_compiler_arg =
-  Arg.(value & opt (enum scale_compilers) Fcstack.Chain.Cdefault_o0
-       & info [ "scale-compiler" ] ~docv:"CC" ~docs:Manpage.s_none
-           ~doc:"Compiler configuration for the scale legs \
-                 (o0|o1|o2|vcomp, default o0).")
-
-let serve_rounds_arg =
-  Arg.(value & opt int 1
-       & info [ "serve-rounds" ] ~docv:"K" ~docs:Manpage.s_none
-           ~doc:"Warm rounds the -e serve study repeats (default 1).")
-
 let cmd =
   let doc = "regenerate the paper's evaluation tables and figures" in
   Cmd.v
@@ -505,8 +302,6 @@ let cmd =
       const run_bench $ experiment_arg $ nodes_arg
       $ Fcstack.Cliopts.passes_term $ Fcstack.Cliopts.engine_term $ jobs_arg
       $ Fcstack.Cliopts.stream_term $ chaos_arg $ chaos_seed_arg
-      $ scale_compiler_arg
-      $ serve_rounds_arg $ Fcstack.Cliopts.deadline_ms_term
       $ Fcstack.Cliopts.cache_term)
 
 let () = exit (Cmd.eval' cmd)

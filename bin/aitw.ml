@@ -16,7 +16,8 @@
    daemon whose warm cache persists across whole invocations. Reports
    are byte-identical on every transport: caches and daemons change
    wall clock, never results. The annotation file travels back as
-   response content and is written client-side.
+   response content and is written client-side. The client loop is
+   [Fcstack.Cliopts.run_client], shared with fcc.
 
    The analysis cache (Wcet.Memo) is shared by all files,
    configurations and domains of a run — and, with --cache-dir (or
@@ -25,173 +26,53 @@
    --cache-gc-mb bounds the store (LRU) at the end of the run. With a
    persistent cache, hit/miss accounting goes to stderr. *)
 
-let read_file (path : string) : string =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* One file -> one request -> one response; a file-read failure is a
-   refusal right here (Parse stage), never a service round-trip. *)
-let analyze_file (do_request : Fcstack.Request.t -> Fcstack.Response.t)
-    (opts : Fcstack.Toolchain.request_opts) (compare_all : bool)
-    (simulate : bool) (annot_out : string option) ?deadline_ms
-    (file : string) : Fcstack.Response.t =
-  let open Fcstack in
-  match
-    Diag.capture ~node:file ~stage:Diag.Parse (fun () -> read_file file)
-  with
-  | Error d -> Response.refused [ d ]
-  | Ok source ->
-    do_request
-      (Request.make ~name:file
-         ~action:
-           (Request.Analyze
-              { an_compare = compare_all;
-                an_simulate = simulate;
-                an_annot = annot_out })
-         ~opts ?deadline_ms source)
-
-let run (files : string list) (compiler : Fcstack.Toolchain.compiler)
-    (compare_all : bool) (simulate : bool) (annot_out : string option)
-    (passes : Vcomp.Pass.options) (engine : Wcet.Report.engine) (jobs : int)
-    (fail_fast : bool) (connect : string option) (deadline_ms : int option)
-    (retry : Fcstack.Retry.policy) (fallback_local : bool)
-    (copts : Fcstack.Cliopts.cache_opts) : int =
+let run (files : string list) (compare_all : bool) (simulate : bool)
+    (annot_out : string option) (o : Fcstack.Cliopts.t) : int =
   let open Fcstack in
   if annot_out <> None && List.length files > 1 then begin
     Printf.eprintf "--annot-out requires a single input file\n";
     2
   end
   else begin
-    let opts = Toolchain.request_opts ~compiler ~passes ~engine () in
-    let total = List.length files in
-    (* Reports print strictly in input order regardless of -j; the
-       annotation file is response content, written here (the daemon
-       never touches the client's filesystem). *)
+    let request name source =
+      Request.make ~name
+        ~action:
+          (Request.Analyze
+             { an_compare = compare_all;
+               an_simulate = simulate;
+               an_annot = annot_out })
+        ~opts:o.Cliopts.cl_opts ?deadline_ms:o.Cliopts.cl_deadline_ms source
+    in
+    (* the annotation file is response content, written here at the
+       end of the run (the daemon never touches the client's
+       filesystem) *)
+    let annot = ref None in
     let emit (r : Response.t) : unit =
-      (match (annot_out, r.Response.rs_annot) with
-       | Some path, Some content ->
-         let oc = open_out path in
-         output_string oc content;
-         close_out oc
-       | _ -> ());
+      annot := r.Response.rs_annot;
       print_string r.Response.rs_output
     in
-    (* --fail-fast: the first failing file (input order) aborts the
-       run; nothing after it is reported *)
-    let rec upto = function
-      | [] -> []
-      | (r : Response.t) :: rest ->
-        if r.Response.rs_status = Response.Sok then r :: upto rest else [ r ]
+    let write_annot () : bool =
+      match (annot_out, !annot) with
+      | Some path, Some content -> (
+          try
+            Out_channel.with_open_text path (fun oc ->
+                output_string oc content);
+            true
+          with Sys_error msg ->
+            Printf.eprintf "aitw: %s\n" msg;
+            false)
+      | _ -> true
     in
-    let finish (results : Response.t list) : int =
-      List.iter emit results;
-      let diags =
-        List.concat_map (fun (r : Response.t) -> r.Response.rs_diags) results
-      in
-      (* diagnostics, failure summary and cache accounting are
-         stderr-only: stdout reports stay byte-identical across
-         fail_fast/cache/jobs configurations *)
-      Diag.print_summary ~total diags;
-      if fail_fast && diags <> [] then 2
-      else Diag.exit_code ~total ~failed:(List.length diags)
+    (* cache accounting is stderr-only: stdout reports stay
+       byte-identical across fail_fast/cache/jobs configurations *)
+    let finish session summarize =
+      let written = write_annot () in
+      let code = summarize () in
+      Option.iter Cliopts.report_session_stats session;
+      if written then code else 2
     in
-    (* one in-process session for the whole run: one cache (possibly
-       persistent) for all files and configurations; Wcet.Memo is
-       sharded and mutex-protected, so the -j domains share it
-       directly. Also the --fallback-local degradation target. *)
-    let run_local () : int =
-      let session =
-        Service.create ~state:(Cliopts.session_of_opts ~jobs ~fail_fast copts)
-          ()
-      in
-      let analyze =
-        analyze_file (Service.run_request session) opts compare_all simulate
-          annot_out ?deadline_ms
-      in
-      let results =
-        Par.map_list ~jobs:(Service.jobs session) analyze files
-      in
-      let results = if fail_fast then upto results else results in
-      let code = finish results in
-      Cliopts.report_session_stats session;
-      Service.gc session;
-      code
-    in
-    match connect with
-    | Some socket ->
-      (* Client of a running daemon: its warm cache serves repeats, its
-         stderr carries the accounting. Transport/busy failures retry
-         under the policy (reconnecting per attempt); refusals are
-         final; with --fallback-local an exhausted request degrades to
-         in-process execution with byte-identical output. *)
-      let retried = ref 0 and extra = ref 0 in
-      let timeout_s =
-        Option.map (fun ms -> (float_of_int ms /. 1000.0) +. 2.0) deadline_ms
-      in
-      let conn : Service.Client.conn option ref = ref None in
-      let get_conn () =
-        match !conn with
-        | Some c -> Ok c
-        | None ->
-          (match Service.Client.connect socket with
-           | Ok c ->
-             conn := Some c;
-             Ok c
-           | Error _ as e -> e)
-      in
-      let drop_conn () =
-        Option.iter Service.Client.close !conn;
-        conn := None
-      in
-      let local_session =
-        lazy
-          (Service.create
-             ~state:(Cliopts.session_of_opts ~jobs ~fail_fast copts)
-             ())
-      in
-      let do_request (rq : Request.t) : Response.t =
-        let r, attempts =
-          Retry.run ~policy:retry (fun ~attempt:_ ->
-              match get_conn () with
-              | Error msg -> Response.transport ~node:rq.Request.rq_name msg
-              | Ok c ->
-                let r = Service.Client.request ?timeout_s c rq in
-                if Retry.should_retry r.Response.rs_status then drop_conn ();
-                r)
-        in
-        if attempts > 1 then begin
-          incr retried;
-          extra := !extra + (attempts - 1)
-        end;
-        if fallback_local && Retry.should_retry r.Response.rs_status then begin
-          Printf.eprintf
-            "aitw: daemon unreachable for %s; falling back to local \
-             execution\n%!"
-            rq.Request.rq_name;
-          Service.run_request (Lazy.force local_session) rq
-        end
-        else r
-      in
-      (match get_conn () with
-       | Error msg when not fallback_local ->
-         prerr_endline msg;
-         2
-       | Error _ | Ok _ ->
-         let analyze =
-           analyze_file do_request opts compare_all simulate annot_out
-             ?deadline_ms
-         in
-         let results = List.map analyze files in
-         let results = if fail_fast then upto results else results in
-         drop_conn ();
-         let code = finish results in
-         Cliopts.report_retries ~tool:"aitw" ~requests:!retried
-           ~extra_attempts:!extra;
-         code)
-    | None -> run_local ()
+    Cliopts.run_client ~tool:"aitw" o ~stream:None ~request ~emit ~finish
+      files
   end
 
 open Cmdliner
@@ -213,21 +94,15 @@ let annot_out_arg =
            ~doc:"Write the generated annotation file (paper section 3.4). \
                  Single input file only.")
 
-let jobs_arg =
-  Fcstack.Cliopts.jobs_term
-    ~doc:"Analyze input files across $(docv) domains. Reports are printed \
-          in input order regardless of $(docv)."
-
 let cmd =
   let doc = "static WCET analysis of compiled flight-control code" in
   Cmd.v
     (Cmd.info "aitw" ~doc)
     Term.(
-      const run $ files_arg $ Fcstack.Cliopts.compiler_term $ compare_arg
-      $ simulate_arg $ annot_out_arg $ Fcstack.Cliopts.passes_term
-      $ Fcstack.Cliopts.engine_term $ jobs_arg
-      $ Fcstack.Cliopts.fail_fast_term $ Fcstack.Cliopts.connect_term
-      $ Fcstack.Cliopts.deadline_ms_term $ Fcstack.Cliopts.retry_term
-      $ Fcstack.Cliopts.fallback_local_term $ Fcstack.Cliopts.cache_term)
+      const run $ files_arg $ compare_arg $ simulate_arg $ annot_out_arg
+      $ Fcstack.Cliopts.term
+          ~jobs_doc:
+            "Analyze input files across $(docv) domains. Reports are \
+             printed in input order regardless of $(docv).")
 
 let () = exit (Cmd.eval' cmd)

@@ -13,249 +13,57 @@
    output) or, with --connect SOCKET, against a running fcd daemon.
    Both transports produce byte-identical output; a daemon's warm
    analysis cache only changes wall clock, and a transport failure is
-   per-file data (never mistakable for an answer).
+   per-file data (never mistakable for an answer). The client loop is
+   [Fcstack.Cliopts.run_client], shared with aitw.
 
    fcc accepts the same cache trio as aitw/bench
    (--no-cache/--cache-dir/--cache-gc-mb) for a uniform toolchain
    surface — compilation itself never consults the WCET cache, but
    --cache-gc-mb still applies the size budget to a shared cache
    directory, so fcc can do store maintenance in a pipeline that
-   interleaves compiles and analyses. *)
+   interleaves compiles and analyses. fcc also accepts --engine, so a
+   request built here behaves identically wherever it is executed. *)
 
-let read_file (path : string) : string =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* One file -> one request -> one response, through whichever transport
-   [do_request] is. A file-read failure never reaches the service: it
-   becomes a refusal right here, naming the file and the Parse stage
-   (same containment as always). *)
-let compile_file (do_request : Fcstack.Request.t -> Fcstack.Response.t)
-    (opts : Fcstack.Toolchain.request_opts) (validate : bool)
-    (dump_rtl : bool) (exact : bool) ?deadline_ms (file : string) :
-  Fcstack.Response.t =
+let run (files : string list) (output : string option) (validate : bool)
+    (dump_rtl : bool) (exact : bool)
+    (stream : Fcstack.Toolchain.stream_opts option) (o : Fcstack.Cliopts.t)
+    : int =
   let open Fcstack in
-  match
-    Diag.capture ~node:file ~stage:Diag.Parse (fun () -> read_file file)
-  with
-  | Error d -> Response.refused [ d ]
-  | Ok source ->
-    do_request
-      (Request.make ~name:file
-         ~action:(Request.Compile { ac_dump_rtl = dump_rtl })
-         ~opts ~validate ~exact ?deadline_ms source)
-
-let run (files : string list) (compiler : Fcstack.Toolchain.compiler)
-    (output : string option) (validate : bool) (dump_rtl : bool)
-    (exact : bool) (passes : Vcomp.Pass.options)
-    (engine : Wcet.Report.engine) (jobs : int)
-    (stream : Fcstack.Toolchain.stream_opts option) (fail_fast : bool)
-    (connect : string option) (deadline_ms : int option)
-    (retry : Fcstack.Retry.policy) (fallback_local : bool)
-    (copts : Fcstack.Cliopts.cache_opts) : int =
-  let open Fcstack in
-  (* fcc never analyzes, but accepts --engine so the three CLI flag
-     surfaces stay uniform (a request built here behaves identically
-     wherever it is executed) *)
-  let opts = Toolchain.request_opts ~compiler ~passes ~engine () in
-  let total = List.length files in
-  (* Rendered strictly in input order so that -j N output is
-     byte-identical to -j 1. A failed file carries its diagnostics
-     plus whatever bytes were produced before the failure (identical
-     to the pre-service fcc). *)
-  let emit oc (r : Response.t) : unit =
-    print_string r.Response.rs_rtl;
-    (match oc with
-     | Some oc -> output_string oc r.Response.rs_output
-     | None -> print_string r.Response.rs_output);
-    prerr_string r.Response.rs_notes
-  in
-  (* --fail-fast: the first failing file (input order) ends emission —
-     nothing after it is emitted, its diagnostics are the only ones
-     reported, and the exit is total failure. *)
-  let rec upto = function
-    | [] -> []
-    | (r : Response.t) :: rest ->
-      if r.Response.rs_status = Response.Sok then r :: upto rest else [ r ]
-  in
-  let finish oc (stats_lists : Vcomp.Pass.pass_stats list list)
-      (diags : Diag.t list) : int =
-    Option.iter close_out oc;
-    (* per-pass middle-end accounting, aggregated over all files:
-       stderr-only, like the cache stats, so stdout/-o output stays
-       byte-identical across flag configurations *)
-    (match stats_lists with
-     | [] -> ()  (* COTS configurations have no middle-end pipeline *)
-     | with_stats ->
-       Format.eprintf "%a@?" Vcomp.Pass.pp_stats
-         (Vcomp.Pass.aggregate with_stats));
-    (* diagnostics and the failure summary are stderr-only: stdout is
-       byte-identical across fail_fast/cache/jobs configurations *)
-    Diag.print_summary ~total diags;
-    if fail_fast && diags <> [] then 2
-    else Diag.exit_code ~total ~failed:(List.length diags)
-  in
-  (* in-process service session: batch = one request per file. Also
-     the degradation target of --fallback-local, so it must be
-     reachable from the client branch — byte-identical output either
-     way, since both transports execute the same [run_request]. *)
-  let run_local () : int =
-    let session =
-      Service.create ~state:(Cliopts.session_of_opts ~jobs ~fail_fast ?stream copts) ()
+  match Option.map open_out output with
+  | exception Sys_error msg ->
+    Printf.eprintf "fcc: %s\n" msg;
+    2
+  | oc ->
+    let request name source =
+      Request.make ~name
+        ~action:(Request.Compile { ac_dump_rtl = dump_rtl })
+        ~opts:o.Cliopts.cl_opts ~validate ~exact
+        ?deadline_ms:o.Cliopts.cl_deadline_ms source
     in
-    let compile =
-      compile_file (Service.run_request session) opts validate dump_rtl exact
-        ?deadline_ms
+    (* A failed file carries its diagnostics plus whatever bytes were
+       produced before the failure. *)
+    let stats = ref [] in
+    let emit (r : Response.t) : unit =
+      print_string r.Response.rs_rtl;
+      (match oc with
+       | Some oc -> output_string oc r.Response.rs_output
+       | None -> print_string r.Response.rs_output);
+      prerr_string r.Response.rs_notes;
+      if r.Response.rs_pass_stats <> [] then
+        stats := r.Response.rs_pass_stats :: !stats
     in
-    let oc = Option.map open_out output in
-    (* Two execution shapes with byte-identical stdout (and -o file):
-       batch compiles everything then merges by input order; --stream
-       pulls the file list shard by shard through the bounded buffer
-       and emits each file's output the moment its global turn comes,
-       never holding more than jobs+lookahead shards of results.
-       (Streaming interleaves the per-file stderr with stdout instead
-       of emitting it after; each stream's own bytes are identical.) *)
-    let stats_lists, diags =
-      match Service.stream session with
-      | None ->
-        let results =
-          Par.map_list ~jobs:(Service.jobs session) compile files
-        in
-        let results = if fail_fast then upto results else results in
-        List.iter (fun r -> emit oc r) results;
-        ( List.filter_map
-            (fun (r : Response.t) ->
-               if r.Response.rs_pass_stats = [] then None
-               else Some r.Response.rs_pass_stats)
-            results,
-          List.concat_map (fun (r : Response.t) -> r.Response.rs_diags)
-            results )
-      | Some so ->
-        let arr = Array.of_list files in
-        let shard_size = max 1 so.Toolchain.so_shard_size in
-        let producer k =
-          let lo = k * shard_size in
-          if lo >= Array.length arr then None
-          else
-            Some
-              (Array.map
-                 (fun f () -> compile f)
-                 (Array.sub arr lo (min shard_size (Array.length arr - lo))))
-        in
-        let consumer (failed, stats, diags) _g (r : Response.t) =
-          if fail_fast && failed then (failed, stats, diags)
-          else begin
-            emit oc r;
-            ( failed || r.Response.rs_status <> Response.Sok,
-              (if r.Response.rs_pass_stats = [] then stats
-               else r.Response.rs_pass_stats :: stats),
-              List.rev_append r.Response.rs_diags diags )
-          end
-        in
-        let _, stats, diags =
-          Par.run_stream ~jobs:(Service.jobs session)
-            ~lookahead:so.Toolchain.so_lookahead ~producer ~consumer
-            ~init:(false, [], []) ()
-        in
-        (List.rev stats, List.rev diags)
+    let finish _ summarize =
+      Option.iter close_out oc;
+      (* per-pass middle-end accounting, aggregated over all files:
+         stderr-only, so stdout/-o output stays byte-identical across
+         flag configurations; COTS configurations have no middle-end
+         pipeline *)
+      if !stats <> [] then
+        Format.eprintf "%a@?" Vcomp.Pass.pp_stats
+          (Vcomp.Pass.aggregate (List.rev !stats));
+      summarize ()
     in
-    (* cache maintenance only: fcc never analyzes, so no stats *)
-    Service.gc session;
-    finish oc stats_lists diags
-  in
-  match connect with
-  | Some socket ->
-    (* Client of a running daemon: one connection, requests in input
-       order (the protocol is serial per connection). Each request
-       runs under the retry policy — transport/busy failures reconnect
-       and re-issue (sound: requests are pure functions of request +
-       store), refusals are final. With --fallback-local, a request
-       that exhausts its retries (or a daemon that can't be reached at
-       all) degrades to in-process execution of the SAME requests, so
-       stdout stays byte-identical. *)
-    let retried = ref 0 and extra = ref 0 in
-    (* client-side wait bound: the server enforces the deadline, the
-       grace covers transit and the compile path's entry-only check *)
-    let timeout_s =
-      Option.map (fun ms -> (float_of_int ms /. 1000.0) +. 2.0) deadline_ms
-    in
-    let conn : Service.Client.conn option ref = ref None in
-    let get_conn () =
-      match !conn with
-      | Some c -> Ok c
-      | None ->
-        (match Service.Client.connect socket with
-         | Ok c ->
-           conn := Some c;
-           Ok c
-         | Error _ as e -> e)
-    in
-    let drop_conn () =
-      Option.iter Service.Client.close !conn;
-      conn := None
-    in
-    let local_session =
-      lazy
-        (Service.create
-           ~state:(Cliopts.session_of_opts ~jobs ~fail_fast ?stream copts)
-           ())
-    in
-    let do_request (rq : Request.t) : Response.t =
-      let r, attempts =
-        Retry.run ~policy:retry (fun ~attempt:_ ->
-            match get_conn () with
-            | Error msg -> Response.transport ~node:rq.Request.rq_name msg
-            | Ok c ->
-              let r = Service.Client.request ?timeout_s c rq in
-              (* a poisoned/berserk connection must not leak into the
-                 next attempt or the next file *)
-              if Retry.should_retry r.Response.rs_status then drop_conn ();
-              r)
-      in
-      if attempts > 1 then begin
-        incr retried;
-        extra := !extra + (attempts - 1)
-      end;
-      if fallback_local && Retry.should_retry r.Response.rs_status then begin
-        Printf.eprintf
-          "fcc: daemon unreachable for %s; falling back to local execution\n%!"
-          rq.Request.rq_name;
-        Service.run_request (Lazy.force local_session) rq
-      end
-      else r
-    in
-    (match get_conn () with
-     | Error msg when not fallback_local ->
-       prerr_endline msg;
-       2
-     | Error _ | Ok _ ->
-       (* connect failure with --fallback-local just means the first
-          request's attempts will fail fast and degrade *)
-       let compile =
-         compile_file do_request opts validate dump_rtl exact ?deadline_ms
-       in
-       let results = List.map compile files in
-       let results = if fail_fast then upto results else results in
-       let oc = Option.map open_out output in
-       List.iter (emit oc) results;
-       drop_conn ();
-       let code =
-         finish oc
-           (List.filter_map
-              (fun (r : Response.t) ->
-                 if r.Response.rs_pass_stats = [] then None
-                 else Some r.Response.rs_pass_stats)
-              results)
-           (List.concat_map (fun (r : Response.t) -> r.Response.rs_diags)
-              results)
-       in
-       Cliopts.report_retries ~tool:"fcc" ~requests:!retried
-         ~extra_attempts:!extra;
-       code)
-  | None -> run_local ()
+    Cliopts.run_client ~tool:"fcc" o ~stream ~request ~emit ~finish files
 
 open Cmdliner
 
@@ -281,21 +89,16 @@ let exact_arg =
            ~doc:"Disable semantics-relaxing optimizations (the default-O2 \
                  FMA contraction).")
 
-let jobs_arg =
-  Fcstack.Cliopts.jobs_term
-    ~doc:"Compile input files across $(docv) domains. Output is \
-          deterministic (input order) regardless of $(docv)."
-
 let cmd =
   let doc = "compile flight-control mini-C under the paper's configurations" in
   Cmd.v
     (Cmd.info "fcc" ~doc)
     Term.(
-      const run $ files_arg $ Fcstack.Cliopts.compiler_term $ output_arg
-      $ validate_arg $ dump_rtl_arg $ exact_arg $ Fcstack.Cliopts.passes_term
-      $ Fcstack.Cliopts.engine_term $ jobs_arg $ Fcstack.Cliopts.stream_term
-      $ Fcstack.Cliopts.fail_fast_term $ Fcstack.Cliopts.connect_term
-      $ Fcstack.Cliopts.deadline_ms_term $ Fcstack.Cliopts.retry_term
-      $ Fcstack.Cliopts.fallback_local_term $ Fcstack.Cliopts.cache_term)
+      const run $ files_arg $ output_arg $ validate_arg $ dump_rtl_arg
+      $ exact_arg $ Fcstack.Cliopts.stream_term
+      $ Fcstack.Cliopts.term
+          ~jobs_doc:
+            "Compile input files across $(docv) domains. Output is \
+             deterministic (input order) regardless of $(docv).")
 
 let () = exit (Cmd.eval' cmd)

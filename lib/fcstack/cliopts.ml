@@ -1,8 +1,9 @@
-(* The one shared cache/parallelism flag surface of bench, fcc and
-   aitw: before this module each CLI carried its own copy of the cache
-   flags (and fcc had none at all), so the surfaces drifted. The three
-   tools now splice the same Cmdliner terms and hand the result to
-   [Toolchain.config]. *)
+(* The one flag surface and the one client of the toolchain CLIs.
+   bench, fcc, aitw and fcd splice the same Cmdliner terms, so the
+   surfaces cannot drift; fcc and aitw also share one record of their
+   common flags ([term]) and one client loop ([run_client]): local or
+   served execution, retry, fallback, --fail-fast, the failure summary
+   and the exit code. *)
 
 open Cmdliner
 
@@ -289,14 +290,30 @@ let fallback_local_term : bool Term.t =
            to a pure $(b,--connect) or pure in-process run; a stderr \
            note records each degradation.")
 
-(* Cumulative retry accounting, stderr-only (stdout byte-identity is
-   non-negotiable): one line at end of run, printed only when a retry
-   actually happened so retry-free runs keep a clean stderr. *)
-let report_retries ~(tool : string) ~(requests : int)
-    ~(extra_attempts : int) : unit =
-  if requests > 0 then
-    Printf.eprintf "%s: retried %d request(s) (%d extra attempt(s))\n%!" tool
-      requests extra_attempts
+(* ---- the common flags of fcc and aitw, as one record ---- *)
+
+type t = {
+  cl_opts : Toolchain.request_opts;
+  cl_jobs : int;
+  cl_fail_fast : bool;
+  cl_connect : string option;
+  cl_deadline_ms : int option;
+  cl_retry : Retry.policy;
+  cl_fallback_local : bool;
+  cl_cache : cache_opts;
+}
+
+let term ~(jobs_doc : string) : t Term.t =
+  Term.(
+    const
+      (fun compiler passes engine cl_jobs cl_fail_fast cl_connect
+        cl_deadline_ms cl_retry cl_fallback_local cl_cache ->
+        { cl_opts = Toolchain.request_opts ~compiler ~passes ~engine ();
+          cl_jobs; cl_fail_fast; cl_connect; cl_deadline_ms; cl_retry;
+          cl_fallback_local; cl_cache })
+    $ compiler_term $ passes_term $ engine_term $ jobs_term ~doc:jobs_doc
+    $ fail_fast_term $ connect_term $ deadline_ms_term $ retry_term
+    $ fallback_local_term $ cache_term)
 
 let memo_of_opts (o : cache_opts) : Wcet.Memo.t option =
   if o.co_no_cache then None
@@ -306,33 +323,198 @@ let session_of_opts ?jobs ?fail_fast ?stream (o : cache_opts) :
   Toolchain.session =
   Toolchain.session ?jobs ?cache:(memo_of_opts o) ?fail_fast ?stream ()
 
-let config_of_opts ?jobs ?worlds ?compiler ?fail_fast ?passes ?engine ?stream
-    (o : cache_opts) : Toolchain.config =
+let config_of_opts ?jobs ?compiler ?passes ?engine ?stream (o : cache_opts) :
+  Toolchain.config =
   Toolchain.of_session_request
-    (session_of_opts ?jobs ?fail_fast ?stream o)
-    (Toolchain.request_opts ?compiler ?worlds ?passes ?engine ())
+    (session_of_opts ?jobs ?stream o)
+    (Toolchain.request_opts ?compiler ?passes ?engine ())
 
-(* End-of-run maintenance: apply the GC budget to a persistent cache.
-   Deliberately at the end — the LRU index then reflects this run's
-   hits, and a kill -9 before this point only leaves the store
-   oversized until the next completed run. *)
+(* Cache accounting on stderr whenever a cache is on, then the GC
+   budget. The GC is deliberately last: the LRU index then reflects
+   this run's hits, and a kill -9 before this point only leaves the
+   store oversized until the next completed run. stdout never sees
+   any of this. *)
 let finalize (config : Toolchain.config) : unit =
-  Option.iter Wcet.Memo.gc config.Toolchain.cache
+  Option.iter
+    (fun m ->
+       Format.eprintf "%a@." Wcet.Report.pp_stats (Wcet.Memo.stats m);
+       Wcet.Memo.gc m)
+    config.Toolchain.cache
 
-(* Cache accounting on stderr. CLIs print it only for persistent
-   caches (opting into --cache-dir opts into the stats line); bench
-   passes ~always:true to keep its PR-3 behaviour of printing whenever
-   any cache is on. stdout never sees any of this. *)
-let report_stats ?(always = false) (config : Toolchain.config) : unit =
-  match config.Toolchain.cache with
-  | Some m when always || Wcet.Memo.store_dir m <> None ->
-    Format.eprintf "%a@." Wcet.Report.pp_stats (Wcet.Memo.stats m)
-  | Some _ | None -> ()
-
-(* Same contract for a service session (the cache handle is abstract
-   there; only the stats snapshot is visible). *)
-let report_session_stats ?(always = false) (s : Service.session) : unit =
+(* A service session's cache accounting, printed only for a persistent
+   cache (opting into --cache-dir opts into the stats line). *)
+let report_session_stats (s : Service.session) : unit =
   match Service.stats s with
-  | Some st when always || Service.store_dir s <> None ->
+  | Some st when Service.store_dir s <> None ->
     Format.eprintf "%a@." Wcet.Report.pp_stats st
   | Some _ | None -> ()
+
+(* ---- the client of fcc and aitw ---- *)
+
+let read_file (path : string) : string =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
+let run_client ~(tool : string) (o : t)
+    ~(stream : Toolchain.stream_opts option)
+    ~(request : string -> string -> Request.t)
+    ~(emit : Response.t -> unit)
+    ~(finish : Service.session option -> (unit -> int) -> int)
+    (files : string list) : int =
+  let total = List.length files in
+  let new_session () =
+    Service.create
+      ~state:
+        (session_of_opts ~jobs:o.cl_jobs ~fail_fast:o.cl_fail_fast ?stream
+           o.cl_cache)
+      ()
+  in
+  (* One file -> one request -> one response, through [exec]. A
+     file-read failure never reaches the service: it is a refusal right
+     here, naming the file and the Parse stage. *)
+  let run_file (exec : Request.t -> Response.t) (file : string) : Response.t =
+    match
+      Diag.capture ~node:file ~stage:Diag.Parse (fun () -> read_file file)
+    with
+    | Error d -> Response.refused [ d ]
+    | Ok source -> exec (request file source)
+  in
+  (* Emission is strictly in input order, so output is byte-identical
+     across -j, --stream and transports. With --fail-fast the first
+     failing file ends it: nothing after it is emitted and its
+     diagnostics are the only ones reported. *)
+  let diags = ref [] in
+  let emit_one (r : Response.t) : unit =
+    emit r;
+    diags := List.rev_append r.Response.rs_diags !diags
+  in
+  let stops (r : Response.t) =
+    o.cl_fail_fast && r.Response.rs_status <> Response.Sok
+  in
+  let rec emit_all = function
+    | [] -> ()
+    | r :: rest ->
+      emit_one r;
+      if not (stops r) then emit_all rest
+  in
+  (* diagnostics and the failure summary are stderr-only: stdout is
+     byte-identical across fail_fast/cache/jobs configurations *)
+  let summarize () : int =
+    let diags = List.rev !diags in
+    Diag.print_summary ~total diags;
+    if o.cl_fail_fast && diags <> [] then 2
+    else Diag.exit_code ~total ~failed:(List.length diags)
+  in
+  match o.cl_connect with
+  | None ->
+    let session = new_session () in
+    let run = run_file (Service.run_request session) in
+    let jobs = Service.jobs session in
+    (match stream with
+     | None -> emit_all (Par.map_list ~jobs run files)
+     | Some so ->
+       (* pull the file list shard by shard through the bounded buffer
+          and emit each file the moment its global turn comes, never
+          holding more than jobs + lookahead shards of results *)
+       let arr = Array.of_list files in
+       let n = Array.length arr in
+       let shard = max 1 so.Toolchain.so_shard_size in
+       let producer k =
+         let lo = k * shard in
+         if lo >= n then None
+         else
+           Some
+             (Array.map (fun f () -> run f)
+                (Array.sub arr lo (min shard (n - lo))))
+       in
+       let consumer stopped _ r =
+         if stopped then stopped
+         else begin
+           emit_one r;
+           stops r
+         end
+       in
+       ignore
+         (Par.run_stream ~jobs ~lookahead:so.Toolchain.so_lookahead
+            ~producer ~consumer ~init:false ()
+          : bool));
+    let code = finish (Some session) summarize in
+    Service.gc session;
+    code
+  | Some socket ->
+    (* Client of a running daemon: one connection, requests in input
+       order (the protocol is serial per connection). Each request runs
+       under the retry policy — transport/busy failures reconnect and
+       re-issue (sound: requests are pure functions of request + store),
+       refusals are final. With --fallback-local, a request that
+       exhausts its retries (or a daemon that can't be reached at all)
+       degrades to in-process execution of the SAME request, so stdout
+       stays byte-identical. *)
+    let retried = ref 0 and extra = ref 0 in
+    (* client-side wait bound: the server enforces the deadline, the
+       grace covers transit and the compile path's entry-only check *)
+    let timeout_s =
+      Option.map (fun ms -> (float_of_int ms /. 1000.0) +. 2.0)
+        o.cl_deadline_ms
+    in
+    let conn = ref None in
+    let get_conn () =
+      match !conn with
+      | Some c -> Ok c
+      | None ->
+        Result.map
+          (fun c ->
+             conn := Some c;
+             c)
+          (Service.Client.connect socket)
+    in
+    let drop_conn () =
+      Option.iter Service.Client.close !conn;
+      conn := None
+    in
+    let local_session = lazy (new_session ()) in
+    let exec (rq : Request.t) : Response.t =
+      let r, attempts =
+        Retry.run ~policy:o.cl_retry (fun ~attempt:_ ->
+            match get_conn () with
+            | Error msg -> Response.transport ~node:rq.Request.rq_name msg
+            | Ok c ->
+              let r = Service.Client.request ?timeout_s c rq in
+              (* a poisoned/berserk connection must not leak into the
+                 next attempt or the next file *)
+              if Retry.should_retry r.Response.rs_status then drop_conn ();
+              r)
+      in
+      if attempts > 1 then begin
+        incr retried;
+        extra := !extra + (attempts - 1)
+      end;
+      if o.cl_fallback_local && Retry.should_retry r.Response.rs_status
+      then begin
+        Printf.eprintf
+          "%s: daemon unreachable for %s; falling back to local execution\n%!"
+          tool rq.Request.rq_name;
+        Service.run_request (Lazy.force local_session) rq
+      end
+      else r
+    in
+    (match get_conn () with
+     | Error msg when not o.cl_fallback_local ->
+       prerr_endline msg;
+       2
+     | Error _ | Ok _ ->
+       (* a connect failure with --fallback-local just means the first
+          request's attempts fail fast and degrade *)
+       let results = List.map (run_file exec) files in
+       drop_conn ();
+       emit_all results;
+       let code = finish None summarize in
+       (* cumulative retry accounting, stderr-only, printed only when
+          a retry happened so retry-free runs keep a clean stderr *)
+       if !retried > 0 then
+         Printf.eprintf "%s: retried %d request(s) (%d extra attempt(s))\n%!"
+           tool !retried !extra;
+       code)

@@ -1,8 +1,12 @@
-(** Shared Cmdliner flag surface for the toolchain CLIs (bench, fcc,
-    aitw): the cache trio [--no-cache]/[--cache-dir]/[--cache-gc-mb]
-    (with [FCSTACK_CACHE_DIR] as the [--cache-dir] default) and [-j],
-    assembled into one {!Toolchain.config}. One definition instead of a
-    copy per tool, so the flag surfaces cannot drift again. *)
+(** The one flag surface and the one client of the toolchain CLIs.
+
+    bench, fcc, aitw and fcd splice the same Cmdliner terms: the cache
+    trio [--no-cache]/[--cache-dir]/[--cache-gc-mb] (with
+    [FCSTACK_CACHE_DIR] as the [--cache-dir] default), [-j], [-O]/
+    [--passes], [--engine] and the streaming trio. The flags fcc and
+    aitw share fold into one record ({!term}), and {!run_client} is
+    their one client: in-process or served execution, retry, local
+    fallback, [--fail-fast], the failure summary and the exit code. *)
 
 type cache_opts = {
   co_no_cache : bool;        (** [--no-cache]: no cache at all *)
@@ -15,10 +19,6 @@ val cache_term : cache_opts Cmdliner.Term.t
 
 val jobs_term : doc:string -> int Cmdliner.Term.t
 (** [-j]/[--jobs N] (default 1); [doc] describes the tool's fan-out. *)
-
-val fail_fast_term : bool Cmdliner.Term.t
-(** [--fail-fast]: abort on the first failing input with its original
-    error instead of containing per-input failures (the default). *)
 
 val passes_term : Vcomp.Pass.options Cmdliner.Term.t
 (** The optimization-selection pair [-O N] (default 2) and
@@ -37,64 +37,86 @@ val stream_term : Toolchain.stream_opts option Cmdliner.Term.t
     [None] = batch. Streaming never changes output bytes — it bounds
     resident memory at [jobs + lookahead] shards. *)
 
-val compiler_term : Toolchain.compiler Cmdliner.Term.t
-(** [-c]/[--compiler o0|o1|o2|vcomp] (default [vcomp]), parsed through
-    {!Request.compiler_of_string}. A bad name is a Cmdliner parse
-    error (exit 124) before any work runs — the same contract as
-    [--passes] and [--engine]. *)
+(** The flags fcc and aitw share. *)
+type t = {
+  cl_opts : Toolchain.request_opts;
+  (** [-c]/[--compiler] (default [vcomp], parsed through
+      {!Request.compiler_of_string}), [-O]/[--passes] and [--engine].
+      A bad name is a Cmdliner parse error (exit 124). *)
+  cl_jobs : int;            (** [-j] *)
+  cl_fail_fast : bool;
+  (** [--fail-fast]: the first failing input (input order) ends the
+      run with exit 2 instead of being contained. *)
+  cl_connect : string option;
+  (** [--connect SOCKET]: run as a client of an [fcd] daemon;
+      [None] = in-process. *)
+  cl_deadline_ms : int option;
+  (** [--deadline-ms MS]: per-request deadline; expiry is a refusal
+      with a [Deadline] diag, never a late answer, never cached. *)
+  cl_retry : Retry.policy;
+  (** [--retries], [--retry-base-ms], [--retry-seed] (attempts clamped
+      to [>= 1]); only transport/busy failures are retried. *)
+  cl_fallback_local : bool;
+  (** [--fallback-local]: with [--connect], degrade to in-process
+      execution when the daemon cannot answer. *)
+  cl_cache : cache_opts;
+  (** The cache trio. A [--connect] run creates no local session, and
+      so no cache directory, unless it falls back. *)
+}
 
-val connect_term : string option Cmdliner.Term.t
-(** [--connect SOCKET]: run as a client of an [fcd] daemon instead of
-    in-process. [None] = in-process (the default). *)
+val term : jobs_doc:string -> t Cmdliner.Term.t
+(** All of {!t}'s flags; [jobs_doc] is the tool's [-j] doc string. *)
 
-val deadline_ms_term : int option Cmdliner.Term.t
-(** [--deadline-ms MS]: per-request wall-clock deadline; expiry is a
-    refusal with a [Deadline] diag, never a partial or late answer,
-    never cached. *)
+val run_client :
+  tool:string -> t -> stream:Toolchain.stream_opts option ->
+  request:(string -> string -> Request.t) ->
+  emit:(Response.t -> unit) ->
+  finish:(Service.session option -> (unit -> int) -> int) ->
+  string list -> int
+(** [run_client ~tool o ~stream ~request ~emit ~finish files] is the
+    whole run of fcc or aitw; it returns the exit code.
 
-val retry_term : Retry.policy Cmdliner.Term.t
-(** [--retries N], [--retry-base-ms MS] and [--retry-seed SEED],
-    assembled into a {!Retry.policy} (defaults {!Retry.default}).
-    Attempts are clamped to [>= 1]. *)
+    Each file is read and turned into [request file source]; a read
+    failure is a [Parse] refusal naming the file. Without [--connect],
+    the requests run on one in-process {!Service} session, across
+    [-j] domains ({!Par.map_list}, or {!Par.run_stream} when [stream]
+    is set). With [--connect], they go to the daemon in input order
+    over one lazily opened connection, each under {!Retry.run}; a
+    retryable status drops the connection, and with [--fallback-local]
+    a request that still fails runs on a lazily created local session
+    (one stderr note each). An unreachable daemon without
+    [--fallback-local] prints the connect error and returns 2.
 
-val fallback_local_term : bool Cmdliner.Term.t
-(** [--fallback-local]: with [--connect], degrade to in-process
-    execution when the daemon is unreachable or a request exhausts its
-    retries on transport/busy — byte-identical output, stderr note per
-    degradation. *)
-
-val report_retries : tool:string -> requests:int -> extra_attempts:int -> unit
-(** One stderr line of cumulative retry accounting
-    (["<tool>: retried R request(s) (E extra attempt(s))"]); silent
-    when [requests = 0]. stdout is never touched. *)
-
-val memo_of_opts : cache_opts -> Wcet.Memo.t option
-(** The cache the flags ask for: [None] under [--no-cache], persistent
-    when a directory is configured, memory-only otherwise. *)
+    Responses go to [emit] in input order; under [--fail-fast] the
+    first failing one is the last. Then [finish session summarize]
+    runs, with the local session ([None] over [--connect]); it must
+    call [summarize], which prints the diagnostics and the failure
+    summary to stderr and returns the exit code (0 all ok, 1 partial,
+    2 total or fail-fast), and returns the run's exit code. A local
+    run then applies the [--cache-gc-mb] budget; a served run reports
+    its retries on stderr
+    (["<tool>: retried R request(s) (E extra attempt(s))"], only when
+    a retry happened). *)
 
 val session_of_opts :
   ?jobs:int -> ?fail_fast:bool -> ?stream:Toolchain.stream_opts ->
   cache_opts -> Toolchain.session
-(** The session-scoped half of the flags ({!memo_of_opts} for the
-    cache): what a {!Service.session} is created from. *)
+(** The session-scoped state the flags ask for: no cache under
+    [--no-cache], a persistent one when a directory is configured,
+    memory-only otherwise. *)
 
 val config_of_opts :
-  ?jobs:int -> ?worlds:int -> ?compiler:Toolchain.compiler ->
-  ?fail_fast:bool -> ?passes:Vcomp.Pass.options ->
+  ?jobs:int -> ?compiler:Toolchain.compiler -> ?passes:Vcomp.Pass.options ->
   ?engine:Wcet.Report.engine -> ?stream:Toolchain.stream_opts ->
   cache_opts -> Toolchain.config
-(** One config from the parsed flags ({!memo_of_opts} for the cache). *)
+(** One config from the parsed flags (cache as in {!session_of_opts}). *)
 
 val finalize : Toolchain.config -> unit
-(** End-of-run maintenance: apply the [--cache-gc-mb] LRU budget to a
-    persistent cache (no-op otherwise). Call once before exiting. *)
+(** End of a bench run: print the cache accounting
+    ([Report.pp_stats]) to stderr when a cache is on, then apply the
+    [--cache-gc-mb] LRU budget to a persistent cache. Never touches
+    stdout. *)
 
-val report_stats : ?always:bool -> Toolchain.config -> unit
-(** Print cache accounting ([Report.pp_stats]) to stderr — for
-    persistent caches, or for any cache with [~always:true]. Never
-    touches stdout: tables/reports stay byte-identical across cache
-    configurations. *)
-
-val report_session_stats : ?always:bool -> Service.session -> unit
-(** {!report_stats} for a {!Service.session} (whose cache handle is
-    abstract). *)
+val report_session_stats : Service.session -> unit
+(** A session's cache accounting on stderr, for a persistent cache
+    only. *)

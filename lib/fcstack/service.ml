@@ -533,8 +533,7 @@ end
 
 (* ---- child-process plumbing ------------------------------------------ *)
 
-(* How the chaos harness and the serve benchmark spawn a real [fcd]
-   child. *)
+(* How the chaos harness and perfbench spawn a real [fcd] child. *)
 
 let daemon_argv ~(exe : string) ~(socket : string) ?cache_dir ?gc_mb
     ?max_requests ?jobs ?pending_budget ?read_timeout_ms () : string list =

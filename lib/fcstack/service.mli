@@ -120,8 +120,7 @@ end
 
 (** {2 Child-process plumbing}
 
-    How the chaos harness and the serve benchmark spawn a real [fcd]
-    child. *)
+    How the chaos harness and perfbench spawn a real [fcd] child. *)
 
 val daemon_argv :
   exe:string -> socket:string -> ?cache_dir:string -> ?gc_mb:int ->
