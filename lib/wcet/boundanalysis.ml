@@ -75,32 +75,26 @@ let count_reg_defs (cfg : Cfg.t) (l : Loops.loop) (r : Asm.ireg) : int =
 (* Stores that may touch slot [key] within the loop, other than the
    recognized increment store. Conservative: any store without an exact
    different slot key counts. *)
-let slot_clobbers (va : Valueanalysis.result) (cfg : Cfg.t) (l : Loops.loop)
-    (key : int) ~(skip : int * int) : int =
-  List.fold_left
-    (fun acc b ->
-       let blk = Cfg.block cfg b in
-       let n = Array.length blk.Cfg.b_instrs in
-       let acc' = ref acc in
-       for idx = 0 to n - 1 do
-         if (b, idx) <> skip then
-           match blk.Cfg.b_instrs.(idx) with
-           | Asm.Pstw (_, a) | Asm.Pstfd (_, a) ->
-             (match Valueanalysis.state_at va b idx with
-              | Some st ->
-                (match Valueanalysis.slot_key st a with
-                 | Some k when k <> key -> ()
-                 | Some _ -> incr acc'
-                 | None ->
-                   (match Valueanalysis.region_of_address st a with
-                    | Valueanalysis.Rsym _ | Valueanalysis.Rpool _ -> ()
-                    | Valueanalysis.Rslot _ | Valueanalysis.Rstack _
-                    | Valueanalysis.Runknown -> incr acc'))
-              | None -> ())
-           | _ -> ()
-       done;
-       !acc')
-    0 l.Loops.l_body
+let slot_clobbers (va : Valueanalysis.result) (l : Loops.loop) (key : int)
+    ~(skip : int * int) : int =
+  let clobbers = ref 0 in
+  List.iter
+    (fun b ->
+       Valueanalysis.iter_block va b (fun idx st i ->
+           if (b, idx) <> skip then
+             match i with
+             | Asm.Pstw (_, a) | Asm.Pstfd (_, a) ->
+               (match Valueanalysis.slot_key st a with
+                | Some k when k <> key -> ()
+                | Some _ -> incr clobbers
+                | None ->
+                  (match Valueanalysis.region_of_address st a with
+                   | Valueanalysis.Rsym _ | Valueanalysis.Rpool _ -> ()
+                   | Valueanalysis.Rslot _ | Valueanalysis.Rstack _
+                   | Valueanalysis.Runknown -> incr clobbers))
+             | _ -> ()))
+    l.Loops.l_body;
+  !clobbers
 
 (* Find register counters: Paddi (r, r, c) unique def of r in the loop.
    Also records the block holding the increment: a counter only bounds
@@ -128,61 +122,49 @@ let slot_counters (va : Valueanalysis.result) (cfg : Cfg.t) (l : Loops.loop) :
   let found = ref [] in
   List.iter
     (fun b ->
-       let blk = Cfg.block cfg b in
-       let n = Array.length blk.Cfg.b_instrs in
-       for idx = 0 to n - 3 do
-         match
-           (blk.Cfg.b_instrs.(idx), blk.Cfg.b_instrs.(idx + 1),
-            blk.Cfg.b_instrs.(idx + 2))
-         with
-         | Asm.Plwz (r1, a1), Asm.Paddi (r2, r3, c), Asm.Pstw (r4, a2)
-           when r1 = r2 && r2 = r3 && r3 = r4 ->
-           (match Valueanalysis.state_at va b idx with
-            | Some st ->
-              (match
-                 (Valueanalysis.slot_key st a1, Valueanalysis.slot_key st a2)
-               with
-               | Some k1, Some k2 when k1 = k2 ->
-                 if slot_clobbers va cfg l k1 ~skip:(b, idx + 2) = 0 then
-                   found := (k1, Int32.to_int c, b) :: !found
-               | _, _ -> ())
-            | None -> ())
-         | _, _, _ -> ()
-       done)
+       let instrs = (Cfg.block cfg b).Cfg.b_instrs in
+       let n = Array.length instrs in
+       Valueanalysis.iter_block va b (fun idx st _ ->
+           if idx <= n - 3 then
+             match instrs.(idx), instrs.(idx + 1), instrs.(idx + 2) with
+             | Asm.Plwz (r1, a1), Asm.Paddi (r2, r3, c), Asm.Pstw (r4, a2)
+               when r1 = r2 && r2 = r3 && r3 = r4 ->
+               (match
+                  (Valueanalysis.slot_key st a1, Valueanalysis.slot_key st a2)
+                with
+                | Some k1, Some k2 when k1 = k2 ->
+                  if slot_clobbers va l k1 ~skip:(b, idx + 2) = 0 then
+                    found := (k1, Int32.to_int c, b) :: !found
+                | _, _ -> ())
+             | _, _, _ -> ()))
     l.Loops.l_body;
   !found
 
 (* The register compared in an exit block, traced back to a counter if
    possible: either the counter register itself, or a register loaded
    from the counter slot earlier in the same block with no intervening
-   redefinition. *)
-let trace_to_counter (va : Valueanalysis.result) (cfg : Cfg.t) (b : int)
-    (r : Asm.ireg) (regc : (Asm.ireg * int) list) (slotc : (int * int) list) :
+   redefinition — that is, the block's last definition of [r] is
+   "lwz r, slot". *)
+let trace_to_counter (va : Valueanalysis.result) (b : int) (r : Asm.ireg)
+    (regc : (Asm.ireg * int) list) (slotc : (int * int) list) :
   (counter * int) option =
   match List.assoc_opt r regc with
   | Some step -> Some (Creg r, step)
   | None ->
-    (* scan the block backwards from the compare for "lwz r, slot" *)
-    let blk = Cfg.block cfg b in
-    let n = Array.length blk.Cfg.b_instrs in
-    let rec scan idx =
-      if idx < 0 then None
-      else
-        match blk.Cfg.b_instrs.(idx) with
+    let loaded_from = ref None in
+    Valueanalysis.iter_block va b (fun _ st i ->
+        match i with
         | Asm.Plwz (d, a) when d = r ->
-          (match Valueanalysis.state_at va b idx with
-           | Some st ->
-             (match Valueanalysis.slot_key st a with
-              | Some k ->
-                (match List.assoc_opt k slotc with
-                 | Some step -> Some (Cslot k, step)
-                 | None -> None)
-              | None -> None)
-           | None -> None)
-        | i when List.exists (fun d -> d = Asm.IR r) (Asm.defs i) -> None
-        | _ -> scan (idx - 1)
-    in
-    scan (n - 1)
+          loaded_from := Valueanalysis.slot_key st a
+        | i when List.exists (fun d -> d = Asm.IR r) (Asm.defs i) ->
+          loaded_from := None
+        | _ -> ());
+    (match !loaded_from with
+     | Some k ->
+       (match List.assoc_opt k slotc with
+        | Some step -> Some (Cslot k, step)
+        | None -> None)
+     | None -> None)
 
 (* Preheader interval of a counter: join of the counter's value along
    all entry edges of the loop. *)
@@ -236,12 +218,12 @@ let exit_bound (va : Valueanalysis.result) (cfg : Cfg.t) (dom : Dom.t)
         let c = Valueanalysis.comparison_of_cond cond in
         if taken_in_loop then c else Minic.Ast.negate_comparison c
       in
-      let counter_left = trace_to_counter va cfg b left regc slotc in
+      let counter_left = trace_to_counter va b left regc slotc in
       let counter_info, cmp, limit_operand =
         match counter_left, right with
         | Some ci, _ -> (Some ci, continue_cmp, right)
         | None, Valueanalysis.CmpReg r ->
-          (match trace_to_counter va cfg b r regc slotc with
+          (match trace_to_counter va b r regc slotc with
            | Some ci ->
              (Some ci, Minic.Ast.swap_comparison continue_cmp,
               Valueanalysis.CmpReg left)
@@ -267,15 +249,17 @@ let exit_bound (va : Valueanalysis.result) (cfg : Cfg.t) (dom : Dom.t)
           | None -> None
           | Some ci ->
             let limit_itv =
-              match limit_operand, Valueanalysis.state_at va b ci with
-              | Valueanalysis.CmpImm imm, _ -> Some (Interval.of_const imm)
-              | Valueanalysis.CmpReg r, Some st ->
-                let v = Valueanalysis.get_reg st r in
-                (match v with
-                 | Valueanalysis.Vint itv when not (Interval.is_top itv) ->
-                   Some itv
-                 | _ -> None)
-              | Valueanalysis.CmpReg _, None -> None
+              match limit_operand with
+              | Valueanalysis.CmpImm imm -> Some (Interval.of_const imm)
+              | Valueanalysis.CmpReg r ->
+                let limit = ref None in
+                Valueanalysis.iter_block va b (fun idx st _ ->
+                    if idx = ci then
+                      match Valueanalysis.get_reg st r with
+                      | Valueanalysis.Vint itv when not (Interval.is_top itv) ->
+                        limit := Some itv
+                      | _ -> ());
+                !limit
             in
             (match limit_itv with
              | None -> None

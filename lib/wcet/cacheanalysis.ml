@@ -109,22 +109,17 @@ let analyze (cfg : Cfg.t) (va : Valueanalysis.result) (lay : Target.Layout.t) :
            (lines_of_range blk.Cfg.b_addr (blk.Cfg.b_addr + blk.Cfg.b_size - 1));
        (* data lines *)
        let accs = ref [] in
-       Array.iteri
-         (fun idx instr ->
-            match Valueanalysis.state_at va b idx with
-            | None -> ()
-            | Some st ->
-              (try
-                 match data_access lay st instr with
-                 | Some (lo, hi) ->
-                   let ls = lines_of_range lo hi in
-                   List.iter (fun l -> Hashtbl.replace dlines l ()) ls;
-                   accs := ls :: !accs
-                 | None -> ()
-               with Not_resolved ->
-                 imprecise := true;
-                 accs := [] :: !accs (* marker: unresolved access *)))
-         blk.Cfg.b_instrs;
+       Valueanalysis.iter_block va b (fun _ st instr ->
+           try
+             match data_access lay st instr with
+             | Some (lo, hi) ->
+               let ls = lines_of_range lo hi in
+               List.iter (fun l -> Hashtbl.replace dlines l ()) ls;
+               accs := ls :: !accs
+             | None -> ()
+           with Not_resolved ->
+             imprecise := true;
+             accs := [] :: !accs (* marker: unresolved access *));
        block_daccesses.(b) <- List.rev !accs)
     reachable;
   (* ---- per-set capacity check ---- *)

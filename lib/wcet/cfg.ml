@@ -156,6 +156,49 @@ let reverse_postorder (cfg : t) : int list =
   dfs cfg.c_entry;
   !order
 
+(* The worklist iteration shared by the value and must-cache analyses.
+   Pending blocks are processed smallest reverse-postorder rank first:
+   a join block waits until its forward predecessors are done, and a
+   loop body settles before the blocks after the loop run. Each
+   processed block costs one [Fuel.tick] and one unit of [fuel]. *)
+module Ranks = Set.Make (Int)
+
+let fixpoint ~(fuel : int) ~(what : string) (cfg : t) (init : 'a)
+    ~(step : int -> 'a -> (int * 'a) list)
+    ~(merge : int -> 'a -> 'a -> 'a option) : 'a option array =
+  let order = Array.of_list (reverse_postorder cfg) in
+  let rank = Array.make (num_blocks cfg) max_int in
+  Array.iteri (fun r b -> rank.(b) <- r) order;
+  let states = Array.make (num_blocks cfg) None in
+  states.(cfg.c_entry) <- Some init;
+  let pending = ref (Ranks.singleton rank.(cfg.c_entry)) in
+  let iters = ref 0 in
+  while not (Ranks.is_empty !pending) do
+    incr iters;
+    Fuel.tick ();
+    if !iters > fuel then Fuel.exhaust what;
+    let r = Ranks.min_elt !pending in
+    pending := Ranks.remove r !pending;
+    let b = order.(r) in
+    match states.(b) with
+    | None -> ()
+    | Some st ->
+      List.iter
+        (fun (s, incoming) ->
+           let updated =
+             match states.(s) with
+             | None -> Some incoming
+             | Some old -> merge s old incoming
+           in
+           match updated with
+           | Some st' ->
+             states.(s) <- Some st';
+             pending := Ranks.add rank.(s) !pending
+           | None -> ())
+        (step b st)
+  done;
+  states
+
 let exit_blocks (cfg : t) : int list =
   Array.to_list cfg.c_blocks
   |> List.filter (fun b -> b.b_is_exit)

@@ -33,5 +33,18 @@ val num_blocks : t -> int
 val successors : t -> int -> (int * edge_kind) list
 val predecessors : t -> int list array
 val reverse_postorder : t -> int list
+val fixpoint :
+  fuel:int -> what:string -> t -> 'a ->
+  step:(int -> 'a -> (int * 'a) list) ->
+  merge:(int -> 'a -> 'a -> 'a option) -> 'a option array
+(** [fixpoint ~fuel ~what cfg init ~step ~merge] computes entry states
+    per block ([None] = unreachable), starting from [init] at the entry
+    block. [step b st] is the state flowing along each successor edge
+    of [b] entered in [st]; [merge s old incoming] is the new entry
+    state of [s], or [None] when [incoming] adds nothing to [old].
+    Pending blocks are processed in reverse postorder; each one costs
+    one {!Fuel.tick} and one unit of [fuel].
+    @raise Fuel.Exhausted [what] when the budget runs out. *)
+
 val exit_blocks : t -> int list
 val pp : Format.formatter -> t -> unit

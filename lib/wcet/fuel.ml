@@ -19,8 +19,12 @@
 
 type t = {
   fl_widen : int;
-    (* worklist iterations of the value-analysis and must-cache
-       fixpoints (each processed block counts one) *)
+    (* iterations of the reverse-postorder worklist [Cfg.fixpoint]
+       that the value-analysis and must-cache fixpoints share (each
+       processed block counts one). The order is safe for both: the
+       must-cache fixpoint has no widening and so does not depend on
+       it, and the value analysis's reports are pinned by digest in
+       the test suite *)
   fl_simplex : int;
     (* simplex pivoting iterations per [Lp.solve] phase *)
   fl_bb_nodes : int;

@@ -12,8 +12,11 @@
 
 type t = {
   fl_widen : int;
-      (** worklist iterations of the value-analysis / must-cache
-          fixpoints (one per processed block) *)
+      (** iterations of the reverse-postorder worklist
+          {!Cfg.fixpoint} shared by the value-analysis and must-cache
+          fixpoints (one per processed block). The must-cache fixpoint
+          is order-free (no widening); the value analysis widens, and
+          its reports are pinned by digest in the test suite *)
   fl_simplex : int;  (** simplex pivots per [Lp.solve] phase *)
   fl_bb_nodes : int;
       (** branch & bound nodes in [Lp.solve_integer]; exhaustion here

@@ -18,7 +18,14 @@
    Imprecise accesses (address ranges, unresolved addresses) contribute
    no hits and age every line of the sets they may touch — the sound
    treatment of "imprecise memory accesses" the WCET literature warns
-   about. *)
+   about.
+
+   The fixpoint runs on the worklist shared with the value analysis
+   ([Cfg.fixpoint], reverse postorder). The domain has finite height and
+   no widening, so its least fixpoint does not depend on the order in
+   which blocks are processed: the order only changes how many visits
+   it takes. [stable] re-checks a result as a post-fixpoint without
+   using the order at all. *)
 
 module Asm = Target.Asm
 module LMap = Map.Make (Int)
@@ -72,25 +79,27 @@ let age_set (m : int LMap.t) ~(except : int) ~(limit : int) : int LMap.t =
        else Some age)
     m
 
-(* Precise access to one line: the line becomes most-recently-used;
-   other lines of the set younger than its (worst-case) previous age
-   grow older by one. If the line was possibly absent, every line of
-   the set ages. *)
-let access_line (c : acache) (line : int) : acache =
-  let s = set_of line in
-  let m = c.(s) in
+(* Precise access to one line of set map [m]: the line becomes
+   most-recently-used; other lines of the set younger than its
+   (worst-case) previous age grow older by one. If the line was
+   possibly absent, every line of the set ages. *)
+let touch_set (m : int LMap.t) (line : int) : int LMap.t =
   let limit = Option.value ~default:assoc (LMap.find_opt line m) in
+  LMap.add line 0 (age_set m ~except:line ~limit)
+
+(* Imprecise access possibly touching the set: no line becomes young,
+   every line may age. *)
+let blur_set (m : int LMap.t) : int LMap.t =
+  age_set m ~except:min_int ~limit:assoc
+
+let access_line (c : acache) (line : int) : acache =
   let c' = Array.copy c in
-  c'.(s) <- LMap.add line 0 (age_set m ~except:line ~limit);
+  c'.(set_of line) <- touch_set c.(set_of line) line;
   c'
 
-(* Imprecise access possibly touching any line of [sets]: no line
-   becomes young, every line of those sets may age. *)
 let blur_sets (c : acache) (sets : int list) : acache =
   let c' = Array.copy c in
-  List.iter
-    (fun s -> c'.(s) <- age_set c.(s) ~except:min_int ~limit:assoc)
-    sets;
+  List.iter (fun s -> c'.(s) <- blur_set c.(s)) sets;
   c'
 
 (* Is an access to [line] guaranteed to hit in state [c]? *)
@@ -127,26 +136,17 @@ let access_of_instr (lay : Target.Layout.t) (st : Valueanalysis.state)
 
 (* The access sequence of a block is fully determined by the value
    analysis, not by the cache state, so it is classified once up front
-   (one incremental walk per block — [Valueanalysis.state_at] would
-   replay the block prefix per instruction) and the fixpoint below
-   iterates transfer over the precomputed sequence. [Anone] accesses
-   are dropped: they neither age lines nor classify. *)
+   and the fixpoint below iterates transfer over the precomputed
+   sequence. [Anone] accesses are dropped: they neither age lines nor
+   classify. *)
 let block_accesses (lay : Target.Layout.t) (va : Valueanalysis.result)
     (b : int) : access array =
-  match va.Valueanalysis.r_entry_states.(b) with
-  | None -> [||]
-  | Some st0 ->
-    let blk = Cfg.block va.Valueanalysis.r_cfg b in
-    let accs = ref [] in
-    let st = ref st0 in
-    Array.iter
-      (fun i ->
-         (match access_of_instr lay !st i with
-          | Anone -> ()
-          | a -> accs := a :: !accs);
-         st := Valueanalysis.transfer !st i)
-      blk.Cfg.b_instrs;
-    Array.of_list (List.rev !accs)
+  let accs = ref [] in
+  Valueanalysis.iter_block va b (fun _ st i ->
+      match access_of_instr lay st i with
+      | Anone -> ()
+      | a -> accs := a :: !accs);
+  Array.of_list (List.rev !accs)
 
 let transfer_access (c : acache) (a : access) : acache =
   match a with
@@ -163,72 +163,69 @@ type result = {
   mc_accs : access array array;   (* per block, in instruction order *)
 }
 
-(* Fixpoint: entry states per block. The domain has finite height
-   (ages only grow under join, lines only disappear), so plain
-   iteration terminates — and [fuel] bounds the worklist iterations
-   anyway, so a join/transfer bug is a refusal upstream, not a hang. *)
+(* Fixpoint: entry states per block, on the shared reverse-postorder
+   worklist [Cfg.fixpoint]. The domain has finite height (ages only
+   grow under join, lines only disappear) and has no widening, so the
+   iteration terminates and its least fixpoint is the same in any
+   order; [fuel] bounds the worklist iterations anyway, so a
+   join/transfer bug is a refusal upstream, not a hang. *)
 let analyze ?(fuel = Fuel.default.Fuel.fl_widen) (cfg : Cfg.t)
     (va : Valueanalysis.result) (lay : Target.Layout.t) : result =
-  let n = Cfg.num_blocks cfg in
-  let accs = Array.init n (block_accesses lay va) in
-  let entry : acache option array = Array.make n None in
-  entry.(cfg.Cfg.c_entry) <- Some empty;
-  let worklist = Queue.create () in
-  let inq = Array.make n false in
-  let push b =
-    if not inq.(b) then begin
-      inq.(b) <- true;
-      Queue.add b worklist
-    end
+  let accs = Array.init (Cfg.num_blocks cfg) (block_accesses lay va) in
+  let step b c =
+    let out = transfer_block accs b c in
+    List.map (fun (s, _) -> (s, out)) (Cfg.successors cfg b)
   in
-  push cfg.Cfg.c_entry;
-  let iters = ref 0 in
-  while not (Queue.is_empty worklist) do
-    incr iters;
-    Fuel.tick ();
-    if !iters > fuel then Fuel.exhaust "must-cache ageing fixpoint";
-    let b = Queue.pop worklist in
-    inq.(b) <- false;
-    match entry.(b) with
-    | None -> ()
-    | Some c ->
-      let out = transfer_block accs b c in
-      List.iter
-        (fun (s, _) ->
-           let updated =
-             match entry.(s) with
-             | None -> Some out
-             | Some old ->
-               let j = join old out in
-               if equal j old then None else Some j
-           in
-           match updated with
-           | Some st ->
-             entry.(s) <- Some st;
-             push s
-           | None -> ())
-        (Cfg.block cfg b).Cfg.b_succs
-  done;
-  { mc_entry = entry; mc_accs = accs }
+  let merge _ old c =
+    let j = join old c in
+    if equal j old then None else Some j
+  in
+  { mc_entry =
+      Cfg.fixpoint ~fuel ~what:"must-cache ageing fixpoint" cfg empty ~step
+        ~merge;
+    mc_accs = accs }
+
+(* Post-fixpoint check, independent of the iteration order: the entry
+   block's state covers the empty cache, and along every edge out of a
+   reachable block the target's entry state absorbs the source's
+   transfer. *)
+let stable (cfg : Cfg.t) (res : result) : bool =
+  let covers (e : acache option) (c : acache) =
+    match e with
+    | Some e -> equal (join e c) e
+    | None -> false
+  in
+  covers res.mc_entry.(cfg.Cfg.c_entry) empty
+  && Seq.for_all
+       (fun b ->
+          match res.mc_entry.(b) with
+          | None -> true
+          | Some c ->
+            let out = transfer_block res.mc_accs b c in
+            List.for_all (fun (s, _) -> covers res.mc_entry.(s) out)
+              (Cfg.successors cfg b))
+       (Seq.init (Cfg.num_blocks cfg) Fun.id)
 
 (* Classification of every data access of block [b]: for each
    memory-accessing instruction (in order), true when the access is an
-   ALWAYS-HIT at that point. *)
+   ALWAYS-HIT at that point. The walk updates one private copy of the
+   entry state in place (one array copy per block rather than one per
+   access, which halves this pass); the copy never escapes. *)
 let block_hits (res : result) (b : int) : bool list =
   match res.mc_entry.(b) with
   | None -> []
   | Some c0 ->
+    let c = Array.copy c0 in
     let hits = ref [] in
-    let c = ref c0 in
     Array.iter
       (fun a ->
          match a with
          | Anone -> ()
          | Aline l ->
-           hits := must_hit !c l :: !hits;
-           c := access_line !c l
+           hits := must_hit c l :: !hits;
+           c.(set_of l) <- touch_set c.(set_of l) l
          | Ablur sets ->
            hits := false :: !hits;
-           c := blur_sets !c sets)
+           List.iter (fun s -> c.(s) <- blur_set c.(s)) sets)
       res.mc_accs.(b);
     List.rev !hits

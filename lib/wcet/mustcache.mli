@@ -19,6 +19,13 @@ val analyze :
     [Fuel.default.fl_widen]).
     @raise Fuel.Exhausted when the budget runs out. *)
 
+val stable : Cfg.t -> result -> bool
+(** Post-fixpoint check, independent of the iteration order: the entry
+    state covers the empty cache, and for every edge out of a reachable
+    block, joining the source's transfer into the target's entry state
+    leaves that state unchanged. Off the analysis path; the test suite
+    runs it. *)
+
 val block_hits : result -> int -> bool list
 (** One boolean per data access of the block, in order: true when the
     access is guaranteed to hit. *)

@@ -378,70 +378,72 @@ type result = {
   r_cfg : Cfg.t;
 }
 
-(* Fixpoint with widening after [widen_after] joins at the same block.
-   Widening bounds the chain height in theory; [fuel] bounds the
-   worklist iterations unconditionally (one per processed block), so a
-   transfer-function bug or a pathological CFG yields a refusal
-   upstream, never a hang. *)
+(* Fixpoint with widening after [widen_after] joins at the same block,
+   on the shared reverse-postorder worklist [Cfg.fixpoint]. Widening
+   makes the result depend on the iteration order in principle; the
+   test suite pins the reports of the flight program, so a change of
+   order that moved a bound would show there. Widening bounds the chain
+   height in theory; [fuel] bounds the worklist iterations
+   unconditionally (one per processed block), so a transfer-function
+   bug or a pathological CFG yields a refusal upstream, never a hang. *)
 let analyze ?(widen_after = 3) ?(fuel = Fuel.default.Fuel.fl_widen)
     (cfg : Cfg.t) : result =
-  let n = Cfg.num_blocks cfg in
-  let entry_states : state option array = Array.make n None in
-  let visits = Array.make n 0 in
-  let worklist = Queue.create () in
-  let inqueue = Array.make n false in
-  let push b =
-    if not inqueue.(b) then begin
-      inqueue.(b) <- true;
-      Queue.add b worklist
+  let visits = Array.make (Cfg.num_blocks cfg) 0 in
+  let step b st_in =
+    let blk = Cfg.block cfg b in
+    let st_out = transfer_block blk st_in in
+    List.map (fun (s, kind) -> (s, edge_state blk st_out kind)) blk.Cfg.b_succs
+  in
+  let merge s old st_edge =
+    let joined = join_state old st_edge in
+    if state_equal joined old then None
+    else begin
+      visits.(s) <- visits.(s) + 1;
+      if visits.(s) > widen_after then Some (widen_state old joined)
+      else Some joined
     end
   in
-  entry_states.(cfg.Cfg.c_entry) <- Some init_state;
-  push cfg.Cfg.c_entry;
-  let iters = ref 0 in
-  while not (Queue.is_empty worklist) do
-    incr iters;
-    Fuel.tick ();
-    if !iters > fuel then Fuel.exhaust "value-analysis widening fixpoint";
-    let b = Queue.pop worklist in
-    inqueue.(b) <- false;
-    match entry_states.(b) with
-    | None -> ()
-    | Some st_in ->
-      let blk = Cfg.block cfg b in
-      let st_out = transfer_block blk st_in in
-      List.iter
-        (fun (s, kind) ->
-           let st_edge = edge_state blk st_out kind in
-           let updated =
-             match entry_states.(s) with
-             | None -> Some st_edge
-             | Some old ->
-               let joined = join_state old st_edge in
-               if state_equal joined old then None
-               else begin
-                 visits.(s) <- visits.(s) + 1;
-                 if visits.(s) > widen_after then Some (widen_state old joined)
-                 else Some joined
-               end
-           in
-           match updated with
-           | Some st' ->
-             entry_states.(s) <- Some st';
-             push s
-           | None -> ())
-        blk.Cfg.b_succs
-  done;
-  { r_entry_states = entry_states; r_cfg = cfg }
+  { r_entry_states =
+      Cfg.fixpoint ~fuel ~what:"value-analysis widening fixpoint" cfg
+        init_state ~step ~merge;
+    r_cfg = cfg }
 
-(* State just before instruction [idx] of block [b]. *)
-let state_at (res : result) (b : int) (idx : int) : state option =
+(* [iter_block res b f] calls [f idx st instr] for each instruction of
+   block [b] in order, [st] being the state just before it: one
+   incremental walk per block. Nothing is called for an unreachable
+   block. *)
+let iter_block (res : result) (b : int) (f : int -> state -> Asm.instr -> unit)
+  : unit =
   match res.r_entry_states.(b) with
-  | None -> None
+  | None -> ()
   | Some st ->
-    let blk = Cfg.block res.r_cfg b in
     let cur = ref st in
-    for i = 0 to idx - 1 do
-      cur := transfer !cur blk.Cfg.b_instrs.(i)
-    done;
-    Some !cur
+    Array.iteri
+      (fun idx i ->
+         f idx !cur i;
+         cur := transfer !cur i)
+      (Cfg.block res.r_cfg b).Cfg.b_instrs
+
+(* Post-fixpoint check, independent of the order, widening and visit
+   counts that produced [res]: the entry block's state covers
+   [init_state], and along every edge out of a reachable block the
+   target's entry state absorbs the source's transfer. *)
+let stable (cfg : Cfg.t) (res : result) : bool =
+  let covers (e : state option) (st : state) =
+    match e with
+    | Some e -> state_equal (join_state e st) e
+    | None -> false
+  in
+  let entries = res.r_entry_states in
+  covers entries.(cfg.Cfg.c_entry) init_state
+  && Seq.for_all
+       (fun b ->
+          match entries.(b) with
+          | None -> true
+          | Some st_in ->
+            let blk = Cfg.block cfg b in
+            let st_out = transfer_block blk st_in in
+            List.for_all
+              (fun (s, kind) -> covers entries.(s) (edge_state blk st_out kind))
+              blk.Cfg.b_succs)
+       (Seq.init (Cfg.num_blocks cfg) Fun.id)
