@@ -57,14 +57,19 @@ let retarget (f : Rtl.func) (n : Rtl.node) ~(from_ : Rtl.node)
    yields anything, then return for a full recomputation (CFG edits
    invalidate the analyses, so at most one loop is edited per round). *)
 let hoist_once (f : Rtl.func) : bool =
+  let rpo = Rtl.reverse_postorder f in
+  let succs = Array.make (Rtl.node_bound f) [] in
+  List.iter
+    (fun n ->
+       succs.(n) <- List.map (fun s -> (s, ())) (Rtl.successors (Rtl.get_instr f n)))
+    rpo;
   match
-    let dom = Dom.compute f in
-    (dom, Loops.compute f dom)
+    let dom = Flow.dominators { Flow.entry = f.Rtl.f_entry; succs } in
+    (dom, Flow.loops dom)
   with
-  | exception Loops.Irreducible _ -> false
-  | dom, loopnest ->
+  | exception Flow.Irreducible _ -> false
+  | dom, loops ->
     let lv = Liveness.analyze f in
-    let rpo = Rtl.reverse_postorder f in
     (* [r] is live on entry to [n] *)
     let live_in (n : Rtl.node) (r : Rtl.reg) : bool =
       let i = Rtl.get_instr f n in
@@ -84,20 +89,20 @@ let hoist_once (f : Rtl.func) : bool =
     let defs_of r = Option.value ~default:[] (Hashtbl.find_opt defs r) in
     let is_param r = List.mem_assoc r f.Rtl.f_params in
     let changed = ref false in
-    let try_loop (l : Loops.loop) : unit =
-      if (not !changed) && l.Loops.l_header <> f.Rtl.f_entry
-         && l.Loops.l_entry_preds <> [] then begin
+    let try_loop (l : unit Flow.loop) : unit =
+      if (not !changed) && l.Flow.l_header <> f.Rtl.f_entry
+         && l.Flow.l_entry_edges <> [] then begin
         let body = Hashtbl.create 17 in
-        List.iter (fun n -> Hashtbl.replace body n ()) l.Loops.l_body;
+        List.iter (fun n -> Hashtbl.replace body n ()) l.Flow.l_body;
         let in_body n = Hashtbl.mem body n in
-        let header = l.Loops.l_header in
+        let header = l.Flow.l_header in
         let exit_srcs =
           List.filter
             (fun n ->
                List.exists
                  (fun s -> not (in_body s))
                  (Rtl.successors (Rtl.get_instr f n)))
-            l.Loops.l_body
+            l.Flow.l_body
         in
         let exit_targets =
           List.concat_map
@@ -111,16 +116,16 @@ let hoist_once (f : Rtl.func) : bool =
           List.exists
             (fun n ->
                match Rtl.get_instr f n with Rtl.Istore _ -> true | _ -> false)
-            l.Loops.l_body
+            l.Flow.l_body
         in
         let dominates_exits n =
-          List.for_all (fun e -> Dom.dominates dom n e) exit_srcs
+          List.for_all (fun e -> Flow.dominates dom n e) exit_srcs
         in
         let arg_ok r =
           (not (List.exists in_body (defs_of r)))
           && (is_param r
               || List.exists
-                   (fun m -> (not (in_body m)) && Dom.dominates dom m header)
+                   (fun m -> (not (in_body m)) && Flow.dominates dom m header)
                    (defs_of r))
         in
         let dest_ok n d =
@@ -154,8 +159,8 @@ let hoist_once (f : Rtl.func) : bool =
             | None ->
               let pre = Rtl.add_instr f (Rtl.Inop header) in
               List.iter
-                (fun p -> retarget f p ~from_:header ~to_:pre)
-                l.Loops.l_entry_preds;
+                (fun (p, ()) -> retarget f p ~from_:header ~to_:pre)
+                l.Flow.l_entry_edges;
               tail := Some pre;
               pre
           in
@@ -180,7 +185,15 @@ let hoist_once (f : Rtl.func) : bool =
           rpo
       end
     in
-    List.iter try_loop loopnest.Loops.loops;
+    (* innermost (smallest body) first, header as tie-break, so loops
+       are visited in a fixed order *)
+    List.iter try_loop
+      (List.sort
+         (fun a b ->
+            match compare (List.length a.Flow.l_body) (List.length b.Flow.l_body) with
+            | 0 -> compare a.Flow.l_header b.Flow.l_header
+            | c -> c)
+         loops);
     !changed
 
 let transform_func ~(fuel : int) (f : Rtl.func) : unit =

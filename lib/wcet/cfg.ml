@@ -142,19 +142,10 @@ let predecessors (cfg : t) : int list array =
     cfg.c_blocks;
   preds
 
-(* Reachable blocks in reverse postorder. *)
-let reverse_postorder (cfg : t) : int list =
-  let visited = Array.make (num_blocks cfg) false in
-  let order = ref [] in
-  let rec dfs b =
-    if not visited.(b) then begin
-      visited.(b) <- true;
-      List.iter (fun (s, _) -> dfs s) cfg.c_blocks.(b).b_succs;
-      order := b :: !order
-    end
-  in
-  dfs cfg.c_entry;
-  !order
+let graph (cfg : t) : edge_kind Flow.graph =
+  { Flow.entry = cfg.c_entry; succs = Array.map (fun b -> b.b_succs) cfg.c_blocks }
+
+let reverse_postorder (cfg : t) : int list = Flow.reverse_postorder (graph cfg)
 
 (* The worklist iteration shared by the value and must-cache analyses.
    Pending blocks are processed smallest reverse-postorder rank first:

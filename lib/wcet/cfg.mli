@@ -32,7 +32,13 @@ val block : t -> int -> block
 val num_blocks : t -> int
 val successors : t -> int -> (int * edge_kind) list
 val predecessors : t -> int list array
+
+val graph : t -> edge_kind Flow.graph
+(** The blocks' successor lists, as the {!Flow} toolkit's graph. *)
+
 val reverse_postorder : t -> int list
+(** Reachable blocks, successors walked in list order. *)
+
 val fixpoint :
   fuel:int -> what:string -> t -> 'a ->
   step:(int -> 'a -> (int * 'a) list) ->

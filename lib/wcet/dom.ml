@@ -1,80 +1,11 @@
-(* Dominator computation (Cooper–Harvey–Kennedy iterative algorithm) on
-   the reconstructed CFG, prerequisite of natural-loop detection. *)
+(* Dominators of a reconstructed CFG: the shared [Flow] toolkit over the
+   blocks' labelled successor lists, built once per function. *)
 
-type t = {
-  d_idom : int array;    (* immediate dominator; entry maps to itself;
-                            unreachable blocks map to -1 *)
-  d_rpo_index : int array;
-}
+type t = Cfg.edge_kind Flow.t
 
-let compute (cfg : Cfg.t) : t =
-  let n = Cfg.num_blocks cfg in
-  let rpo = Cfg.reverse_postorder cfg in
-  let rpo_index = Array.make n (-1) in
-  List.iteri (fun i b -> rpo_index.(b) <- i) rpo;
-  let preds = Cfg.predecessors cfg in
-  let idom = Array.make n (-1) in
-  idom.(cfg.Cfg.c_entry) <- cfg.Cfg.c_entry;
-  let rec intersect (a : int) (b : int) : int =
-    if a = b then a
-    else if rpo_index.(a) > rpo_index.(b) then intersect idom.(a) b
-    else intersect a idom.(b)
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun b ->
-         if b <> cfg.Cfg.c_entry then begin
-           let processed =
-             List.filter (fun p -> idom.(p) <> -1) preds.(b)
-           in
-           match processed with
-           | [] -> ()
-           | first :: rest ->
-             let new_idom = List.fold_left intersect first rest in
-             if idom.(b) <> new_idom then begin
-               idom.(b) <- new_idom;
-               changed := true
-             end
-         end)
-      rpo
-  done;
-  { d_idom = idom; d_rpo_index = rpo_index }
+let compute (cfg : Cfg.t) : t = Flow.dominators (Cfg.graph cfg)
 
-(* Does [a] dominate [b]? *)
-let dominates (d : t) (a : int) (b : int) : bool =
-  let rec up (x : int) : bool =
-    if x = a then true
-    else if x = -1 || d.d_idom.(x) = x then x = a
-    else up d.d_idom.(x)
-  in
-  up b
+let dominates : t -> int -> int -> bool = Flow.dominates
 
-(* Naive O(n^2) recomputation used by property tests: dominators via
-   reachability removal. *)
-let dominates_naive (cfg : Cfg.t) (a : int) (b : int) : bool =
-  (* a dominates b iff removing a makes b unreachable from entry
-     (with a <> entry special cases handled naturally). *)
-  if a = b then true
-  else begin
-    let n = Cfg.num_blocks cfg in
-    let visited = Array.make n false in
-    let rec dfs x =
-      if (not visited.(x)) && x <> a then begin
-        visited.(x) <- true;
-        List.iter (fun (s, _) -> dfs s) (Cfg.successors cfg x)
-      end
-    in
-    dfs cfg.Cfg.c_entry;
-    (* b unreachable without a => a dominates b (if b reachable at all) *)
-    let reachable_at_all = Array.make n false in
-    let rec dfs2 x =
-      if not reachable_at_all.(x) then begin
-        reachable_at_all.(x) <- true;
-        List.iter (fun (s, _) -> dfs2 s) (Cfg.successors cfg x)
-      end
-    in
-    dfs2 cfg.Cfg.c_entry;
-    reachable_at_all.(b) && not visited.(b)
-  end
+let dominates_naive (cfg : Cfg.t) : int -> int -> bool =
+  Flow.dominates_naive (Cfg.graph cfg)

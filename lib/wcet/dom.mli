@@ -1,14 +1,12 @@
-(** Dominator computation (Cooper–Harvey–Kennedy iterative algorithm),
-    prerequisite of natural-loop detection. *)
+(** Dominators of a reconstructed CFG (Cooper–Harvey–Kennedy, via
+    {!Flow}), prerequisite of natural-loop detection. Unreachable blocks
+    dominate nothing and are dominated by nothing. *)
 
-type t = {
-  d_idom : int array;      (** immediate dominators; entry maps to itself *)
-  d_rpo_index : int array;
-}
+type t = Cfg.edge_kind Flow.t
 
 val compute : Cfg.t -> t
 val dominates : t -> int -> int -> bool
 
 val dominates_naive : Cfg.t -> int -> int -> bool
-(** O(n^2) recomputation via reachability removal; property tests
-    compare it against {!dominates}. *)
+(** Reachability-removal oracle; property tests compare it against
+    {!dominates}. *)

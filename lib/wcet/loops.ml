@@ -1,114 +1,24 @@
-(* Natural-loop detection from back edges (an edge b -> h where h
-   dominates b). The compilers only produce reducible control flow —
-   mini-C has no goto, in line with MISRA rule 14.4 discussed in the
-   workshop's companion paper — so natural loops cover all cycles; the
-   analyzer nevertheless verifies reducibility and reports irreducible
-   flow as an analysis failure rather than returning an unsound bound. *)
+(* Natural loops of a reconstructed CFG, via the shared [Flow] toolkit.
+   The compilers only produce reducible control flow — mini-C has no
+   goto, in line with MISRA rule 14.4 discussed in the workshop's
+   companion paper — so natural loops cover all cycles; the analyzer
+   nevertheless verifies reducibility and reports irreducible flow as an
+   analysis failure rather than returning an unsound bound. *)
 
 exception Irreducible of string
 
-type loop = {
+type 'e flow_loop = 'e Flow.loop = {
   l_header : int;
-  l_body : int list;                    (* blocks in the loop, incl. header *)
-  l_back_edges : (int * Cfg.edge_kind) list; (* sources of back edges *)
-  l_entry_edges : (int * Cfg.edge_kind) list; (* edges into header from outside *)
+  l_body : int list;
+  l_back_edges : (int * 'e) list;
+  l_entry_edges : (int * 'e) list;
 }
 
-type t = {
-  loops : loop list; (* outermost first is not guaranteed; use nesting *)
-}
+type loop = Cfg.edge_kind flow_loop
+
+type t = { loops : loop list }
 
 let compute (cfg : Cfg.t) (dom : Dom.t) : t =
-  let preds = Cfg.predecessors cfg in
-  ignore preds;
-  (* find back edges *)
-  let back = Hashtbl.create 17 in (* header -> (src, kind) list *)
-  Array.iter
-    (fun blk ->
-       List.iter
-         (fun (s, k) ->
-            if Dom.dominates dom s blk.Cfg.b_id then begin
-              let cur = Option.value ~default:[] (Hashtbl.find_opt back s) in
-              Hashtbl.replace back s ((blk.Cfg.b_id, k) :: cur)
-            end)
-         blk.Cfg.b_succs)
-    cfg.Cfg.c_blocks;
-  (* check for cycles not covered by back edges: every retreating edge in
-     a DFS must be a back edge in a reducible CFG *)
-  let rpo = Cfg.reverse_postorder cfg in
-  let rpo_index = Array.make (Cfg.num_blocks cfg) (-1) in
-  List.iteri (fun i b -> rpo_index.(b) <- i) rpo;
-  Array.iter
-    (fun blk ->
-       List.iter
-         (fun (s, _) ->
-            if rpo_index.(s) >= 0
-            && rpo_index.(s) <= rpo_index.(blk.Cfg.b_id)
-            && not (Dom.dominates dom s blk.Cfg.b_id)
-            && s <> blk.Cfg.b_id then
-              (* retreating but not a back edge: irreducible *)
-              raise
-                (Irreducible
-                   (Printf.sprintf "%s: edge B%d -> B%d" cfg.Cfg.c_fname
-                      blk.Cfg.b_id s)))
-         blk.Cfg.b_succs)
-    cfg.Cfg.c_blocks;
-  (* natural loop of each header: union over its back edges *)
-  let preds = Cfg.predecessors cfg in
-  let loops =
-    Hashtbl.fold
-      (fun header back_srcs acc ->
-         let in_loop = Hashtbl.create 17 in
-         Hashtbl.replace in_loop header ();
-         let rec pull (b : int) : unit =
-           if not (Hashtbl.mem in_loop b) then begin
-             Hashtbl.replace in_loop b ();
-             List.iter pull preds.(b)
-           end
-         in
-         List.iter (fun (src, _) -> pull src) back_srcs;
-         let body =
-           Hashtbl.fold (fun b () acc -> b :: acc) in_loop []
-           |> List.sort compare
-         in
-         let entry_edges =
-           Array.to_list cfg.Cfg.c_blocks
-           |> List.concat_map (fun blk ->
-               List.filter_map
-                 (fun (s, k) ->
-                    if s = header && not (Hashtbl.mem in_loop blk.Cfg.b_id)
-                    then Some (blk.Cfg.b_id, k)
-                    else None)
-                 blk.Cfg.b_succs)
-         in
-         let entry_edges =
-           if List.exists (fun b -> b = cfg.Cfg.c_entry) body
-           then entry_edges (* entry inside loop: virtual entry handled by IPET *)
-           else entry_edges
-         in
-         { l_header = header;
-           l_body = body;
-           l_back_edges = back_srcs;
-           l_entry_edges = entry_edges }
-         :: acc)
-      back []
-  in
-  { loops }
-
-(* Innermost loop containing block [b], by smallest body. *)
-let innermost (t : t) (b : int) : loop option =
-  List.fold_left
-    (fun acc l ->
-       if List.mem b l.l_body then
-         match acc with
-         | Some best when List.length best.l_body <= List.length l.l_body ->
-           acc
-         | _ -> Some l
-       else acc)
-    None t.loops
-
-(* Loops listed from innermost to outermost (by increasing body size). *)
-let sorted_inner_first (t : t) : loop list =
-  List.sort
-    (fun a b -> compare (List.length a.l_body) (List.length b.l_body))
-    t.loops
+  try { loops = Flow.loops dom }
+  with Flow.Irreducible (b, s) ->
+    raise (Irreducible (Printf.sprintf "%s: edge B%d -> B%d" cfg.Cfg.c_fname b s))

@@ -1,6 +1,6 @@
 (* Service-layer tests: the request/response/diag wire codecs
    round-trip exactly, the CLI name<->variant maps round-trip
-   (qcheck-pinned, per the Chain.compiler_of_string deprecation), a
+   (qcheck-pinned: they are the only CLI name parsers), a
    served request is byte-identical to a cold batch run of the same
    request (serve == batch), a warm repeat answers from memory with
    zero misses (warm == cold), and the framed serve loop contains
@@ -112,8 +112,8 @@ let random_response rng =
     rs_pass_stats = List.init (Random.State.int rng 3) (fun _ -> random_stats rng);
     rs_diags = List.init (Random.State.int rng 3) (fun _ -> random_diag rng) }
 
-(* ---- name<->variant maps (satellite: Chain.compiler_of_string is
-   deprecated in favor of these, so pin the round-trip) -------------- *)
+(* ---- name<->variant maps (the only CLI name parsers, so pin the
+   round-trip) ------------------------------------------------------- *)
 
 let compiler_roundtrip =
   QCheck.Test.make ~count:50 ~name:"request: compiler name round-trip"

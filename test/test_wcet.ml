@@ -97,6 +97,106 @@ let dominators_prop =
               reachable)
          reachable)
 
+(* ---- the shared dominator and loop toolkit ---- *)
+
+(* Random graphs of up to 8 nodes with up to 3 successors each, so
+   unreachable nodes, self-loops, duplicate edges and irreducible cycles
+   all occur. Each edge is labelled with its own number. *)
+let flow_graph_arb : int Flow.graph QCheck.arbitrary =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 8 >>= fun n ->
+      pair (int_bound (n - 1))
+        (array_repeat n (list_size (int_bound 3) (int_bound (n - 1))))
+      >|= fun (entry, succs) ->
+      let id = ref 0 in
+      { Flow.entry;
+        succs = Array.map (List.map (fun s -> incr id; (s, !id))) succs })
+  in
+  let print g =
+    Printf.sprintf "entry %d: %s" g.Flow.entry
+      (String.concat "; "
+         (Array.to_list
+            (Array.mapi
+               (fun b ss ->
+                  Printf.sprintf "%d -> [%s]" b
+                    (String.concat "," (List.map (fun (s, _) -> string_of_int s) ss)))
+               g.Flow.succs)))
+  in
+  QCheck.make gen ~print
+
+let flow_toolkit_prop =
+  QCheck.Test.make ~count:500
+    ~name:"flow: dominators, loop bodies and irreducibility match oracles"
+    flow_graph_arb
+    (fun g ->
+       let n = Array.length g.Flow.succs in
+       let nodes = List.init n Fun.id in
+       let rank = Array.make n (-1) in
+       List.iteri (fun i b -> rank.(b) <- i) (Flow.reverse_postorder g);
+       let edges =
+         List.concat_map
+           (fun b ->
+              if rank.(b) < 0 then []
+              else List.map (fun (s, k) -> (b, s, k)) g.Flow.succs.(b))
+           nodes
+       in
+       let is_back (b, s, _) = Flow.dominates_naive g s b in
+       (* does [x] reach [y] without passing through [avoid]? *)
+       let reaches ~avoid x y =
+         let seen = Array.make n false in
+         let rec go v =
+           v <> avoid && (not seen.(v))
+           && (seen.(v) <- true;
+               v = y || List.exists (fun (s, _) -> go s) g.Flow.succs.(v))
+         in
+         go x
+       in
+       let into h keep =
+         List.sort compare
+           (List.filter_map
+              (fun ((b, s, k) as e) -> if s = h && keep e then Some (b, k) else None)
+              edges)
+       in
+       let loop_ok (l : int Flow.loop) =
+         let h = l.Flow.l_header in
+         l.Flow.l_body
+         = List.filter
+             (fun x ->
+                rank.(x) >= 0
+                && (x = h
+                    || List.exists
+                         (fun (src, _) -> reaches ~avoid:h x src)
+                         l.Flow.l_back_edges))
+             nodes
+         && List.sort compare l.Flow.l_back_edges = into h is_back
+         && List.sort compare l.Flow.l_entry_edges
+            = into h (fun (b, _, _) -> not (List.mem b l.Flow.l_body))
+       in
+       let irreducible =
+         List.exists
+           (fun ((b, s, _) as e) -> rank.(s) <= rank.(b) && not (is_back e))
+           edges
+       in
+       let d = Flow.dominators g in
+       List.for_all
+         (fun a ->
+            List.for_all
+              (fun b -> Flow.dominates d a b = Flow.dominates_naive g a b)
+              nodes)
+         nodes
+       &&
+       match Flow.loops d with
+       | exception Flow.Irreducible _ -> irreducible
+       | loops ->
+         (not irreducible)
+         && List.for_all loop_ok loops
+         && List.sort compare (List.map (fun l -> l.Flow.l_header) loops)
+            = List.sort_uniq compare
+                (List.filter_map
+                   (fun ((_, s, _) as e) -> if is_back e then Some s else None)
+                   edges))
+
 (* ---- loops ---- *)
 
 let test_loop_detection () =
@@ -364,6 +464,7 @@ let suite =
     QCheck_alcotest.to_alcotest itv_mul_prop;
     QCheck_alcotest.to_alcotest itv_refine_prop;
     QCheck_alcotest.to_alcotest dominators_prop;
+    QCheck_alcotest.to_alcotest flow_toolkit_prop;
     ("loop detection", `Quick, test_loop_detection);
     ("irreducible flow rejected", `Quick, test_irreducible_rejected);
     ("simplex: basics", `Quick, test_simplex_basic);
@@ -604,6 +705,19 @@ let layout_of (code : Asm.instr list) : Target.Layout.t =
   Target.Layout.build src
     { Asm.pr_funcs = [ { Asm.fn_name = "f"; fn_code = code } ]; pr_main = "f" }
 
+(* An unreachable block that branches to itself lies on no path from
+   the entry: it is no loop and needs no bound. *)
+let test_unreachable_self_loop () =
+  let code = [ Asm.Pblr; Asm.Plabel 7; Asm.Paddi (5, 5, 1l); Asm.Pb 7 ] in
+  let cfg = Wcet.Cfg.build "f" 0x100000 code in
+  let loops = Wcet.Loops.compute cfg (Wcet.Dom.compute cfg) in
+  checki "no loops" 0 (List.length loops.Wcet.Loops.loops);
+  let prog =
+    { Asm.pr_funcs = [ { Asm.fn_name = "f"; fn_code = code } ]; pr_main = "f" }
+  in
+  let r = Wcet.Driver.analyze prog (layout_of code) in
+  checkb "bounded" true (r.Wcet.Report.rp_wcet > 0)
+
 (* Reverse postorder reaches a join block after all its forward
    predecessors: on an acyclic CFG every block is processed once. Here
    the entry branches to the join J directly and through A -> B; a FIFO
@@ -719,6 +833,8 @@ let suite =
   suite
   @ [ ("fixpoint: reverse postorder visits a DAG's blocks once", `Quick,
        test_fixpoint_rpo_once);
+      ("loops: an unreachable self-loop is no loop", `Quick,
+       test_unreachable_self_loop);
       ("must-cache: reload across a loop's back edge", `Quick,
        test_mustcache_loop);
       ("value oracle rejects a narrowed loop header", `Quick,
