@@ -64,7 +64,7 @@ let compute ?cache ?(fuel = Fuel.default) ?(engine = Report.Ipet)
   Memo.count_phase cache Memo.Ppipeline;
   let pl = Pipeline.analyze cfg cache_cls in
   (* 7. path analysis, by the selected engine. [Both] runs OMT (whose
-     base solve *is* the IPET solve, over the identical flow system)
+     base bound *is* the IPET bound, over the identical flow system)
      and cross-checks the differential oracle omt <= ipet — a
      violation would mean one of the engines is wrong, so it is a
      refusal, never a silently reported number. *)

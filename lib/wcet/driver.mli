@@ -30,7 +30,7 @@ val analyze :
     [engine] (default [Ipet], byte-identical output to the pre-engine
     analyzer) selects the path analysis: [Omt] bounds by the
     {!Smt} optimization-modulo-theory engine; [Both] runs OMT (whose
-    base solve is the IPET solve over the identical flow system) and
+    base bound is the IPET bound over the identical flow system) and
     refuses unless the differential oracle [omt <= ipet] holds. The
     engine is part of the cache key: engines never share entries.
     @raise Error when no sound bound can be produced (irreducible

@@ -26,7 +26,8 @@ type t = {
        it, and the value analysis's reports are pinned by digest in
        the test suite *)
   fl_simplex : int;
-    (* simplex pivoting iterations per [Lp.solve] phase *)
+    (* blocks visited by the IPET longest-path pass, and simplex
+       pivoting iterations per [Lp.solve] phase on OMT cut systems *)
   fl_bb_nodes : int;
     (* branch & bound nodes in [Lp.solve_integer]; exhaustion here is
        NOT a refusal — the LP relaxation bound is still sound and is

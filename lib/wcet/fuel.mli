@@ -17,7 +17,11 @@ type t = {
           fixpoints (one per processed block). The must-cache fixpoint
           is order-free (no widening); the value analysis widens, and
           its reports are pinned by digest in the test suite *)
-  fl_simplex : int;  (** simplex pivots per [Lp.solve] phase *)
+  fl_simplex : int;
+      (** path analysis: blocks visited by {!Ipet.flow_bound}'s
+          longest-path pass (each loop's body, then every reachable
+          block), and simplex pivots per [Lp.solve] phase on the OMT
+          engine's cut systems *)
   fl_bb_nodes : int;
       (** branch & bound nodes in [Lp.solve_integer]; exhaustion here
           is not a refusal — the LP relaxation bound is still sound

@@ -12,7 +12,10 @@
    that the cut system still admits a flow of cost >= T, each
    feasibility query discharged by the exact-rational simplex
    ([Lp.solve] with a zero objective). No external SMT/OMT solver is
-   involved; the "theory" part is the cut derivation below.
+   involved; the "theory" part is the cut derivation below. The base
+   bound, without cuts, is the IPET engine's own ([Ipet.compute], a
+   longest-path pass), so a cut-free function never reaches the
+   simplex.
 
    Cut derivation — a deliberately small but *sound* theory:
 
@@ -59,7 +62,7 @@ module Asm = Target.Asm
 type result = {
   smt_wcet : int;        (* OMT bound, incl. cache first-miss budget *)
   smt_ipet_wcet : int;   (* base IPET bound (same system, no cuts) *)
-  smt_exact : bool;      (* both solves reached integrality *)
+  smt_exact : bool;      (* an integral optimum, not a relaxation *)
   smt_flow_cycles : int; (* OMT bound without the first-miss budget *)
   smt_cuts : int;        (* conflict cuts in the encoding *)
   smt_queries : int;     (* fueled solver calls spent by the search *)
@@ -537,18 +540,18 @@ let derive_cuts (cfg : Cfg.t) (dom : Dom.t) (loops : Loops.t)
 let compute ?(fuel = Fuel.default) (cfg : Cfg.t) (dom : Dom.t)
     (pl : Pipeline.t) (cache : Cacheanalysis.t) (loops : Loops.t)
     (bounds : Boundanalysis.loop_bound list) : result =
-  let sys = Ipet.build_system cfg pl loops bounds in
-  (* base bound: identical solve to the pure IPET engine *)
-  let base = Ipet.solve_system ~fuel sys in
-  let base_flow = base.Lp.is_objective_bound in
+  (* base bound: the pure IPET engine's, by the same longest-path pass *)
+  let base = Ipet.compute ~fuel cfg pl cache loops bounds in
+  let base_flow = base.Ipet.ipet_flow_cycles in
   let first_miss = cache.Cacheanalysis.ca_first_miss in
+  let sys = Ipet.build_system cfg pl loops bounds in
   let cuts = derive_cuts cfg dom loops sys in
   let ncuts = List.length cuts in
   if ncuts = 0 then
     (* no semantic information: OMT degenerates to IPET exactly *)
-    { smt_wcet = base_flow + first_miss;
-      smt_ipet_wcet = base_flow + first_miss;
-      smt_exact = base.Lp.is_exact;
+    { smt_wcet = base.Ipet.ipet_wcet;
+      smt_ipet_wcet = base.Ipet.ipet_wcet;
+      smt_exact = base.Ipet.ipet_exact;
       smt_flow_cycles = base_flow;
       smt_cuts = 0;
       smt_queries = 0 }
@@ -571,10 +574,10 @@ let compute ?(fuel = Fuel.default) (cfg : Cfg.t) (dom : Dom.t)
        a superset of the integral flows, so "infeasible" is a proof) *)
     let feasible (t : int) : bool =
       charge ();
-      let floor_c =
-        { Lp.cs_coeffs = cost_coeffs; cs_rel = Lp.Ge; cs_rhs = Lp.Q.of_int t }
-      in
       match
+        let floor_c =
+          { Lp.cs_coeffs = cost_coeffs; cs_rel = Lp.Ge; cs_rhs = Lp.Q.of_int t }
+        in
         Lp.solve ~fuel:fuel.Fuel.fl_simplex
           { Lp.pb_nvars = n;
             pb_objective = zero_obj;
@@ -599,8 +602,8 @@ let compute ?(fuel = Fuel.default) (cfg : Cfg.t) (dom : Dom.t)
     let cut_int = Ipet.solve_system ~fuel ~extra:cuts sys in
     let flow = min !lo (min base_flow cut_int.Lp.is_objective_bound) in
     { smt_wcet = flow + first_miss;
-      smt_ipet_wcet = base_flow + first_miss;
-      smt_exact = base.Lp.is_exact && cut_int.Lp.is_exact;
+      smt_ipet_wcet = base.Ipet.ipet_wcet;
+      smt_exact = cut_int.Lp.is_exact;
       smt_flow_cycles = flow;
       smt_cuts = ncuts;
       smt_queries = !queries }
