@@ -77,7 +77,7 @@ let () =
                   found := true
                 end)
              neighbors)
-      g.Vcomp.Regalloc.g_adj;
+      (Lazy.force g.Vcomp.Regalloc.g_adj);
     !found
   in
   if corrupt () then

@@ -1,23 +1,26 @@
 (* Dead-code elimination: pure instructions whose destination is not
    live after them are turned into no-ops. Iterates with liveness
    recomputation until a fixpoint, so chains of dead computations vanish
-   (the common pattern left behind by CSE rewriting to moves). *)
+   (the common pattern left behind by CSE rewriting to moves).
+
+   A sweep visits the nodes of the liveness walk: each node's
+   instruction is read there before the sweep rewrites that node, and
+   the removals depend only on the liveness computed before the sweep. *)
 
 let eliminate_once (f : Rtl.func) : bool =
   let lv = Liveness.analyze f in
   let changed = ref false in
-  List.iter
-    (fun n ->
-       let i = Rtl.get_instr f n in
-       if not (Rtl.has_effect i) then
-         match i, Rtl.instr_def i with
-         | (Rtl.Iop (_, _, _, s) | Rtl.Iload (_, _, _, _, s)), Some d ->
-           if not (Liveness.is_live_after lv n d) then begin
-             Rtl.set_instr f n (Rtl.Inop s);
-             changed := true
-           end
-         | _, _ -> ())
-    (Rtl.reverse_postorder f);
+  Liveness.iter_nodes lv (fun n i ->
+      match i with
+      | Rtl.Iop (_, _, d, s) | Rtl.Iload (_, _, _, d, s) ->
+        (* the pure instructions: no effect beyond defining [d]
+           (stores, acquisitions, outputs, annotations and returns
+           always stay) *)
+        if not (Liveness.is_live_after lv n d) then begin
+          Rtl.set_instr f n (Rtl.Inop s);
+          changed := true
+        end
+      | _ -> ());
   !changed
 
 let transform_func ?(fuel = 50) (f : Rtl.func) : unit =

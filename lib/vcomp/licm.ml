@@ -27,10 +27,13 @@
      outside edge to redirect), as are functions with irreducible
      control flow.
 
-   Each fixpoint round recomputes dominators, loops, liveness and
-   definition sites from scratch, so chains of invariant computations
-   hoist over successive rounds; the round count is bounded by the
-   fuel budget — exhaustion stops hoisting, it never miscompiles. *)
+   Each fixpoint round recomputes dominators and loops from scratch,
+   and stops there when the function has no loop. Definition sites are
+   then recomputed too, but liveness only once some candidate's
+   arguments are invariant and available: most rounds find none and
+   never pay for it. Chains of invariant computations hoist over
+   successive rounds; the round count is bounded by the fuel budget —
+   exhaustion stops hoisting, it never miscompiles. *)
 
 let is_move (i : Rtl.instruction) : bool =
   match i with Rtl.Iop (Rtl.Omove, _, _, _) -> true | _ -> false
@@ -68,13 +71,18 @@ let hoist_once (f : Rtl.func) : bool =
     (dom, Flow.loops dom)
   with
   | exception Flow.Irreducible _ -> false
+  | _, [] -> false
   | dom, loops ->
-    let lv = Liveness.analyze f in
+    (* computed when a candidate's arguments first pass [arg_ok]; a
+       hoist needs [dest_ok], which forces it, so it is always computed
+       before this round edits the function *)
+    let lv = lazy (Liveness.analyze f) in
     (* [r] is live on entry to [n] *)
     let live_in (n : Rtl.node) (r : Rtl.reg) : bool =
       let i = Rtl.get_instr f n in
       List.mem r (Rtl.instr_uses i)
-      || (Rtl.instr_def i <> Some r && Liveness.is_live_after lv n r)
+      || (Rtl.instr_def i <> Some r
+          && Liveness.is_live_after (Lazy.force lv) n r)
     in
     (* definition sites over reachable nodes *)
     let defs : (Rtl.reg, Rtl.node list) Hashtbl.t = Hashtbl.create 251 in

@@ -1,14 +1,16 @@
 (* Liveness analysis over RTL: backward dataflow fixpoint computing, for
    every node, the set of pseudo-registers live *after* the instruction
    at that node. Used by dead-code elimination, loop-invariant code
-   motion and by the interference graph construction of the register
-   allocator.
+   motion, the interference graph construction of the register
+   allocator and its independent validator.
 
    Pseudo-registers are small dense integers, so the fixpoint runs over
    bit vectors, 63 registers a word, one row per node in a single flat
-   array: a union is a few word-wise [lor]s. Clients that want the sets
-   as [RegSet.t]s get them built once, on first use, sharing structure
-   along straight-line code. *)
+   array: a union is a few word-wise [lor]s. One depth-first walk from
+   the entry finds the reachable nodes, their postorder, their
+   instructions and their predecessors; the worklist then reads only
+   those arrays. Clients that visit every node afterwards walk the same
+   order ([iter_nodes]) instead of asking [Rtl] for it again. *)
 
 module RegSet = Set.Make (Int)
 
@@ -16,8 +18,8 @@ type t = {
   words : int;       (* words per row *)
   rows : int;        (* node bound: row [n] is the live-after set of [n] *)
   bits : int array;
-  post : (Rtl.node * Rtl.instruction) list; (* reachable nodes, postorder *)
-  mutable sets : RegSet.t array option;     (* the rows as sets *)
+  post : Rtl.node array;          (* reachable nodes, postorder *)
+  code : Rtl.instruction array;   (* by node; meaningful where reachable *)
 }
 
 (* live_before(n) = (live_after(n) \ def(n)) ∪ use(n) *)
@@ -29,15 +31,6 @@ let live_before (i : Rtl.instruction) (after : RegSet.t) : RegSet.t =
   in
   List.fold_left (fun s r -> RegSet.add r s) minus_def (Rtl.instr_uses i)
 
-let create (f : Rtl.func) (post : Rtl.node list) : t =
-  let words = (Rtl.reg_bound f + 62) / 63 in
-  let rows = Rtl.node_bound f in
-  { words;
-    rows;
-    bits = Array.make (rows * words) 0;
-    post = List.map (fun n -> (n, Rtl.get_instr f n)) post;
-    sets = None }
-
 (* Set or clear bit [r] of the row starting at [base]. *)
 let set_bit (a : int array) (base : int) (r : Rtl.reg) : unit =
   let w = base + (r / 63) in
@@ -47,16 +40,53 @@ let clear_bit (a : int array) (base : int) (r : Rtl.reg) : unit =
   let w = base + (r / 63) in
   a.(w) <- a.(w) land lnot (1 lsl (r mod 63))
 
+let empty (f : Rtl.func) (post : Rtl.node array)
+    (code : Rtl.instruction array) : t =
+  let words = (Rtl.reg_bound f + 62) / 63 in
+  let rows = Array.length code in
+  { words; rows; bits = Array.make (rows * words) 0; post; code }
+
 (* Compute live-after sets for all reachable nodes with a worklist
-   iteration seeded in postorder (fast convergence for reducible CFGs). *)
+   iteration seeded in postorder (fast convergence for reducible CFGs).
+   The walk visits successors in [Rtl.successors] order, as
+   [Rtl.reverse_postorder] does, so both give the same order. *)
 let analyze (f : Rtl.func) : t =
-  let preds = Rtl.predecessors f in
-  (* postorder = reverse of reverse-postorder *)
-  let post = List.rev (Rtl.reverse_postorder f) in
-  let lv = create f post in
+  let rows = Rtl.node_bound f in
+  let code = Array.make rows (Rtl.Ireturn None) in
+  let preds = Array.make rows [] in
+  let visited = Bytes.make rows '\000' in
+  let post = Array.make rows 0 in
+  let count = ref 0 in
+  let rec dfs (n : Rtl.node) : unit =
+    if n < 0 || n >= rows then ignore (Rtl.get_instr f n) (* not a node: raises *)
+    else if Bytes.get visited n = '\000' then begin
+      Bytes.set visited n '\001';
+      let i = Rtl.get_instr f n in
+      code.(n) <- i;
+      (match i with
+       | Rtl.Inop s
+       | Rtl.Iop (_, _, _, s)
+       | Rtl.Iload (_, _, _, _, s)
+       | Rtl.Istore (_, _, _, _, s)
+       | Rtl.Iacq (_, _, s)
+       | Rtl.Iout (_, _, s)
+       | Rtl.Iannot (_, _, s) -> edge n s
+       | Rtl.Icond (_, _, s1, s2) ->
+         edge n s1;
+         edge n s2
+       | Rtl.Ireturn _ -> ());
+      post.(!count) <- n;
+      incr count
+    end
+  and edge (n : Rtl.node) (s : Rtl.node) : unit =
+    dfs s;
+    preds.(s) <- n :: preds.(s)
+  in
+  dfs f.Rtl.f_entry;
+  let lv = empty f (Array.sub post 0 !count) code in
   let words = lv.words in
   let before = Array.make words 0 in
-  let queued = Bytes.make lv.rows '\000' in
+  let queued = Bytes.make rows '\000' in
   let worklist = Queue.create () in
   let push (n : Rtl.node) : unit =
     if Bytes.get queued n = '\000' then begin
@@ -64,11 +94,11 @@ let analyze (f : Rtl.func) : t =
       Queue.add n worklist
     end
   in
-  List.iter push post;
+  Array.iter push lv.post;
   while not (Queue.is_empty worklist) do
     let n = Queue.pop worklist in
     Bytes.set queued n '\000';
-    let i = Rtl.get_instr f n in
+    let i = code.(n) in
     Array.blit lv.bits (n * words) before 0 words;
     Option.iter (clear_bit before 0) (Rtl.instr_def i);
     List.iter (set_bit before 0) (Rtl.instr_uses i);
@@ -89,6 +119,12 @@ let analyze (f : Rtl.func) : t =
       preds.(n)
   done;
   lv
+
+let iter_nodes (lv : t) (k : Rtl.node -> Rtl.instruction -> unit) : unit =
+  for j = Array.length lv.post - 1 downto 0 do
+    let n = lv.post.(j) in
+    k n lv.code.(n)
+  done
 
 let is_live_after (lv : t) (n : Rtl.node) (r : Rtl.reg) : bool =
   n < lv.rows
@@ -111,39 +147,10 @@ let iter_live_after (lv : t) (n : Rtl.node) (k : Rtl.reg -> unit) : unit =
         done
     done
 
-let row_set (lv : t) (n : Rtl.node) : RegSet.t =
+let live_after (lv : t) (n : Rtl.node) : RegSet.t =
   let rev = ref [] in
   iter_live_after lv n (fun r -> rev := r :: !rev);
-  RegSet.of_list (List.rev !rev)
-
-(* In postorder a node's only successor comes first unless the edge
-   closes a loop, and then live_after(n) = live_before(successor). *)
-let build_sets (lv : t) : RegSet.t array =
-  let sets = Array.make lv.rows RegSet.empty in
-  let code = Array.make lv.rows None in
-  List.iter
-    (fun (n, i) ->
-       sets.(n) <-
-         (match Rtl.successors i with
-          | [ s ] ->
-            (match code.(s) with
-             | Some si -> live_before si sets.(s)
-             | None -> row_set lv n)
-          | _ -> row_set lv n);
-       code.(n) <- Some i)
-    lv.post;
-  sets
-
-let live_after (lv : t) (n : Rtl.node) : RegSet.t =
-  let sets =
-    match lv.sets with
-    | Some sets -> sets
-    | None ->
-      let sets = build_sets lv in
-      lv.sets <- Some sets;
-      sets
-  in
-  if n < Array.length sets then sets.(n) else RegSet.empty
+  RegSet.of_list !rev
 
 (* Naive recomputation used by property tests: iterate the equations
    globally over register sets until fixpoint, no worklist. *)
@@ -169,12 +176,10 @@ let analyze_naive (f : Rtl.func) : t =
          end)
       nodes
   done;
-  let lv = create f [] in
-  let sets = Array.make lv.rows RegSet.empty in
+  let code = Array.make (Rtl.node_bound f) (Rtl.Ireturn None) in
+  List.iter (fun n -> code.(n) <- Rtl.get_instr f n) nodes;
+  let lv = empty f (Array.of_list (List.rev nodes)) code in
   Hashtbl.iter
-    (fun n s ->
-       sets.(n) <- s;
-       RegSet.iter (set_bit lv.bits (n * lv.words)) s)
+    (fun n s -> RegSet.iter (set_bit lv.bits (n * lv.words)) s)
     live_after;
-  lv.sets <- Some sets;
   lv

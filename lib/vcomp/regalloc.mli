@@ -17,7 +17,8 @@ val loc_equal : loc -> loc -> bool
     indexed by register. *)
 type graph = {
   g_node : bool array;  (** the register occurs in the function *)
-  g_adj : Rtl.reg array array;  (** interfering registers, ascending *)
+  g_adj : Rtl.reg array array Lazy.t;
+      (** interfering registers, ascending; sorted when first forced *)
   g_uses : int array;  (** occurrence count, for spill cost *)
   g_moves : (Rtl.reg * Rtl.reg) list;  (** move-related pairs, same class *)
 }
@@ -34,4 +35,6 @@ val location : result -> Rtl.reg -> loc
 val verify : Rtl.func -> result -> (unit, string) Result.t
 (** Independent structural validator: recomputes liveness and checks
     that no two simultaneously-live pseudo-registers share a location.
-    Rejects deliberately corrupted allocations (mutation-tested). *)
+    Rejects deliberately corrupted allocations (mutation-tested). The
+    first conflict in reverse postorder, registers ascending, is the
+    [Error]; so is a compared register without a class or a location. *)

@@ -177,13 +177,6 @@ let reg_bound (f : func) : int =
 let node_bound (f : func) : int =
   Hashtbl.fold (fun n _ m -> max m (n + 1)) f.f_code f.f_next_node
 
-(* Does the instruction have an effect beyond defining its destination?
-   Such instructions are never removed by dead-code elimination. *)
-let has_effect (i : instruction) : bool =
-  match i with
-  | Istore _ | Iacq _ | Iout _ | Iannot _ | Ireturn _ -> true
-  | Inop _ | Iop _ | Iload _ | Icond _ -> false
-
 (* All nodes reachable from the entry, in reverse postorder. Every pass
    asks for it, several times per function, so it marks visited nodes
    in a byte per node rather than a hash table. *)

@@ -121,23 +121,44 @@ let test_cse_removes_duplicate_load () =
 
 (* ---- liveness: worklist vs naive fixpoint ---- *)
 
+(* RTL after the full -O 2 pipeline: LICM preheaders, deadcode [Inop]s
+   and nodes that folded branches left unreachable *)
+let o2_rtl (p : Minic.Ast.program) : Vcomp.Rtl.program =
+  fst
+    (Vcomp.Pass.run_pipeline
+       { Vcomp.Pass.default_options with Vcomp.Pass.opt_validate = false }
+       (Vcomp.Selection.trans_program p))
+
+(* Every row below the node bound equals the naive fixpoint's, and the
+   rows of unreachable nodes are empty; [iter_live_after] lists a row in
+   ascending order; [iter_nodes] walks [Rtl.reverse_postorder] with the
+   function's instructions. *)
 let liveness_prop =
   QCheck.Test.make ~count:60 ~name:"liveness: worklist = naive fixpoint"
     QCheck.small_int
     (fun seed ->
        let p = Testlib.Gen.gen_program (seed land 0xFFFF) in
-       let rtl = Vcomp.Selection.trans_program p in
+       let module L = Vcomp.Liveness in
        List.for_all
          (fun f ->
-            let fast = Vcomp.Liveness.analyze f in
-            let slow = Vcomp.Liveness.analyze_naive f in
-            List.for_all
-              (fun n ->
-                 Vcomp.Liveness.RegSet.equal
-                   (Vcomp.Liveness.live_after fast n)
-                   (Vcomp.Liveness.live_after slow n))
-              (Vcomp.Rtl.reverse_postorder f))
-         rtl.Vcomp.Rtl.p_funcs)
+            let fast = L.analyze f in
+            let slow = L.analyze_naive f in
+            let rpo = Vcomp.Rtl.reverse_postorder f in
+            let walked = ref [] in
+            L.iter_nodes fast (fun n i -> walked := (n, i) :: !walked);
+            List.rev !walked
+            = List.map (fun n -> (n, Vcomp.Rtl.get_instr f n)) rpo
+            && List.for_all
+                 (fun n ->
+                    let live = L.live_after fast n in
+                    let listed = ref [] in
+                    L.iter_live_after fast n (fun r -> listed := r :: !listed);
+                    L.RegSet.equal live (L.live_after slow n)
+                    && (List.mem n rpo || L.RegSet.is_empty live)
+                    && List.rev !listed = L.RegSet.elements live)
+                 (List.init (Vcomp.Rtl.node_bound f) Fun.id))
+         ((Vcomp.Selection.trans_program p).Vcomp.Rtl.p_funcs
+          @ (o2_rtl p).Vcomp.Rtl.p_funcs))
 
 (* ---- register allocation ---- *)
 
@@ -180,7 +201,7 @@ let regalloc_mutation_prop =
                               (Vcomp.Regalloc.location res b)) then
                      victim := Some (a, b))
                 neighbors)
-         res.Vcomp.Regalloc.ra_graph.Vcomp.Regalloc.g_adj;
+         (Lazy.force res.Vcomp.Regalloc.ra_graph.Vcomp.Regalloc.g_adj);
        match !victim with
        | None -> true (* nothing to corrupt in a tiny function *)
        | Some (a, b) ->
@@ -189,6 +210,64 @@ let regalloc_mutation_prop =
          (match Vcomp.Regalloc.verify f res with
           | Ok () -> false (* must be rejected *)
           | Error _ -> true))
+
+(* The array-based validator against the set-based reference
+   ([Regalloc_ref]) on -O 2 code: on the allocation as computed and
+   after corruptions that give a register the location of an
+   interfering register, of a non-interfering one, or of its move
+   partner, the verdicts and the first messages are equal. *)
+let regalloc_reference_prop =
+  QCheck.Test.make ~count:80
+    ~name:"regalloc: verify = set-based reference under corruption"
+    QCheck.small_int
+    (fun seed ->
+       let p = Testlib.Gen.gen_program (seed land 0xFFFF) in
+       let rng = Random.State.make [| seed |] in
+       let pick xs = List.nth xs (Random.State.int rng (List.length xs)) in
+       List.for_all
+         (fun f ->
+            let res = Vcomp.Regalloc.allocate f in
+            let g = res.Vcomp.Regalloc.ra_graph in
+            let agree res =
+              Vcomp.Regalloc.verify f res = Regalloc_ref.verify f res
+            in
+            let regs =
+              List.sort compare
+                (Hashtbl.fold (fun r _ acc -> r :: acc) res.Vcomp.Regalloc.ra_alloc [])
+            in
+            let adj a = Array.to_list (Lazy.force g.Vcomp.Regalloc.g_adj).(a) in
+            (* the pair (a, b) whose location a takes over, by kind *)
+            let victim kind =
+              match kind with
+              | 0 ->
+                (match List.filter (fun a -> adj a <> []) regs with
+                 | [] -> None
+                 | cands -> let a = pick cands in Some (a, pick (adj a)))
+              | 1 ->
+                let a = pick regs in
+                (match
+                   List.filter (fun b -> b <> a && not (List.mem b (adj a))) regs
+                 with
+                 | [] -> None
+                 | cands -> Some (a, pick cands))
+              | _ ->
+                (match g.Vcomp.Regalloc.g_moves with
+                 | [] -> None
+                 | moves ->
+                   let d, s = pick moves in
+                   Some (if Random.State.bool rng then (d, s) else (s, d)))
+            in
+            agree res
+            && List.for_all
+                 (fun kind ->
+                    match victim kind with
+                    | None -> true
+                    | Some (a, b) ->
+                      let alloc = Hashtbl.copy res.Vcomp.Regalloc.ra_alloc in
+                      Hashtbl.replace alloc a (Hashtbl.find alloc b);
+                      agree { res with Vcomp.Regalloc.ra_alloc = alloc })
+                 [ 0; 1; 2; 0; 1; 2 ])
+         (o2_rtl p).Vcomp.Rtl.p_funcs)
 
 (* ---- full chain ---- *)
 
@@ -502,6 +581,44 @@ let test_register_pressure () =
     "b41726acb8d6c3fc36888732f928059a"
     (digest (asm_text Vcomp.Driver.default_options p))
 
+(* A register compared at some node but missing from the allocation,
+   or from the class table, makes [verify] answer an [Error] naming the
+   node and the register; it does not raise. *)
+let test_regalloc_missing_location () =
+  let p = Minic.Parser.parse_program pressure_program in
+  Minic.Typecheck.check_program_exn p;
+  let f = List.hd (o2_rtl p).Vcomp.Rtl.p_funcs in
+  let res = Vcomp.Regalloc.allocate f in
+  let lv = Vcomp.Liveness.analyze f in
+  (* a register live after a definition of its own class *)
+  let victim = ref None in
+  Vcomp.Liveness.iter_nodes lv (fun n i ->
+      match Vcomp.Rtl.instr_def i with
+      | Some d when !victim = None ->
+        Vcomp.Liveness.iter_live_after lv n (fun r ->
+            if !victim = None && r <> d
+               && Vcomp.Rtl.reg_class f r = Vcomp.Rtl.reg_class f d then
+              victim := Some r)
+      | _ -> ());
+  let r = match !victim with Some r -> r | None -> Alcotest.fail "no live pair" in
+  (* the named node defines [r] or has [r] live after it *)
+  let names_r what = function
+    | Ok () -> Alcotest.failf "missing %s accepted" what
+    | Error msg ->
+      Scanf.sscanf msg "node %d: x%d has no %s@\n" (fun n r' rest ->
+          Alcotest.check Alcotest.string "what is missing" what rest;
+          Alcotest.check Alcotest.int "register named" r r';
+          checkb "node compares the register" true
+            (Vcomp.Liveness.is_live_after lv n r
+             || Vcomp.Rtl.instr_def (Vcomp.Rtl.get_instr f n) = Some r))
+  in
+  let alloc = Hashtbl.copy res.Vcomp.Regalloc.ra_alloc in
+  Hashtbl.remove alloc r;
+  names_r "location"
+    (Vcomp.Regalloc.verify f { res with Vcomp.Regalloc.ra_alloc = alloc });
+  Hashtbl.remove f.Vcomp.Rtl.f_classes r;
+  names_r "register class" (Vcomp.Regalloc.verify f res)
+
 (* GVN names a load's result by its node. Here the value loaded at that
    node on the previous iteration reaches it again in [prev] over the
    back edge: [prev * 3] and [cur * 3] must not be numbered equal, or
@@ -559,6 +676,9 @@ let suite =
     QCheck_alcotest.to_alcotest liveness_prop;
     QCheck_alcotest.to_alcotest regalloc_valid_prop;
     QCheck_alcotest.to_alcotest regalloc_mutation_prop;
+    QCheck_alcotest.to_alcotest regalloc_reference_prop;
+    ("regalloc: a missing location or class is an Error", `Quick,
+     test_regalloc_missing_location);
     QCheck_alcotest.to_alcotest full_chain_prop;
     QCheck_alcotest.to_alcotest full_chain_validated_prop;
     ("NaN comparisons through the chain", `Quick, test_nan_comparisons_compiled);
