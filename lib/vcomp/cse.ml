@@ -93,27 +93,26 @@ let set_reg (st : state) (d : Rtl.reg) (v : vn) : unit =
 
 (* Partition the CFG into basic blocks: heads are the entry, join points,
    and both successors of conditional branches. Returns head nodes. *)
-let block_heads (f : Rtl.func) : Rtl.node list =
-  let preds = Rtl.predecessors f in
-  let nodes = Rtl.reverse_postorder f in
+let block_heads (f : Rtl.func) (w : Rtl.walk) : Rtl.node list =
   List.filter
     (fun n ->
        if n = f.Rtl.f_entry then true
        else
-         match preds.(n) with
+         match w.Rtl.w_preds.(n) with
          | [ p ] ->
-           (match Rtl.get_instr f p with
+           (match w.Rtl.w_code.(p) with
             | Rtl.Icond _ -> true
             | _ -> false)
          | _ -> true)
-    nodes
+    (Array.to_list w.Rtl.w_order)
 
-(* Walk one basic block starting at [head], rewriting instructions. *)
-let process_block (f : Rtl.func) (preds : Rtl.node list array)
-    (head : Rtl.node) : unit =
+(* Walk one basic block starting at [head], rewriting instructions. A
+   node is visited once, so its instruction in the walk is still its
+   instruction in [f]. *)
+let process_block (f : Rtl.func) (w : Rtl.walk) (head : Rtl.node) : unit =
   let st = create_state () in
   let rec walk (n : Rtl.node) : unit =
-    let i = Rtl.get_instr f n in
+    let i = w.Rtl.w_code.(n) in
     (match i with
      | Rtl.Iop (Rtl.Omove, [ src ], d, _) ->
        let v = vn_of_reg st src in
@@ -164,12 +163,12 @@ let process_block (f : Rtl.func) (preds : Rtl.node list array)
      | Rtl.Inop _ | Rtl.Icond _ | Rtl.Iout _ | Rtl.Iannot _ | Rtl.Ireturn _ ->
        ());
     (* continue along the block *)
-    match Rtl.successors (Rtl.get_instr f n) with
+    match Rtl.successors i with
     | [ s ] ->
       let s_is_head =
         s = f.Rtl.f_entry
         ||
-        (match preds.(s) with
+        (match w.Rtl.w_preds.(s) with
          | [ _ ] -> false
          | _ -> true)
       in
@@ -179,8 +178,8 @@ let process_block (f : Rtl.func) (preds : Rtl.node list array)
   walk head
 
 let transform_func (f : Rtl.func) : unit =
-  let preds = Rtl.predecessors f in
-  List.iter (process_block f preds) (block_heads f)
+  let w = Rtl.walk f in
+  List.iter (process_block f w) (block_heads f w)
 
 let transform (p : Rtl.program) : Rtl.program =
   List.iter transform_func p.Rtl.p_funcs;

@@ -6,19 +6,22 @@
 
    Pseudo-registers are small dense integers, so the fixpoint runs over
    bit vectors, 63 registers a word, one row per node in a single flat
-   array: a union is a few word-wise [lor]s. One depth-first walk from
-   the entry finds the reachable nodes, their postorder, their
-   instructions and their predecessors; the worklist then reads only
-   those arrays. Clients that visit every node afterwards walk the same
-   order ([iter_nodes]) instead of asking [Rtl] for it again. *)
+   array: a union is a few word-wise [lor]s. The worklist reads the
+   reachable nodes, their instructions and their predecessors from one
+   [Rtl.walk]; clients that visit every node afterwards walk the same
+   order ([iter_nodes]) instead of asking [Rtl] for it again. The
+   analysis also keeps the register bound it sized its rows by, so the
+   register allocator and its validator need not fold the code table
+   for it again. *)
 
 module RegSet = Set.Make (Int)
 
 type t = {
+  regs : int;        (* register bound: every register is below it *)
   words : int;       (* words per row *)
   rows : int;        (* node bound: row [n] is the live-after set of [n] *)
   bits : int array;
-  post : Rtl.node array;          (* reachable nodes, postorder *)
+  order : Rtl.node array;         (* reachable nodes, reverse postorder *)
   code : Rtl.instruction array;   (* by node; meaningful where reachable *)
 }
 
@@ -40,51 +43,19 @@ let clear_bit (a : int array) (base : int) (r : Rtl.reg) : unit =
   let w = base + (r / 63) in
   a.(w) <- a.(w) land lnot (1 lsl (r mod 63))
 
-let empty (f : Rtl.func) (post : Rtl.node array)
+let empty (f : Rtl.func) (order : Rtl.node array)
     (code : Rtl.instruction array) : t =
-  let words = (Rtl.reg_bound f + 62) / 63 in
+  let regs = Rtl.reg_bound f in
+  let words = (regs + 62) / 63 in
   let rows = Array.length code in
-  { words; rows; bits = Array.make (rows * words) 0; post; code }
+  { regs; words; rows; bits = Array.make (rows * words) 0; order; code }
 
 (* Compute live-after sets for all reachable nodes with a worklist
-   iteration seeded in postorder (fast convergence for reducible CFGs).
-   The walk visits successors in [Rtl.successors] order, as
-   [Rtl.reverse_postorder] does, so both give the same order. *)
+   iteration seeded in postorder (fast convergence for reducible CFGs). *)
 let analyze (f : Rtl.func) : t =
-  let rows = Rtl.node_bound f in
-  let code = Array.make rows (Rtl.Ireturn None) in
-  let preds = Array.make rows [] in
-  let visited = Bytes.make rows '\000' in
-  let post = Array.make rows 0 in
-  let count = ref 0 in
-  let rec dfs (n : Rtl.node) : unit =
-    if n < 0 || n >= rows then ignore (Rtl.get_instr f n) (* not a node: raises *)
-    else if Bytes.get visited n = '\000' then begin
-      Bytes.set visited n '\001';
-      let i = Rtl.get_instr f n in
-      code.(n) <- i;
-      (match i with
-       | Rtl.Inop s
-       | Rtl.Iop (_, _, _, s)
-       | Rtl.Iload (_, _, _, _, s)
-       | Rtl.Istore (_, _, _, _, s)
-       | Rtl.Iacq (_, _, s)
-       | Rtl.Iout (_, _, s)
-       | Rtl.Iannot (_, _, s) -> edge n s
-       | Rtl.Icond (_, _, s1, s2) ->
-         edge n s1;
-         edge n s2
-       | Rtl.Ireturn _ -> ());
-      post.(!count) <- n;
-      incr count
-    end
-  and edge (n : Rtl.node) (s : Rtl.node) : unit =
-    dfs s;
-    preds.(s) <- n :: preds.(s)
-  in
-  dfs f.Rtl.f_entry;
-  let lv = empty f (Array.sub post 0 !count) code in
-  let words = lv.words in
+  let w = Rtl.walk f in
+  let lv = empty f w.Rtl.w_order w.Rtl.w_code in
+  let rows = lv.rows and words = lv.words in
   let before = Array.make words 0 in
   let queued = Bytes.make rows '\000' in
   let worklist = Queue.create () in
@@ -94,11 +65,13 @@ let analyze (f : Rtl.func) : t =
       Queue.add n worklist
     end
   in
-  Array.iter push lv.post;
+  for j = Array.length lv.order - 1 downto 0 do
+    push lv.order.(j)
+  done;
   while not (Queue.is_empty worklist) do
     let n = Queue.pop worklist in
     Bytes.set queued n '\000';
-    let i = code.(n) in
+    let i = lv.code.(n) in
     Array.blit lv.bits (n * words) before 0 words;
     Option.iter (clear_bit before 0) (Rtl.instr_def i);
     List.iter (set_bit before 0) (Rtl.instr_uses i);
@@ -116,15 +89,14 @@ let analyze (f : Rtl.func) : t =
            end
          done;
          if !grew then push p)
-      preds.(n)
+      w.Rtl.w_preds.(n)
   done;
   lv
 
+let reg_bound (lv : t) : int = lv.regs
+
 let iter_nodes (lv : t) (k : Rtl.node -> Rtl.instruction -> unit) : unit =
-  for j = Array.length lv.post - 1 downto 0 do
-    let n = lv.post.(j) in
-    k n lv.code.(n)
-  done
+  Array.iter (fun n -> k n lv.code.(n)) lv.order
 
 let is_live_after (lv : t) (n : Rtl.node) (r : Rtl.reg) : bool =
   n < lv.rows
@@ -178,7 +150,7 @@ let analyze_naive (f : Rtl.func) : t =
   done;
   let code = Array.make (Rtl.node_bound f) (Rtl.Ireturn None) in
   List.iter (fun n -> code.(n) <- Rtl.get_instr f n) nodes;
-  let lv = empty f (Array.of_list (List.rev nodes)) code in
+  let lv = empty f (Array.of_list nodes) code in
   Hashtbl.iter
     (fun n s -> RegSet.iter (set_bit lv.bits (n * lv.words)) s)
     live_after;

@@ -12,6 +12,9 @@ type t
 val live_before : Rtl.instruction -> RegSet.t -> RegSet.t
 val analyze : Rtl.func -> t
 
+val reg_bound : t -> int
+(** {!Rtl.reg_bound} of the function, as the analysis computed it. *)
+
 val iter_nodes : t -> (Rtl.node -> Rtl.instruction -> unit) -> unit
 (** The reachable nodes with their instructions, in the order of
     {!Rtl.reverse_postorder}. *)

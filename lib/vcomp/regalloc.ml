@@ -27,8 +27,9 @@ let loc_equal (a : loc) (b : loc) : bool =
 
 (* ---- interference graph ------------------------------------------ *)
 
-(* Pseudo-registers are small dense integers (below [Rtl.reg_bound]), so
-   every per-register table is an array indexed by register. *)
+(* Pseudo-registers are small dense integers (below [Rtl.reg_bound],
+   which [Liveness] computes once per analysis), so every per-register
+   table is an array indexed by register. *)
 type graph = {
   g_node : bool array;           (* the register occurs in the function *)
   g_adj : Rtl.reg array array Lazy.t;
@@ -88,9 +89,9 @@ let class_table (f : Rtl.func) (size : int) : Rtl.mclass array =
   Hashtbl.iter (fun r c -> cls.(r) <- c) f.Rtl.f_classes;
   cls
 
-let build (f : Rtl.func) (cls : Rtl.mclass array) : graph * work =
+let build (f : Rtl.func) (lv : Liveness.t) (cls : Rtl.mclass array) :
+  graph * work =
   let size = Array.length cls in
-  let lv = Liveness.analyze f in
   let w =
     { w_size = size;
       w_bits = Bytes.make (((size * size) + 7) / 8) '\000';
@@ -302,8 +303,9 @@ type result = {
 }
 
 let allocate (f : Rtl.func) : result =
-  let cls = class_table f (Rtl.reg_bound f) in
-  let g, w = build f cls in
+  let lv = Liveness.analyze f in
+  let cls = class_table f (Liveness.reg_bound lv) in
+  let g, w = build f lv cls in
   let kof (c : Rtl.mclass) : int =
     match c with
     | Rtl.Cint -> List.length Target.Asm.allocatable_iregs
@@ -335,7 +337,7 @@ let location (res : result) (r : Rtl.reg) : loc =
 let verify (f : Rtl.func) (res : result) : (unit, string) Result.t =
   let lv = Liveness.analyze f in
   (* by register; no live register lies outside [0, reg_bound) *)
-  let size = Rtl.reg_bound f in
+  let size = Liveness.reg_bound lv in
   let by_reg tbl =
     let a = Array.make size None in
     Hashtbl.iter (fun r x -> if r >= 0 && r < size then a.(r) <- Some x) tbl;
