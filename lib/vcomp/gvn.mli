@@ -6,8 +6,9 @@
     budget; exhaustion skips the function — the pass never rewrites
     from an unconverged analysis. *)
 
-val transform_func : fuel:int -> Rtl.func -> unit
-(** In place. *)
+val transform_func : fuel:int -> Rtl.func -> bool
+(** In place. [false] when the fuel ran out and the function was left
+    as it was. *)
 
 val transform : ?fuel:int -> Rtl.program -> Rtl.program
 (** [fuel] (default 200_000) is a per-function worklist-step budget. *)
