@@ -7,8 +7,9 @@ Each FILE holds the stdout of
 `python3 perfbench/run.py --workload WORKLOAD --seed 2026 --trace 1`;
 its last line is the JSON result. The counters are the ones that repeat
 exactly from run to run at a fixed seed: call counts (`*.n`), the vcomp
-rewrite counters, simulated cycles, memo hits and misses, OMT queries and
-cuts, and typecheck calls per node. Times, allocation and the ratios
+rewrite counters, simulated cycles, memo hits and misses, store writes
+and disk hits, OMT queries and cuts, frame bytes, and typecheck calls per
+node. Times, allocation and the ratios
 derived from them are left out. CI compares the output with
 BENCH_counters.txt; a change that moves a counter on purpose
 regenerates the file with this script and says why.
@@ -24,8 +25,11 @@ COUNTERS = (
     "target.sim.cycles",
     "wcet.memo.hits",
     "wcet.memo.misses",
+    "wcet.store.writes",
+    "wcet.store.disk_hits",
     "wcet.omt.queries",
     "wcet.omt.cuts",
+    "fcstack.frame_bytes",
     "minic.typecheck.per_node",
 )
 
