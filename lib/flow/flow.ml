@@ -104,15 +104,20 @@ let iter_edges (d : 'e t) (f : int -> int -> 'e -> unit) : unit =
 let loops (d : 'e t) : 'e loop list =
   let n = Array.length d.idom in
   (* The analyzer's reports list loops in this table's fold order, so its
-     initial size and the ascending scan that fills it are visible output. *)
+     initial size and the ascending scan that fills it are visible output.
+     A dominator of [b] comes no later than [b] in reverse postorder, so
+     only a retreating edge can be a back edge: the O(depth) [dominates]
+     walk runs on those alone, and the scan stays linear on code without
+     loops. *)
   let back = Hashtbl.create 17 in
   iter_edges d (fun b s k ->
-      if dominates d s b then
-        let cur = Option.value ~default:[] (Hashtbl.find_opt back s) in
-        Hashtbl.replace back s ((b, k) :: cur)
-      else if d.rank.(s) <= d.rank.(b) then
-        (* retreating but not a back edge: a cycle with two entries *)
-        raise (Irreducible (b, s)));
+      if d.rank.(s) <= d.rank.(b) then
+        if dominates d s b then
+          let cur = Option.value ~default:[] (Hashtbl.find_opt back s) in
+          Hashtbl.replace back s ((b, k) :: cur)
+        else
+          (* retreating but not a back edge: a cycle with two entries *)
+          raise (Irreducible (b, s)));
   Hashtbl.fold
     (fun header back_edges acc ->
        let in_loop = Array.make n false in

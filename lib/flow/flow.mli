@@ -43,5 +43,8 @@ type 'e loop = {
 val loops : 'e t -> 'e loop list
 (** One natural loop per back-edge target. The order of the list and of
     its edge lists depends only on the node numbering and the order of
-    each successor list.
-    @raise Irreducible when a cycle has more than one entry. *)
+    each successor list. Dominance is tested only on edges that retreat
+    in reverse postorder, the only ones that can be back edges, so code
+    without loops costs one pass over the edges.
+    @raise Irreducible when a cycle has more than one entry; the
+    payload is the first such edge in ascending source order. *)

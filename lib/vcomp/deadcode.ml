@@ -1,15 +1,18 @@
 (* Dead-code elimination: pure instructions whose destination is not
-   live after them are turned into no-ops. Iterates with liveness
-   recomputation until a fixpoint, so chains of dead computations vanish
-   (the common pattern left behind by CSE rewriting to moves).
+   live after them are turned into no-ops. Sweeps until a fixpoint, so
+   chains of dead computations vanish (the common pattern left behind by
+   CSE rewriting to moves).
 
    A sweep visits the nodes of the liveness walk: each node's
    instruction is read there before the sweep rewrites that node, and
-   the removals depend only on the liveness computed before the sweep. *)
+   the removals depend only on the liveness as it stood before the
+   sweep. A sweep never changes the CFG, so one liveness serves every
+   sweep: after each, [Liveness.remove] re-solves only the registers the
+   removed instructions read, and the rows are those a fresh analysis
+   of the swept function would give. *)
 
-let eliminate_once (f : Rtl.func) : bool =
-  let lv = Liveness.analyze f in
-  let changed = ref false in
+let eliminate_once (f : Rtl.func) (lv : Liveness.t) : bool =
+  let removed = ref [] in
   Liveness.iter_nodes lv (fun n i ->
       match i with
       | Rtl.Iop (_, _, d, s) | Rtl.Iload (_, _, _, d, s) ->
@@ -18,14 +21,16 @@ let eliminate_once (f : Rtl.func) : bool =
            always stay) *)
         if not (Liveness.is_live_after lv n d) then begin
           Rtl.set_instr f n (Rtl.Inop s);
-          changed := true
+          removed := n :: !removed
         end
       | _ -> ());
-  !changed
+  Liveness.remove lv !removed;
+  !removed <> []
 
 let transform_func ?(fuel = 50) (f : Rtl.func) : unit =
+  let lv = Liveness.analyze f in
   let rec loop (budget : int) : unit =
-    if budget > 0 && eliminate_once f then loop (budget - 1)
+    if budget > 0 && eliminate_once f lv then loop (budget - 1)
   in
   loop fuel
 

@@ -28,7 +28,8 @@
      control flow.
 
    Each fixpoint round recomputes dominators and loops from scratch,
-   and stops there when the function has no loop. Definition sites are
+   over the graph and order of one [Rtl.walk], and stops there when the
+   function has no loop. Definition sites are
    then recomputed too, but liveness only once some candidate's
    arguments are invariant and available: most rounds find none and
    never pay for it. Chains of invariant computations hoist over
@@ -60,11 +61,12 @@ let retarget (f : Rtl.func) (n : Rtl.node) ~(from_ : Rtl.node)
    yields anything, then return for a full recomputation (CFG edits
    invalidate the analyses, so at most one loop is edited per round). *)
 let hoist_once (f : Rtl.func) : bool =
-  let rpo = Rtl.reverse_postorder f in
-  let succs = Array.make (Rtl.node_bound f) [] in
-  List.iter
+  let w = Rtl.walk f in
+  let rpo = w.Rtl.w_order in
+  let succs = Array.make (Array.length w.Rtl.w_code) [] in
+  Array.iter
     (fun n ->
-       succs.(n) <- List.map (fun s -> (s, ())) (Rtl.successors (Rtl.get_instr f n)))
+       succs.(n) <- List.map (fun s -> (s, ())) (Rtl.successors w.Rtl.w_code.(n)))
     rpo;
   match
     let dom = Flow.dominators { Flow.entry = f.Rtl.f_entry; succs } in
@@ -86,9 +88,9 @@ let hoist_once (f : Rtl.func) : bool =
     in
     (* definition sites over reachable nodes *)
     let defs : (Rtl.reg, Rtl.node list) Hashtbl.t = Hashtbl.create 251 in
-    List.iter
+    Array.iter
       (fun n ->
-         match Rtl.instr_def (Rtl.get_instr f n) with
+         match Rtl.instr_def w.Rtl.w_code.(n) with
          | Some d ->
            let cur = Option.value ~default:[] (Hashtbl.find_opt defs d) in
            Hashtbl.replace defs d (n :: cur)
@@ -176,7 +178,7 @@ let hoist_once (f : Rtl.func) : bool =
           retarget f pre ~from_:header ~to_:n';
           tail := Some n'
         in
-        List.iter
+        Array.iter
           (fun n ->
              if in_body n && hoistable n then begin
                let i = Rtl.get_instr f n in

@@ -10,9 +10,9 @@
    reachable nodes, their instructions and their predecessors from one
    [Rtl.walk]; clients that visit every node afterwards walk the same
    order ([iter_nodes]) instead of asking [Rtl] for it again. The
-   analysis also keeps the register bound it sized its rows by, so the
-   register allocator and its validator need not fold the code table
-   for it again. *)
+   analysis also keeps the register bound it sized its rows by, and the
+   walk's predecessors, so that [remove] can bring the rows up to date
+   after dead-code elimination instead of solving from scratch. *)
 
 module RegSet = Set.Make (Int)
 
@@ -23,6 +23,7 @@ type t = {
   bits : int array;
   order : Rtl.node array;         (* reachable nodes, reverse postorder *)
   code : Rtl.instruction array;   (* by node; meaningful where reachable *)
+  preds : Rtl.node list array;    (* by node, as in [Rtl.walk] *)
 }
 
 (* live_before(n) = (live_after(n) \ def(n)) ∪ use(n) *)
@@ -43,21 +44,25 @@ let clear_bit (a : int array) (base : int) (r : Rtl.reg) : unit =
   let w = base + (r / 63) in
   a.(w) <- a.(w) land lnot (1 lsl (r mod 63))
 
-let empty (f : Rtl.func) (order : Rtl.node array)
-    (code : Rtl.instruction array) : t =
+let has_bit (a : int array) (base : int) (r : Rtl.reg) : bool =
+  a.(base + (r / 63)) land (1 lsl (r mod 63)) <> 0
+
+let empty (f : Rtl.func) (w : Rtl.walk) : t =
   let regs = Rtl.reg_bound f in
   let words = (regs + 62) / 63 in
-  let rows = Array.length code in
-  { regs; words; rows; bits = Array.make (rows * words) 0; order; code }
+  let rows = Array.length w.Rtl.w_code in
+  { regs; words; rows; bits = Array.make (rows * words) 0;
+    order = w.Rtl.w_order; code = w.Rtl.w_code; preds = w.Rtl.w_preds }
 
-(* Compute live-after sets for all reachable nodes with a worklist
-   iteration seeded in postorder (fast convergence for reducible CFGs). *)
-let analyze (f : Rtl.func) : t =
-  let w = Rtl.walk f in
-  let lv = empty f w.Rtl.w_order w.Rtl.w_code in
-  let rows = lv.rows and words = lv.words in
+(* The worklist iteration, from the rows as they are: each popped node's
+   live-before set, restricted to the bits of [mask], flows into its
+   predecessors' rows, and a predecessor whose row grows is pushed
+   again. [seed] pushes the first nodes. *)
+let solve (lv : t) (mask : int array)
+    (seed : (Rtl.node -> unit) -> unit) : unit =
+  let words = lv.words in
   let before = Array.make words 0 in
-  let queued = Bytes.make rows '\000' in
+  let queued = Bytes.make lv.rows '\000' in
   let worklist = Queue.create () in
   let push (n : Rtl.node) : unit =
     if Bytes.get queued n = '\000' then begin
@@ -65,9 +70,7 @@ let analyze (f : Rtl.func) : t =
       Queue.add n worklist
     end
   in
-  for j = Array.length lv.order - 1 downto 0 do
-    push lv.order.(j)
-  done;
+  seed push;
   while not (Queue.is_empty worklist) do
     let n = Queue.pop worklist in
     Bytes.set queued n '\000';
@@ -82,16 +85,61 @@ let analyze (f : Rtl.func) : t =
          let grew = ref false in
          for w = 0 to words - 1 do
            let old = lv.bits.(base + w) in
-           let updated = old lor before.(w) in
+           let updated = old lor (before.(w) land mask.(w)) in
            if updated <> old then begin
              lv.bits.(base + w) <- updated;
              grew := true
            end
          done;
          if !grew then push p)
-      w.Rtl.w_preds.(n)
-  done;
+      lv.preds.(n)
+  done
+
+(* Compute live-after sets for all reachable nodes with a worklist
+   iteration seeded in postorder (fast convergence for reducible CFGs). *)
+let analyze (f : Rtl.func) : t =
+  let lv = empty f (Rtl.walk f) in
+  solve lv (Array.make lv.words (-1)) (fun push ->
+      for j = Array.length lv.order - 1 downto 0 do
+        push lv.order.(j)
+      done);
   lv
+
+(* Liveness separates by register: the rows restricted to one register
+   are the least solution of that register's own equations. Turning a
+   pure instruction whose destination is dead after it into an [Inop]
+   changes only the equations of the registers it reads: for its
+   destination, the old solution already says "dead after" there, so it
+   still solves the new equation, and it stays the least. So clearing
+   the bits of the registers the removed instructions read, in every
+   row, and solving again for those bits alone gives the rows a fresh
+   [analyze] would. Only a node that reads one of them can make it live
+   from cleared rows, so those nodes seed the worklist. *)
+let remove (lv : t) (nodes : Rtl.node list) : unit =
+  if nodes <> [] then begin
+    let mask = Array.make lv.words 0 in
+    List.iter
+      (fun n ->
+         match lv.code.(n) with
+         | Rtl.Iop (_, args, _, s) | Rtl.Iload (_, _, args, _, s) ->
+           List.iter (set_bit mask 0) args;
+           lv.code.(n) <- Rtl.Inop s
+         | _ -> invalid_arg "Liveness.remove: not a pure instruction")
+      nodes;
+    let keep = Array.map lnot mask in
+    for n = 0 to lv.rows - 1 do
+      let base = n * lv.words in
+      for w = 0 to lv.words - 1 do
+        lv.bits.(base + w) <- lv.bits.(base + w) land keep.(w)
+      done
+    done;
+    solve lv mask (fun push ->
+        for j = Array.length lv.order - 1 downto 0 do
+          let n = lv.order.(j) in
+          if List.exists (has_bit mask 0) (Rtl.instr_uses lv.code.(n)) then
+            push n
+        done)
+  end
 
 let reg_bound (lv : t) : int = lv.regs
 
@@ -101,7 +149,7 @@ let iter_nodes (lv : t) (k : Rtl.node -> Rtl.instruction -> unit) : unit =
 let is_live_after (lv : t) (n : Rtl.node) (r : Rtl.reg) : bool =
   n < lv.rows
   && r / 63 < lv.words
-  && lv.bits.((n * lv.words) + (r / 63)) land (1 lsl (r mod 63)) <> 0
+  && has_bit lv.bits (n * lv.words) r
 
 (* Registers live after [n], ascending. Live sets are sparse: skip
    empty words, then empty bytes. *)
@@ -148,9 +196,7 @@ let analyze_naive (f : Rtl.func) : t =
          end)
       nodes
   done;
-  let code = Array.make (Rtl.node_bound f) (Rtl.Ireturn None) in
-  List.iter (fun n -> code.(n) <- Rtl.get_instr f n) nodes;
-  let lv = empty f (Array.of_list nodes) code in
+  let lv = empty f (Rtl.walk f) in
   Hashtbl.iter
     (fun n s -> RegSet.iter (set_bit lv.bits (n * lv.words)) s)
     live_after;

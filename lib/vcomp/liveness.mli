@@ -12,6 +12,15 @@ type t
 val live_before : Rtl.instruction -> RegSet.t -> RegSet.t
 val analyze : Rtl.func -> t
 
+val remove : t -> Rtl.node list -> unit
+(** [remove lv nodes]: the instruction at each of [nodes] is a pure
+    [Iop] or [Iload] whose destination is not live after it (by [lv]),
+    and the function now has an [Inop] to the same successor there.
+    Brings [lv] up to date: afterwards its instructions and rows are
+    those [analyze] gives on the changed function. Only the registers
+    the removed instructions read are solved again.
+    @raise Invalid_argument if a node holds another instruction. *)
+
 val reg_bound : t -> int
 (** {!Rtl.reg_bound} of the function, as the analysis computed it. *)
 

@@ -55,8 +55,9 @@ let pipeline : pass list =
       transform = (fun ~fuel p -> Licm.transform ~fuel p);
       enabled_by = (fun o -> o.opt_licm) };
     { name = "deadcode";
-      (* fuel is a sweep budget here; cap it, each sweep is a full
-         liveness recomputation *)
+      (* fuel is a sweep budget here, capped at 64 sweeps; a sweep
+         costs one pass over the nodes plus re-solving the liveness of
+         the registers its removals read *)
       transform = (fun ~fuel p -> Deadcode.transform ~fuel:(max 1 (min 64 fuel)) p);
       enabled_by = (fun o -> o.opt_deadcode) } ]
 

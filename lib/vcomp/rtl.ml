@@ -119,16 +119,6 @@ let class_of_typ (t : Minic.Ast.typ) : mclass =
   | Minic.Ast.Tint | Minic.Ast.Tbool -> Cint
   | Minic.Ast.Tfloat -> Cfloat
 
-(* Add an instruction on a fresh node; returns the node index. *)
-let add_instr (f : func) (i : instruction) : node =
-  let n = f.f_next_node in
-  f.f_next_node <- n + 1;
-  Hashtbl.replace f.f_code n i;
-  n
-
-let set_instr (f : func) (n : node) (i : instruction) : unit =
-  Hashtbl.replace f.f_code n i
-
 let get_instr (f : func) (n : node) : instruction =
   match Hashtbl.find_opt f.f_code n with
   | Some i -> i
@@ -169,19 +159,38 @@ let instr_def (i : instruction) : reg option =
   | Iop (_, _, d, _) | Iload (_, _, _, d, _) | Iacq (_, d, _) -> Some d
   | Inop _ | Istore _ | Icond _ | Iout _ | Iannot _ | Ireturn _ -> None
 
-(* Exclusive upper bounds of the register and node numbers a function
-   uses, for tables indexed by register or by node. *)
-let reg_bound (f : func) : int =
-  let bound m r = max m (r + 1) in
-  Hashtbl.fold
-    (fun _ i m ->
-       let m = List.fold_left bound m (instr_uses i) in
-       match instr_def i with Some d -> bound m d | None -> m)
-    f.f_code
-    (Hashtbl.fold (fun r _ m -> bound m r) f.f_classes f.f_next_reg)
+(* Raise [f_next_reg] above every register [i] reads or writes, so
+   that [fresh_reg] never hands out one that code already names. *)
+let cover_regs (f : func) (i : instruction) : unit =
+  let cover r = if r >= f.f_next_reg then f.f_next_reg <- r + 1 in
+  List.iter cover (instr_uses i);
+  Option.iter cover (instr_def i)
 
-let node_bound (f : func) : int =
-  Hashtbl.fold (fun n _ m -> max m (n + 1)) f.f_code f.f_next_node
+(* Add an instruction on a fresh node; returns the node index. *)
+let add_instr (f : func) (i : instruction) : node =
+  let n = f.f_next_node in
+  f.f_next_node <- n + 1;
+  cover_regs f i;
+  Hashtbl.replace f.f_code n i;
+  n
+
+(* Put [i] at node [n], which need not come from [add_instr]: the
+   counters move past it, so [add_instr] never returns a node in use. *)
+let set_instr (f : func) (n : node) (i : instruction) : unit =
+  if n >= f.f_next_node then f.f_next_node <- n + 1;
+  cover_regs f i;
+  Hashtbl.replace f.f_code n i
+
+(* Exclusive upper bounds of the register and node numbers a function
+   uses, for tables indexed by register or by node. [f_code] is written
+   only through [add_instr] and [set_instr], and [f_classes] only
+   through [fresh_reg], which keep the counters above every node key and
+   every register an instruction or the class table names; so the
+   counters are the bounds. They are not tight once nodes are removed
+   from the code table or registers fall out of use. *)
+let reg_bound (f : func) : int = f.f_next_reg
+
+let node_bound (f : func) : int = f.f_next_node
 
 (* [k s] for every successor [s] of [i], in [successors] order, without
    building the list. *)

@@ -6,7 +6,12 @@
    node, and represents them as [Map] trees; GVN's meet and equality
    test walk every binding. They share no fixpoint or register-map code
    with the passes under test, which must leave the same code table on
-   every input, fuel exhaustion included. *)
+   every input, fuel exhaustion included.
+
+   Also here: dead-code elimination as it was before its sweeps shared
+   one maintained liveness (a fresh [Liveness.analyze] per sweep), and
+   the node and register bounds as folds over the code and class
+   tables, from before [Rtl] kept them in its counters. *)
 
 module Rtl = Vcomp.Rtl
 module RegMap = Map.Make (Int)
@@ -378,3 +383,42 @@ let gvn_func ~(fuel : int) (f : Rtl.func) : int option =
          | _ -> ())
       (Rtl.reverse_postorder f);
     Some pops
+
+(* ---- dead code: a fresh liveness analysis per sweep ---- *)
+
+let deadcode_once (f : Rtl.func) : bool =
+  let lv = Vcomp.Liveness.analyze f in
+  let changed = ref false in
+  Vcomp.Liveness.iter_nodes lv (fun n i ->
+      match i with
+      | Rtl.Iop (_, _, d, s) | Rtl.Iload (_, _, _, d, s) ->
+        if not (Vcomp.Liveness.is_live_after lv n d) then begin
+          Rtl.set_instr f n (Rtl.Inop s);
+          changed := true
+        end
+      | _ -> ());
+  !changed
+
+let deadcode_func ~(fuel : int) (f : Rtl.func) : unit =
+  let rec loop (budget : int) : unit =
+    if budget > 0 && deadcode_once f then loop (budget - 1)
+  in
+  loop fuel
+
+(* ---- bounds: folds over the tables ---- *)
+
+(* One more than the largest node key; at least 1, where
+   [Rtl.create_func] starts numbering. *)
+let node_bound (f : Rtl.func) : int =
+  Hashtbl.fold (fun n _ m -> max m (n + 1)) f.Rtl.f_code 1
+
+(* One more than the largest register an instruction or the class table
+   names; at least 1, where [Rtl.create_func] starts numbering. *)
+let reg_bound (f : Rtl.func) : int =
+  let bound m r = max m (r + 1) in
+  Hashtbl.fold
+    (fun _ i m ->
+       let m = List.fold_left bound m (Rtl.instr_uses i) in
+       match Rtl.instr_def i with Some d -> bound m d | None -> m)
+    f.Rtl.f_code
+    (Hashtbl.fold (fun r _ m -> bound m r) f.Rtl.f_classes 1)

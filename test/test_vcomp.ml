@@ -322,6 +322,181 @@ let dataflow_reference_prop =
          Vcomp.Pass.pipeline
        && agree rtl)
 
+(* ---- dead code on one maintained liveness ---- *)
+
+(* The rows and instructions [lv] holds equal a fresh analysis of [f]
+   on every reachable node. *)
+let liveness_current (f : Vcomp.Rtl.func) (lv : Vcomp.Liveness.t) : bool =
+  let module L = Vcomp.Liveness in
+  let fresh = L.analyze f in
+  let nodes lv =
+    let acc = ref [] in
+    L.iter_nodes lv (fun n i -> acc := (n, i) :: !acc);
+    !acc
+  in
+  nodes lv = nodes fresh
+  && List.for_all
+       (fun n -> L.RegSet.equal (L.live_after lv n) (L.live_after fresh n))
+       (Vcomp.Rtl.reverse_postorder f)
+
+(* At sweep budgets 1 to 5 and at the pipeline's cap of 64, dead-code
+   elimination leaves the same code as the reference, which analyzes
+   liveness afresh for every sweep; and after every sweep the liveness
+   the pass maintains equals a fresh one. *)
+let deadcode_agrees (f : Vcomp.Rtl.func) : bool =
+  List.for_all
+    (fun fuel ->
+       let a = Vcomp.Rtl.copy_func f and b = Vcomp.Rtl.copy_func f in
+       Vcomp.Deadcode.transform_func ~fuel a;
+       Dataflow_ref.deadcode_func ~fuel b;
+       code_equal a b)
+    [ 1; 2; 3; 4; 5; 64 ]
+  &&
+  let g = Vcomp.Rtl.copy_func f in
+  let lv = Vcomp.Liveness.analyze g in
+  let rec sweeps budget =
+    let removed = Vcomp.Deadcode.eliminate_once g lv in
+    liveness_current g lv && ((not removed) || budget = 1 || sweeps (budget - 1))
+  in
+  sweeps 64
+
+(* The functions dead-code elimination gets from the selection, from
+   the -O 1 pipeline and from the -O 2 pipeline. *)
+let deadcode_inputs (p : Minic.Ast.program) : Vcomp.Rtl.func list =
+  List.concat_map
+    (fun level ->
+       (fst
+          (Vcomp.Pass.run_pipeline
+             { (Vcomp.Pass.level level) with
+               Vcomp.Pass.opt_deadcode = false;
+               opt_validate = false }
+             (Vcomp.Selection.trans_program p)))
+         .Vcomp.Rtl.p_funcs)
+    [ 0; 1; 2 ]
+
+let deadcode_reference_prop =
+  QCheck.Test.make ~count:60
+    ~name:"deadcode: maintained liveness = fresh, code = per-sweep reference"
+    QCheck.small_int
+    (fun seed ->
+       List.for_all deadcode_agrees
+         (deadcode_inputs (Testlib.Gen.gen_program (seed land 0xFFFF))))
+
+(* The registers a removed instruction read stay live where a store or
+   an annotation reads them later. The selection reads a variable
+   through a fresh move, so this is built by hand:
+     1: x = acquire v      2: c = 7             3: y = x + c (dead)
+     4: store g = x        5: z = acquire v     6: w = z (dead)
+     7: annot "%1" z       8: return
+   The first sweep removes nodes 3 and 6, the second node 2. *)
+let test_deadcode_store_and_annotation_uses () =
+  let module R = Vcomp.Rtl in
+  let f = R.create_func "d" None in
+  let reg () = R.fresh_reg f R.Cint in
+  let x = reg () and c = reg () and y = reg () in
+  let z = reg () and w = reg () in
+  let f = { f with R.f_entry = 1 } in
+  List.iter
+    (fun i -> ignore (R.add_instr f i))
+    [ R.Iacq ("v", x, 2); R.Iop (R.Ointconst 7l, [], c, 3);
+      R.Iop (R.Oadd, [ x; c ], y, 4); R.Istore (R.Mint32, R.ADglob "g", [], x, 5);
+      R.Iacq ("v", z, 6); R.Iop (R.Omove, [ z ], w, 7);
+      R.Iannot ("keep %1", [ R.RA_reg z ], 8); R.Ireturn None ];
+  checkb "agrees with the reference after every sweep" true (deadcode_agrees f);
+  Vcomp.Deadcode.transform_func f;
+  Alcotest.(check (list int)) "removed nodes" [ 2; 3; 6 ]
+    (List.filter
+       (fun n -> match R.get_instr f n with R.Inop _ -> true | _ -> false)
+       (R.reverse_postorder f)
+     |> List.sort compare)
+
+(* ---- node and register counters ---- *)
+
+(* A far [set_instr] used to leave the counters behind: with the node
+   counter at 5, [set_instr] at node 10 let the sixth [add_instr] return
+   node 10 and overwrite the instruction put there, and [fresh_reg]
+   handed out the registers that instruction already named. *)
+let test_rtl_counters_past_set_instr () =
+  let module R = Vcomp.Rtl in
+  let f = R.create_func "c" (Some Minic.Ast.Tint) in
+  let x = R.fresh_reg f R.Cint in
+  for _ = 1 to 4 do ignore (R.add_instr f (R.Inop 1)) done;
+  Alcotest.check Alcotest.int "next node" 5 f.R.f_next_node;
+  let far = R.Iop (R.Oadd, [ x; x + 1 ], x + 2, 1) in
+  R.set_instr f 10 far;
+  for _ = 1 to 6 do
+    let n = R.add_instr f (R.Ireturn (Some x)) in
+    checkb (Printf.sprintf "node %d was not in use" n) true (n > 4 && n <> 10)
+  done;
+  checkb "the far instruction survives" true (R.get_instr f 10 = far);
+  let r = R.fresh_reg f R.Cint in
+  checkb (Printf.sprintf "register x%d is named nowhere" r) true (r > x + 2);
+  Alcotest.check Alcotest.int "node bound = fold" (Dataflow_ref.node_bound f)
+    (R.node_bound f);
+  Alcotest.check Alcotest.int "register bound = fold" (Dataflow_ref.reg_bound f)
+    (R.reg_bound f)
+
+(* Random [add_instr] / [set_instr] / [fresh_reg] sequences: the bounds
+   never fall below the folds over the tables, [add_instr] always gets a
+   node that is not in use, and [fresh_reg] a register that no
+   instruction and no class names. *)
+let rtl_counters_prop =
+  QCheck.Test.make ~count:200 ~name:"rtl: counters bound every node and register"
+    QCheck.(list_of_size Gen.(int_range 1 40) (triple (int_bound 2) (int_bound 60) (int_bound 60)))
+    (fun ops ->
+       let module R = Vcomp.Rtl in
+       let f = R.create_func "r" None in
+       let named r =
+         Hashtbl.mem f.R.f_classes r
+         || Hashtbl.fold
+              (fun _ i acc ->
+                 acc || List.mem r (R.instr_uses i) || R.instr_def i = Some r)
+              f.R.f_code false
+       in
+       let instr a b =
+         match a mod 4 with
+         | 0 -> R.Iop (R.Oadd, [ a; b ], a + b, b)
+         | 1 -> R.Istore (R.Mint32, R.ADarr "t", [ b ], a, a)
+         | 2 -> R.Iannot ("x", [ R.RA_reg b; R.RA_cint 1l ], a)
+         | _ -> R.Ireturn (Some b)
+       in
+       List.for_all
+         (fun (op, a, b) ->
+            (match op with
+             | 0 ->
+               let n = f.R.f_next_node in
+               not (Hashtbl.mem f.R.f_code n)
+               && R.add_instr f (instr a b) = n
+             | 1 -> R.set_instr f a (instr a b); true
+             | _ ->
+               let r = f.R.f_next_reg in
+               (not (named r)) && R.fresh_reg f R.Cfloat = r)
+            && R.node_bound f >= Dataflow_ref.node_bound f
+            && R.reg_bound f >= Dataflow_ref.reg_bound f)
+         ops)
+
+(* Where every node comes from [add_instr] and every register from
+   [fresh_reg] — the selection's output and every -O 2 pass after it —
+   the counters are exactly the folds. *)
+let rtl_bounds_pipeline_prop =
+  QCheck.Test.make ~count:60 ~name:"rtl: bounds = folds after selection and each -O 2 pass"
+    QCheck.small_int
+    (fun seed ->
+       let p = Testlib.Gen.gen_program (seed land 0xFFFF) in
+       let exact (rtl : Vcomp.Rtl.program) =
+         List.for_all
+           (fun f ->
+              Vcomp.Rtl.node_bound f = Dataflow_ref.node_bound f
+              && Vcomp.Rtl.reg_bound f = Dataflow_ref.reg_bound f)
+           rtl.Vcomp.Rtl.p_funcs
+       in
+       let rtl = Vcomp.Selection.trans_program p in
+       exact rtl
+       && List.for_all
+            (fun (stage : Vcomp.Pass.pass) ->
+               exact (stage.Vcomp.Pass.transform ~fuel:Vcomp.Pass.default_fuel rtl))
+            Vcomp.Pass.pipeline)
+
 (* ---- register allocation ---- *)
 
 let regalloc_valid_prop =
@@ -842,6 +1017,13 @@ let suite =
     ("walk: unreachable node, equal successors, dangling edge", `Quick,
      test_walk_edge_cases);
     QCheck_alcotest.to_alcotest dataflow_reference_prop;
+    QCheck_alcotest.to_alcotest deadcode_reference_prop;
+    ("deadcode: stores and annotations keep what removals read", `Quick,
+     test_deadcode_store_and_annotation_uses);
+    ("rtl: counters move past a far set_instr", `Quick,
+     test_rtl_counters_past_set_instr);
+    QCheck_alcotest.to_alcotest rtl_counters_prop;
+    QCheck_alcotest.to_alcotest rtl_bounds_pipeline_prop;
     QCheck_alcotest.to_alcotest regalloc_valid_prop;
     QCheck_alcotest.to_alcotest regalloc_mutation_prop;
     QCheck_alcotest.to_alcotest regalloc_reference_prop;

@@ -197,6 +197,78 @@ let flow_toolkit_prop =
                    (fun ((_, s, _) as e) -> if is_back e then Some s else None)
                    edges))
 
+(* [Flow.loops] against the all-edges scan it replaced ([Flow_ref]):
+   the same loops in the same order, edge lists included, or the same
+   [Irreducible] payload. *)
+let same_loops (g : int Flow.graph) : bool =
+  let d = Flow.dominators g in
+  let run scan =
+    match scan () with
+    | loops -> Ok loops
+    | exception Flow.Irreducible (b, s) -> Error (b, s)
+  in
+  run (fun () -> Flow.loops d) = run (fun () -> Flow_ref.loops g d)
+
+let flow_loops_reference_prop =
+  QCheck.Test.make ~count:500 ~name:"flow: loops = all-edges reference scan"
+    flow_graph_arb same_loops
+
+(* Graphs of up to 24 nodes built to mix the cases the scan must tell
+   apart. In a hidden order from the entry, each node but the last few
+   gets a tree edge from an earlier one; then come extra forward edges,
+   a few edges to an earlier or the same node (back edges, second loop
+   entries, self-loops), and the last few nodes, off the tree, stay
+   unreachable unless such an edge reaches them. The node numbers are a
+   random permutation of the hidden order, so the ascending scan does
+   not follow reverse postorder. *)
+let mixed_flow_graph (rng : Random.State.t) : int Flow.graph =
+  let int k = Random.State.int rng k in
+  let n = 2 + int 23 in
+  let perm = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = int (i + 1) in
+    let t = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- t
+  done;
+  let succs = Array.make n [] in
+  let add a b = succs.(perm.(a)) <- perm.(b) :: succs.(perm.(a)) in
+  let off_tree = int (1 + (n / 4)) in
+  for i = 1 to n - 1 - off_tree do add (int i) i done;
+  for _ = 1 to int n do
+    let a = int n and b = int n in
+    if a < b then add a b
+  done;
+  for _ = 1 to int 4 do
+    let b = int n in
+    add (b + int (n - b)) b
+  done;
+  let id = ref 0 in
+  { Flow.entry = perm.(0);
+    succs = Array.map (List.map (fun s -> incr id; (s, !id))) succs }
+
+let test_flow_loops_mixed () =
+  let rng = Random.State.make [| 2026 |] in
+  let irreducible = ref 0 and with_loops = ref 0 in
+  let self_loops = ref 0 and unreachable = ref 0 in
+  for k = 1 to 2000 do
+    let g = mixed_flow_graph rng in
+    let reachable = Flow.reverse_postorder g in
+    if List.length reachable < Array.length g.Flow.succs then incr unreachable;
+    if List.exists (fun b -> List.mem_assoc b g.Flow.succs.(b)) reachable then
+      incr self_loops;
+    (match Flow.loops (Flow.dominators g) with
+     | exception Flow.Irreducible _ -> incr irreducible
+     | [] -> ()
+     | _ :: _ -> incr with_loops);
+    if not (same_loops g) then Alcotest.failf "graph %d differs from the reference" k
+  done;
+  List.iter
+    (fun (what, count) ->
+       checkb (Printf.sprintf "%s occur (%d graphs)" what !count) true (!count > 0))
+    [ ("irreducible graphs", irreducible); ("reducible graphs with loops", with_loops);
+      ("self-loops", self_loops); ("unreachable nodes", unreachable) ]
+
 (* ---- loops ---- *)
 
 let test_loop_detection () =
@@ -465,6 +537,9 @@ let suite =
     QCheck_alcotest.to_alcotest itv_refine_prop;
     QCheck_alcotest.to_alcotest dominators_prop;
     QCheck_alcotest.to_alcotest flow_toolkit_prop;
+    QCheck_alcotest.to_alcotest flow_loops_reference_prop;
+    ("flow: loops = reference on reducible, irreducible, self-loop and \
+      unreachable graphs", `Quick, test_flow_loops_mixed);
     ("loop detection", `Quick, test_loop_detection);
     ("irreducible flow rejected", `Quick, test_irreducible_rejected);
     ("simplex: basics", `Quick, test_simplex_basic);
