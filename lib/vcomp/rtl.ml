@@ -160,11 +160,31 @@ let instr_def (i : instruction) : reg option =
   | Inop _ | Istore _ | Icond _ | Iout _ | Iannot _ | Ireturn _ -> None
 
 (* Raise [f_next_reg] above every register [i] reads or writes, so
-   that [fresh_reg] never hands out one that code already names. *)
+   that [fresh_reg] never hands out one that code already names. This
+   runs on every instruction the selection adds, so it matches on [i]
+   rather than allocate [instr_uses]'s list. *)
+let cover (f : func) (r : reg) : unit =
+  if r >= f.f_next_reg then f.f_next_reg <- r + 1
+
+let rec cover_list (f : func) (rs : reg list) : unit =
+  match rs with
+  | [] -> ()
+  | r :: rs ->
+    cover f r;
+    cover_list f rs
+
 let cover_regs (f : func) (i : instruction) : unit =
-  let cover r = if r >= f.f_next_reg then f.f_next_reg <- r + 1 in
-  List.iter cover (instr_uses i);
-  Option.iter cover (instr_def i)
+  match i with
+  | Inop _ | Ireturn None -> ()
+  | Iop (_, args, d, _) | Iload (_, _, args, d, _) ->
+    cover_list f args;
+    cover f d
+  | Istore (_, _, args, src, _) ->
+    cover_list f args;
+    cover f src
+  | Icond (_, args, _, _) -> cover_list f args
+  | Iacq (_, r, _) | Iout (_, r, _) | Ireturn (Some r) -> cover f r
+  | Iannot (_, _, _) -> cover_list f (instr_uses i)
 
 (* Add an instruction on a fresh node; returns the node index. *)
 let add_instr (f : func) (i : instruction) : node =

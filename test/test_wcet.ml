@@ -125,6 +125,18 @@ let flow_graph_arb : int Flow.graph QCheck.arbitrary =
   in
   QCheck.make gen ~print
 
+(* [Flow.loops] against the all-edges scan it replaced ([Flow_ref]):
+   the same loops in the same order, edge lists included, or the same
+   [Irreducible] payload. *)
+let same_loops (g : int Flow.graph) : bool =
+  let d = Flow.dominators g in
+  let run scan =
+    match scan () with
+    | loops -> Ok loops
+    | exception Flow.Irreducible (b, s) -> Error (b, s)
+  in
+  run (fun () -> Flow.loops d) = run (fun () -> Flow_ref.loops g d)
+
 let flow_toolkit_prop =
   QCheck.Test.make ~count:500
     ~name:"flow: dominators, loop bodies and irreducibility match oracles"
@@ -186,6 +198,8 @@ let flow_toolkit_prop =
               nodes)
          nodes
        &&
+       same_loops g
+       &&
        match Flow.loops d with
        | exception Flow.Irreducible _ -> irreducible
        | loops ->
@@ -196,22 +210,6 @@ let flow_toolkit_prop =
                 (List.filter_map
                    (fun ((_, s, _) as e) -> if is_back e then Some s else None)
                    edges))
-
-(* [Flow.loops] against the all-edges scan it replaced ([Flow_ref]):
-   the same loops in the same order, edge lists included, or the same
-   [Irreducible] payload. *)
-let same_loops (g : int Flow.graph) : bool =
-  let d = Flow.dominators g in
-  let run scan =
-    match scan () with
-    | loops -> Ok loops
-    | exception Flow.Irreducible (b, s) -> Error (b, s)
-  in
-  run (fun () -> Flow.loops d) = run (fun () -> Flow_ref.loops g d)
-
-let flow_loops_reference_prop =
-  QCheck.Test.make ~count:500 ~name:"flow: loops = all-edges reference scan"
-    flow_graph_arb same_loops
 
 (* Graphs of up to 24 nodes built to mix the cases the scan must tell
    apart. In a hidden order from the entry, each node but the last few
@@ -537,7 +535,6 @@ let suite =
     QCheck_alcotest.to_alcotest itv_refine_prop;
     QCheck_alcotest.to_alcotest dominators_prop;
     QCheck_alcotest.to_alcotest flow_toolkit_prop;
-    QCheck_alcotest.to_alcotest flow_loops_reference_prop;
     ("flow: loops = reference on reducible, irreducible, self-loop and \
       unreachable graphs", `Quick, test_flow_loops_mixed);
     ("loop detection", `Quick, test_loop_detection);
