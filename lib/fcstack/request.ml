@@ -158,7 +158,6 @@ let to_wire (rq : t) : string =
          ("fwiden", string_of_int fuel.Wcet.Fuel.fl_widen);
          ("fsimplex", string_of_int fuel.Wcet.Fuel.fl_simplex);
          ("fbb", string_of_int fuel.Wcet.Fuel.fl_bb_nodes);
-         ("fomt", string_of_int fuel.Wcet.Fuel.fl_omt);
          ("validate", bool_bit rq.rq_validate);
          ("exact", bool_bit rq.rq_exact);
          ("deadline", opt_int rq.rq_deadline_ms) ]
@@ -206,7 +205,6 @@ let of_wire (payload : string) : (t, string) Result.t =
     let* fl_widen = Wire.kv_int kvs "fwiden" in
     let* fl_simplex = Wire.kv_int kvs "fsimplex" in
     let* fl_bb_nodes = Wire.kv_int kvs "fbb" in
-    let* fl_omt = Wire.kv_int kvs "fomt" in
     let* validate = Result.bind (Wire.kv_find kvs "validate") bit_bool in
     let* exact = Result.bind (Wire.kv_find kvs "exact") bit_bool in
     (* lenient: a v=1 peer from before deadlines simply omits the
@@ -226,7 +224,7 @@ let of_wire (payload : string) : (t, string) Result.t =
             ro_worlds = worlds;
             ro_sim_fuel = sim_fuel;
             ro_analysis_fuel =
-              { Wcet.Fuel.fl_widen; fl_simplex; fl_bb_nodes; fl_omt };
+              { Wcet.Fuel.fl_widen; fl_simplex; fl_bb_nodes };
             ro_passes = passes;
             ro_engine = engine };
         rq_validate = validate;

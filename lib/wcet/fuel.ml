@@ -1,20 +1,21 @@
 (* Fuel budgets for every iterative analysis in this library.
 
-   The analyzer's fixpoints and the IPET solver are all proved (or
+   The analyzer's fixpoints and the path search are all proved (or
    argued) terminating, but a certification pipeline cannot afford
    "argued": a pathological program, a bug in a transfer function or a
-   degenerate LP must yield a *refusal* in bounded time, never a hang
-   and never an unsound number. Every unbounded iteration site —
-   simplex pivoting, branch & bound, the value-analysis widening loop,
-   the must-cache ageing fixpoint — therefore counts against an
-   explicit budget from this record; exhaustion raises [Exhausted],
-   which [Driver] turns into an analysis refusal ([Driver.Error]).
+   search that keeps branching must yield a *refusal* in bounded time,
+   never a hang and never an unsound number. Every unbounded iteration
+   site — the longest-path sweeps, the OMT branch & bound, the
+   value-analysis widening loop, the must-cache ageing fixpoint —
+   therefore counts against an explicit budget from this record;
+   exhaustion raises [Exhausted], which [Driver] turns into an analysis
+   refusal ([Driver.Error]).
 
    The defaults reproduce the constants that were previously hard-coded
    at each site, so default-fuel analyses are bit-identical to the
    pre-fuel analyzer. The fuel triple is part of the [Memo] content key:
    changing a budget can turn a success into a refusal (or, for the
-   branch & bound budget, an exact bound into a relaxation bound), so
+   branch & bound budget, an exact bound into a fallback bound), so
    analyses under different budgets must never share a cache entry. *)
 
 type t = {
@@ -26,24 +27,20 @@ type t = {
        it, and the value analysis's reports are pinned by digest in
        the test suite *)
   fl_simplex : int;
-    (* blocks visited by the IPET longest-path pass, and simplex
-       pivoting iterations per [Lp.solve] phase on OMT cut systems *)
+    (* blocks visited by one run of the IPET longest-path pass, and by
+       each re-sweep of the OMT search *)
   fl_bb_nodes : int;
-    (* branch & bound nodes in [Lp.solve_integer]; exhaustion here is
-       NOT a refusal — the LP relaxation bound is still sound and is
-       returned with [is_exact = false] *)
-  fl_omt : int;
-    (* OMT bound-search iterations in [Smt.compute] (each LP
-       feasibility query counts one); exhaustion IS a refusal — a
-       half-finished binary search has not established any bound *)
+    (* branch & bound nodes of the OMT search, one per re-sweep after
+       the root; exhaustion here is NOT a refusal — the costliest open
+       node's value is still a sound bound, returned with
+       [smt_exact = false] *)
 }
 
-let default : t =
-  { fl_widen = 1_000_000; fl_simplex = 20_000; fl_bb_nodes = 200; fl_omt = 64 }
+let default : t = { fl_widen = 1_000_000; fl_simplex = 20_000; fl_bb_nodes = 200 }
 
 (* A starved budget: every guarded loop refuses on its first iteration.
    The chaos harness injects this to prove exhaustion is contained. *)
-let starved : t = { fl_widen = 0; fl_simplex = 0; fl_bb_nodes = 0; fl_omt = 0 }
+let starved : t = { fl_widen = 0; fl_simplex = 0; fl_bb_nodes = 0 }
 
 exception Exhausted of string
 (* [Exhausted what]: the iteration site [what] ran out of budget. *)

@@ -7,8 +7,9 @@
     pre-fuel analyzer.
 
     The triple is part of the {!Memo} content key: a budget change can
-    flip success into refusal (or exact into relaxation bound), so
-    analyses under different budgets never share a cache entry. *)
+    flip success into refusal (or an exact bound into a fallback
+    bound), so analyses under different budgets never share a cache
+    entry. *)
 
 type t = {
   fl_widen : int;
@@ -18,23 +19,19 @@ type t = {
           is order-free (no widening); the value analysis widens, and
           its reports are pinned by digest in the test suite *)
   fl_simplex : int;
-      (** path analysis: blocks visited by {!Ipet.flow_bound}'s
-          longest-path pass (each loop's body, then every reachable
-          block), and simplex pivots per [Lp.solve] phase on the OMT
-          engine's cut systems *)
+      (** path analysis: blocks visited by one run of the longest-path
+          pass — {!Ipet.flow_bound}'s (each loop's body, then every
+          reachable block), and each re-sweep of the OMT search
+          ({!Ipet.resweep}) *)
   fl_bb_nodes : int;
-      (** branch & bound nodes in [Lp.solve_integer]; exhaustion here
-          is not a refusal — the LP relaxation bound is still sound
-          ([is_exact = false]) *)
-  fl_omt : int;
-      (** OMT bound-search iterations in {!Smt.compute} (one per LP
-          feasibility query); exhaustion {e is} a refusal — an
-          unfinished search has established no bound *)
+      (** branch & bound nodes of the OMT search ({!Smt.search}), one
+          per re-sweep after the root; exhaustion here is not a
+          refusal — the costliest open node's value is still a sound
+          bound, at most the IPET bound ([smt_exact = false]) *)
 }
 
 val default : t
-(** [{ fl_widen = 1_000_000; fl_simplex = 20_000; fl_bb_nodes = 200;
-       fl_omt = 64 }]. *)
+(** [{ fl_widen = 1_000_000; fl_simplex = 20_000; fl_bb_nodes = 200 }]. *)
 
 val starved : t
 (** All budgets zero: every guarded loop refuses immediately. The chaos

@@ -5,28 +5,15 @@
     exactly by one longest-path pass over the loop nest
     ({!flow_bound}): its LP optimum is integral and equals the costliest
     acyclic entry-to-exit path that adds, at every loop header it
-    enters, the loop's bound times its costliest cycle. No simplex runs.
+    enters, the loop's bound times its costliest cycle. No simplex runs;
+    the tests keep one as the pass's oracle.
 
-    The flow system is also exposed as an explicit program
-    ({!build_system}/{!solve_system}) so the OMT engine ({!Smt})
-    optimizes the {e same} objective over the same edge variables,
-    merely under extra infeasible-path cut constraints — making
-    [omt <= ipet] a per-cycle-comparable invariant. *)
+    The pass is also exposed as a reusable {!sweep}, so the OMT engine
+    ({!Smt}) searches the {e same} paths for the same objective, merely
+    with some edges forbidden ({!resweep}) — making [omt <= ipet] a
+    per-cycle-comparable invariant. *)
 
 exception Analysis_failed of string
-
-type edge = {
-  e_src : int;
-  e_dst : int option;  (** [None]: virtual exit edge *)
-  e_kind : Cfg.edge_kind;
-}
-
-type system = {
-  sys_edges : edge array;       (** LP variable [j] counts edge [j] *)
-  sys_objective : Lp.Q.t array; (** cycles charged per edge traversal *)
-  sys_constraints : Lp.constr list;
-      (** flow conservation + loop bounds *)
-}
 
 type result = {
   ipet_wcet : int;        (** cycles, including the first-miss budget *)
@@ -34,35 +21,57 @@ type result = {
   ipet_flow_cycles : int; (** objective without the first-miss budget *)
 }
 
+type sweep
+(** One function's loop tables — each loop's bound times its costliest
+    cycle, computed once — with the costliest way from every block to an
+    exit found by the last top-level sweep. *)
+
+val sweep :
+  ?fuel:Fuel.t -> Cfg.t -> Pipeline.t -> Loops.t ->
+  Boundanalysis.loop_bound list -> sweep
+(** The longest-path pass: each loop's body, innermost first, then every
+    reachable block. Costs one unit of [fuel.fl_simplex] and one
+    {!Fuel.tick} per block visited.
+    @raise Analysis_failed ["no edges (missing blr?)"], ["loop at B%d
+    has no bound"] (the first such loop in {!Loops} order) or ["LP
+    arithmetic overflow"] (a value past the native integer range).
+    @raise Fuel.Exhausted when the budget runs out. *)
+
+val resweep : ?fuel:Fuel.t -> sweep -> int * Cfg.edge_kind -> sweep
+(** [resweep t e] re-runs only the top-level sweep of [t], skipping the
+    edge [e] (named by its source block and direction) as well as every
+    edge [t] already skips. No such edge may lie inside a loop body,
+    whose tables are reused. Costs a fresh [fuel.fl_simplex] budget, one
+    unit per reachable block.
+    @raise Analysis_failed ["LP arithmetic overflow"].
+    @raise Fuel.Exhausted when the budget runs out. *)
+
+val value : sweep -> int option
+(** Flow cycles of the costliest entry-to-exit path the sweep allows;
+    [None] when it allows none. *)
+
+val flow : sweep -> int
+(** {!value}, or the refusal when there is no path.
+    @raise Analysis_failed ["IPET infeasible"]. *)
+
+val path : sweep -> (int * Cfg.edge_kind) list
+(** The CFG edges of one path attaining {!value}, from the entry; loop
+    cycles and the virtual exit edge are not listed. [[]] when {!value}
+    is [None]. *)
+
 val flow_bound :
   ?fuel:Fuel.t -> Cfg.t -> Pipeline.t -> Loops.t ->
   Boundanalysis.loop_bound list -> int
-(** The optimum of {!build_system}'s program, for any integer costs and
-    non-negative bounds, by the longest-path pass: flow cycles only.
-    Costs one unit of [fuel.fl_simplex] and one {!Fuel.tick} per block
-    visited (each loop's body, then every reachable block).
-    @raise Analysis_failed ["no edges (missing blr?)"], ["loop at B%d
-    has no bound"] (the first such loop in {!Loops} order), ["IPET
-    infeasible"] (no exit reachable) or ["LP arithmetic overflow"]
-    (a value past the native integer range).
-    @raise Fuel.Exhausted when the budget runs out. *)
+(** {!flow} of {!sweep}: the optimum of the flow program, for any
+    integer costs and non-negative bounds.
+    @raise Analysis_failed as {!sweep}, or ["IPET infeasible"] when no
+    exit is reachable.
+    @raise Fuel.Exhausted as {!sweep}. *)
 
-val build_system :
-  Cfg.t -> Pipeline.t -> Loops.t -> Boundanalysis.loop_bound list -> system
-(** The structural ILP over edge-count variables.
-    @raise Analysis_failed on a missing loop bound, an edgeless CFG, or
-    a cost or bound past {!Lp.Q}'s range ("LP arithmetic overflow"). *)
-
-val solve_system :
-  ?fuel:Fuel.t -> ?extra:Lp.constr list -> system -> Lp.int_solution
-(** Maximize the system's objective under its constraints plus [extra]
-    (the OMT cuts) with the exact simplex and branch & bound; flow
-    cycles only — the caller adds the cache first-miss budget.
-    [fuel.fl_simplex] bounds the pivots per phase and
-    [fuel.fl_bb_nodes] the branch & bound nodes (running out of nodes
-    degrades to the sound LP relaxation bound, [is_exact = false]).
-    @raise Analysis_failed on infeasibility or arithmetic overflow.
-    @raise Fuel.Exhausted when the pivot budget runs out. *)
+val with_first_miss : Cacheanalysis.t -> int -> result
+(** The exact result for [flow] cycles plus the cache first-miss
+    budget.
+    @raise Analysis_failed ["LP arithmetic overflow"]. *)
 
 val compute :
   ?fuel:Fuel.t -> Cfg.t -> Pipeline.t -> Cacheanalysis.t -> Loops.t ->

@@ -128,10 +128,7 @@ let key ?(fuel = Fuel.default) ?(spec = "") ?(engine = Report.Ipet)
       ( List.map normalize_instr f.Asm.fn_code,
         base,
         slice,
-        ( fuel.Fuel.fl_widen,
-          fuel.Fuel.fl_simplex,
-          fuel.Fuel.fl_bb_nodes,
-          fuel.Fuel.fl_omt ),
+        (fuel.Fuel.fl_widen, fuel.Fuel.fl_simplex, fuel.Fuel.fl_bb_nodes),
         spec,
         Report.engine_name engine )
       []

@@ -5,8 +5,8 @@
 
 (* Which path-analysis engine produced the bound. [Ipet] is the
    original structural ILP; [Omt] is the optimization-modulo-theory
-   engine ([Smt]: same flow system plus semantic infeasible-path cuts,
-   bound found by binary search over LP feasibility queries); [Both]
+   engine ([Smt]: the same paths under semantic infeasible-path cuts,
+   searched by branch & bound over the IPET pass); [Both]
    runs the two and cross-checks omt <= ipet per function (the
    differential oracle — a violation is an analysis refusal). *)
 type engine = Ipet | Omt | Both
@@ -51,7 +51,7 @@ let pp (ppf : Format.formatter) (r : t) : unit =
     \  blocks / code     : %d blocks, %d bytes@,\
     \  cache             : %d code lines, %d data lines, first-miss budget %d%s@,"
     r.rp_function r.rp_wcet
-    (if r.rp_exact_ilp then "" else " (LP relaxation bound)")
+    (if r.rp_exact_ilp then "" else " (relaxation bound)")
     r.rp_blocks r.rp_code_bytes r.rp_code_lines r.rp_data_lines
     r.rp_cache_first_miss
     (if r.rp_cache_imprecise then " [imprecise access: degraded]" else "");

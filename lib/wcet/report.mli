@@ -3,9 +3,9 @@
 
 (** The path-analysis engine behind the bound. [Ipet] (the default) is
     the structural ILP of the original analyzer; [Omt] is the
-    optimization-modulo-theory engine ({!Smt}: the same flow system
-    plus semantic infeasible-path cuts, optimized by binary search over
-    LP feasibility queries); [Both] runs the two and refuses unless
+    optimization-modulo-theory engine ({!Smt}: the same paths under
+    semantic infeasible-path cuts, searched by branch & bound over the
+    IPET pass); [Both] runs the two and refuses unless
     [omt <= ipet] holds — the differential oracle. The engine selection
     is part of the {!Memo} content key. *)
 type engine = Ipet | Omt | Both
@@ -26,7 +26,9 @@ type t = {
   rp_function : string;
   rp_wcet : int;               (** cycles; the selected engine's bound
                                    (OMT under [Omt] and [Both]) *)
-  rp_exact_ilp : bool;         (** false: LP-relaxation bound (still sound) *)
+  rp_exact_ilp : bool;
+      (** false: the OMT search ran out of nodes, so its bound relaxes
+          some cuts (still sound) *)
   rp_blocks : int;
   rp_code_bytes : int;
   rp_loops : loop_info list;

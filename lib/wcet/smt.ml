@@ -3,19 +3,16 @@
    optimization modulo theory and a clever encoding of program
    semantics").
 
-   The engine reuses the IPET flow system verbatim ([Ipet.build_system])
-   and strengthens it with *semantic* information the structural ILP
-   cannot see: linear "conflict cuts" x_e1 + x_e2 <= 1 over pairs of
-   branch edges whose guarding conditions cannot both hold in one
-   execution. The worst case is then found as an optimization-modulo-
-   theory problem: binary search for the largest cycle budget T such
-   that the cut system still admits a flow of cost >= T, each
-   feasibility query discharged by the exact-rational simplex
-   ([Lp.solve] with a zero objective). No external SMT/OMT solver is
-   involved; the "theory" part is the cut derivation below. The base
-   bound, without cuts, is the IPET engine's own ([Ipet.compute], a
-   longest-path pass), so a cut-free function never reaches the
-   simplex.
+   The engine searches the IPET engine's own paths ([Ipet.sweep]) under
+   *semantic* information the structural ILP cannot see: "conflict
+   cuts" over pairs of branch edges whose guarding conditions cannot
+   both hold in one execution. The worst case is then the costliest
+   path that takes no two edges of one cut, found by branch & bound
+   over the longest-path pass (Henry et al.'s view of WCET as a search
+   over feasible paths). No external SMT/OMT solver is involved; the
+   "theory" part is the cut derivation below. The root of the search is
+   the IPET engine's pass itself, so a cut-free function costs nothing
+   more than IPET.
 
    Cut derivation — a deliberately small but *sound* theory:
 
@@ -50,22 +47,20 @@
        store's block must be outside loops and dominate (or precede
        within) each load, so both tests observe the same value.
 
-   The cuts only ever *exclude* flows no real execution produces, so
-   the constrained optimum stays a sound upper bound; and because the
-   cut system's feasible set is contained in the IPET system's, the
-   bound can only tighten: omt <= ipet by construction (the binary
-   search is additionally clamped to the base IPET bound, so the
-   invariant survives branch&bound budget asymmetries). *)
+   The cuts only ever *exclude* paths no real execution takes, so the
+   constrained optimum stays a sound upper bound; and because every
+   path the search admits is one the IPET pass admits, the bound can
+   only tighten: omt <= ipet by construction. *)
 
 module Asm = Target.Asm
 
 type result = {
   smt_wcet : int;        (* OMT bound, incl. cache first-miss budget *)
-  smt_ipet_wcet : int;   (* base IPET bound (same system, no cuts) *)
-  smt_exact : bool;      (* an integral optimum, not a relaxation *)
+  smt_ipet_wcet : int;   (* base IPET bound (same paths, no cuts) *)
+  smt_exact : bool;      (* the optimum, not a fallback bound *)
   smt_flow_cycles : int; (* OMT bound without the first-miss budget *)
   smt_cuts : int;        (* conflict cuts in the encoding *)
-  smt_queries : int;     (* fueled solver calls spent by the search *)
+  smt_queries : int;     (* search nodes swept after the root *)
 }
 
 (* ---------------------------------------------------------------- *)
@@ -245,8 +240,8 @@ let rec trace_freg (stream : (int * int * Asm.instr) array) (pos : int)
 type rel = Rlt | Rgt | Req | Runo
 
 type test = {
-  t_edge : int;        (* LP variable index of the branch edge *)
   t_block : int;       (* the branch block *)
+  t_kind : Cfg.edge_kind; (* the direction of its edge *)
   t_left : operand;
   t_right : operand;
   t_float : bool;
@@ -272,8 +267,7 @@ let mirror_rels (rels : rel list) : rel list =
    outside all loops, its condition resolves to traced origins, and
    every traced load is itself outside all loops. *)
 let tests_of_block (cfg : Cfg.t) (preds : int list array)
-    (in_loop : bool array) (b : int) (edge_vars : (Cfg.edge_kind * int) list)
-  : test list =
+    (in_loop : bool array) (b : int) : test list =
   let instrs = (Cfg.block cfg b).Cfg.b_instrs in
   let len = Array.length instrs in
   if len = 0 || in_loop.(b) then []
@@ -310,19 +304,19 @@ let tests_of_block (cfg : Cfg.t) (preds : int list array)
          then []
          else
            List.map
-             (fun (kind, j) ->
+             (fun (_, kind) ->
                 let cond =
                   match kind with
                   | Cfg.Etaken -> c
                   | Cfg.Efall -> Asm.negate_cond c
                 in
-                { t_edge = j;
-                  t_block = b;
+                { t_block = b;
+                  t_kind = kind;
                   t_left = left;
                   t_right = right;
                   t_float = float_;
                   t_rels = taken_rels ~float_ cond })
-             edge_vars)
+             (Cfg.successors cfg b))
     | _ -> []
 
 (* ---------------------------------------------------------------- *)
@@ -485,8 +479,9 @@ let pair_stable (stores : store list) ~(wild : bool) (dom : Dom.t)
 (* Cut derivation                                                    *)
 (* ---------------------------------------------------------------- *)
 
-let derive_cuts (cfg : Cfg.t) (dom : Dom.t) (loops : Loops.t)
-    (sys : Ipet.system) : Lp.constr list =
+type cut = (int * Cfg.edge_kind) * (int * Cfg.edge_kind)
+
+let derive_cuts (cfg : Cfg.t) (dom : Dom.t) (loops : Loops.t) : cut list =
   let preds = Cfg.predecessors cfg in
   let nb = Cfg.num_blocks cfg in
   let in_loop = Array.make nb false in
@@ -495,19 +490,10 @@ let derive_cuts (cfg : Cfg.t) (dom : Dom.t) (loops : Loops.t)
     loops.Loops.loops;
   let stores = collect_stores cfg in
   let wild = List.exists (fun s -> s.s_loc = None) stores in
-  (* real (non-virtual) out-edge variables per block *)
-  let edge_vars = Array.make nb [] in
-  Array.iteri
-    (fun j (e : Ipet.edge) ->
-       match e.Ipet.e_dst with
-       | Some _ ->
-         edge_vars.(e.Ipet.e_src) <-
-           (e.Ipet.e_kind, j) :: edge_vars.(e.Ipet.e_src)
-       | None -> ())
-    sys.Ipet.sys_edges;
   let tests =
-    List.init nb (fun b -> tests_of_block cfg preds in_loop b edge_vars.(b))
-    |> List.concat |> Array.of_list
+    List.concat_map (tests_of_block cfg preds in_loop)
+      (Cfg.reverse_postorder cfg)
+    |> Array.of_list
   in
   let seen = Hashtbl.create 16 in
   let cuts = ref [] in
@@ -519,14 +505,11 @@ let derive_cuts (cfg : Cfg.t) (dom : Dom.t) (loops : Loops.t)
         && (same_pred_conflict t1 t2 || interval_conflict t1 t2)
         && pair_stable stores ~wild dom in_loop t1 t2
       then begin
-        let j1 = min t1.t_edge t2.t_edge and j2 = max t1.t_edge t2.t_edge in
-        if not (Hashtbl.mem seen (j1, j2)) then begin
-          Hashtbl.add seen (j1, j2) ();
-          cuts :=
-            { Lp.cs_coeffs = [ (j1, Lp.Q.one); (j2, Lp.Q.one) ];
-              cs_rel = Lp.Le;
-              cs_rhs = Lp.Q.one }
-            :: !cuts
+        let e1 = (t1.t_block, t1.t_kind) and e2 = (t2.t_block, t2.t_kind) in
+        let cut = (min e1 e2, max e1 e2) in
+        if not (Hashtbl.mem seen cut) then begin
+          Hashtbl.add seen cut ();
+          cuts := cut :: !cuts
         end
       end
     done
@@ -534,77 +517,65 @@ let derive_cuts (cfg : Cfg.t) (dom : Dom.t) (loops : Loops.t)
   !cuts
 
 (* ---------------------------------------------------------------- *)
-(* The OMT loop                                                      *)
+(* The search                                                        *)
 (* ---------------------------------------------------------------- *)
+
+type bound = { flow : int; exact : bool; nodes : int }
+
+(* Best-first branch & bound. A node is the pass with some cut edges
+   forbidden; its value bounds every path it allows. The costliest open
+   node is taken first: if its argmax path keeps every cut, no open node
+   can beat it. Otherwise the path takes both edges of a cut, and each
+   child forbids one of them — every path that keeps the cut survives
+   in one child. *)
+let search ?(fuel = Fuel.default) (root : Ipet.sweep) (cuts : cut list) :
+  bound =
+  let budget = ref fuel.Fuel.fl_bb_nodes and nodes = ref 0 in
+  let broken path =
+    List.find_opt (fun (a, b) -> List.mem a path && List.mem b path) cuts
+  in
+  (* open nodes, costliest first; ties keep their arrival order *)
+  let rec insert ((v, _) as n) = function
+    | ((v', _) as n') :: rest when v' >= v -> n' :: insert n rest
+    | rest -> n :: rest
+  in
+  let rec go = function
+    | [] -> raise (Ipet.Analysis_failed "IPET infeasible")
+    | (v, sw) :: rest ->
+      match broken (Ipet.path sw) with
+      | None -> { flow = v; exact = true; nodes = !nodes }
+      | Some _ when !budget < 2 ->
+        (* out of nodes: [v] is the costliest open value, so it bounds
+           every path not yet ruled out *)
+        { flow = v; exact = false; nodes = !nodes }
+      | Some (a, b) ->
+        let child open_ e =
+          decr budget;
+          incr nodes;
+          let sw' = Ipet.resweep ~fuel sw e in
+          match Ipet.value sw' with
+          | Some v' -> insert (v', sw') open_
+          | None -> open_
+        in
+        go (child (child rest a) b)
+  in
+  go [ (Ipet.flow root, root) ]
 
 let compute ?(fuel = Fuel.default) (cfg : Cfg.t) (dom : Dom.t)
     (pl : Pipeline.t) (cache : Cacheanalysis.t) (loops : Loops.t)
     (bounds : Boundanalysis.loop_bound list) : result =
-  (* base bound: the pure IPET engine's, by the same longest-path pass *)
-  let base = Ipet.compute ~fuel cfg pl cache loops bounds in
-  let base_flow = base.Ipet.ipet_flow_cycles in
-  let first_miss = cache.Cacheanalysis.ca_first_miss in
-  let sys = Ipet.build_system cfg pl loops bounds in
-  let cuts = derive_cuts cfg dom loops sys in
-  let ncuts = List.length cuts in
-  if ncuts = 0 then
-    (* no semantic information: OMT degenerates to IPET exactly *)
-    { smt_wcet = base.Ipet.ipet_wcet;
-      smt_ipet_wcet = base.Ipet.ipet_wcet;
-      smt_exact = base.Ipet.ipet_exact;
-      smt_flow_cycles = base_flow;
-      smt_cuts = 0;
-      smt_queries = 0 }
-  else begin
-    let budget = ref fuel.Fuel.fl_omt in
-    let queries = ref 0 in
-    let charge () =
-      Fuel.tick ();
-      if !budget <= 0 then Fuel.exhaust "omt";
-      decr budget;
-      incr queries
-    in
-    let n = Array.length sys.Ipet.sys_edges in
-    let cost_coeffs =
-      Array.to_list (Array.mapi (fun j q -> (j, q)) sys.Ipet.sys_objective)
-      |> List.filter (fun (_, q) -> not (Lp.Q.is_zero q))
-    in
-    let zero_obj = Array.make n Lp.Q.zero in
-    (* does the cut system admit a flow of cost >= t? (LP relaxation —
-       a superset of the integral flows, so "infeasible" is a proof) *)
-    let feasible (t : int) : bool =
-      charge ();
-      match
-        let floor_c =
-          { Lp.cs_coeffs = cost_coeffs; cs_rel = Lp.Ge; cs_rhs = Lp.Q.of_int t }
-        in
-        Lp.solve ~fuel:fuel.Fuel.fl_simplex
-          { Lp.pb_nvars = n;
-            pb_objective = zero_obj;
-            pb_constraints = floor_c :: (cuts @ sys.Ipet.sys_constraints) }
-      with
-      | _ -> true
-      | exception Lp.Infeasible -> false
-      | exception Lp.Overflow ->
-        raise (Ipet.Analysis_failed "LP arithmetic overflow")
-    in
-    (* binary search for the largest feasible budget in [0, base_flow];
-       cost >= 0 is trivially feasible, and clamping to the base bound
-       makes omt <= ipet structural *)
-    let lo = ref 0 and hi = ref base_flow in
-    while !lo < !hi do
-      let mid = !lo + ((!hi - !lo) + 1) / 2 in
-      if feasible mid then lo := mid else hi := mid - 1
-    done;
-    (* integral sharpening: branch & bound over the cut system can beat
-       the relaxation floor; it is one more fueled solver call *)
-    charge ();
-    let cut_int = Ipet.solve_system ~fuel ~extra:cuts sys in
-    let flow = min !lo (min base_flow cut_int.Lp.is_objective_bound) in
-    { smt_wcet = flow + first_miss;
-      smt_ipet_wcet = base.Ipet.ipet_wcet;
-      smt_exact = cut_int.Lp.is_exact;
-      smt_flow_cycles = flow;
-      smt_cuts = ncuts;
-      smt_queries = !queries }
-  end
+  (* the root: the pure IPET engine's own pass *)
+  let root = Ipet.sweep ~fuel cfg pl loops bounds in
+  let base = Ipet.with_first_miss cache (Ipet.flow root) in
+  let cuts = derive_cuts cfg dom loops in
+  let s =
+    if cuts = [] then
+      { flow = base.Ipet.ipet_flow_cycles; exact = true; nodes = 0 }
+    else search ~fuel root cuts
+  in
+  { smt_wcet = s.flow + cache.Cacheanalysis.ca_first_miss;
+    smt_ipet_wcet = base.Ipet.ipet_wcet;
+    smt_exact = s.exact;
+    smt_flow_cycles = s.flow;
+    smt_cuts = List.length cuts;
+    smt_queries = s.nodes }

@@ -50,14 +50,33 @@ let test_simplex_fuel_refuses () =
     checkb ("reported as divergence: " ^ m) true (contains m "diverged")
 
 let test_bb_fuel_stays_sound () =
-  (* branch & bound exhaustion is NOT a refusal: the solver falls back
-     to the LP-relaxation bound, which is sound (>= every execution)
-     just not exact. The report must say so and still dominate the
-     simulator. *)
-  match analyze_with { Wcet.Fuel.default with Wcet.Fuel.fl_bb_nodes = 0 } with
-  | Error m -> Alcotest.fail ("b&b exhaustion refused: " ^ m)
-  | Ok r ->
-    let b = Lazy.force built in
+  (* branch & bound exhaustion is NOT a refusal: the OMT search falls
+     back to its costliest open node, which is sound (>= every
+     execution) and never above the IPET bound, just not exact. The
+     search only runs on a function with cuts, so this uses the
+     infeasible-path node of the OMT suite, whose IPET path breaks a
+     cut at the root. *)
+  let b = Lazy.force Test_smt.infeasible_built in
+  let analyze ?fuel engine =
+    Wcet.Driver.analyze ?fuel ~engine b.Fcstack.Chain.b_asm
+      b.Fcstack.Chain.b_layout
+  in
+  let ipet = (analyze Wcet.Report.Ipet).Wcet.Report.rp_wcet in
+  match
+    analyze
+      ~fuel:{ Wcet.Fuel.default with Wcet.Fuel.fl_bb_nodes = 0 }
+      Wcet.Report.Omt
+  with
+  | exception Wcet.Driver.Error m -> Alcotest.fail ("b&b exhaustion refused: " ^ m)
+  | r ->
+    checkb "the search had cuts to branch on" true
+      (r.Wcet.Report.rp_omt_cuts > 0);
+    checkb "reported as a fallback bound" false r.Wcet.Report.rp_exact_ilp;
+    checkb
+      (Printf.sprintf "fallback bound %d <= IPET bound %d"
+         r.Wcet.Report.rp_wcet ipet)
+      true
+      (r.Wcet.Report.rp_wcet <= ipet);
     List.iter
       (fun seed ->
          let sim =
@@ -65,7 +84,7 @@ let test_bb_fuel_stays_sound () =
          in
          let cycles = sim.Target.Sim.rr_stats.Target.Sim.cycles in
          checkb
-           (Printf.sprintf "relaxation bound %d >= simulated %d"
+           (Printf.sprintf "fallback bound %d >= simulated %d"
               r.Wcet.Report.rp_wcet cycles)
            true
            (r.Wcet.Report.rp_wcet >= cycles))

@@ -1,7 +1,7 @@
 (* Tests of the IPET path analysis: the longest-path pass over the loop
    nest ([Ipet.flow_bound]) must reach exactly the optimum the exact
-   simplex with branch & bound ([Ipet.solve_system]) finds on the same
-   flow system. The property runs over generated programs, whose
+   simplex with branch & bound ([Ipet_ref.solve_system]) finds on the
+   same flow system. The property runs over generated programs, whose
    functions contain nested loops, under all four compilers; the
    hand-built CFGs pin the shapes the exactness argument turns on, and
    the refusals both solvers share. *)
@@ -24,8 +24,8 @@ let pass ?fuel cfg pl loops bounds : answer =
   | exception Ipet.Analysis_failed m -> Error m
 
 let simplex cfg pl loops bounds : answer =
-  match Ipet.solve_system (Ipet.build_system cfg pl loops bounds) with
-  | s -> Ok (s.Wcet.Lp.is_objective_bound, s.Wcet.Lp.is_exact)
+  match Ipet_ref.solve_system (Ipet_ref.build_system cfg pl loops bounds) with
+  | s -> Ok (s.Lp_ref.is_objective_bound, s.Lp_ref.is_exact)
   | exception Ipet.Analysis_failed m -> Error m
 
 let show : answer -> string = function
@@ -54,18 +54,20 @@ let phases (b : Fcstack.Chain.built) (f : Asm.func) =
     let ca = Wcet.Cacheanalysis.refine ca (Wcet.Mustcache.block_hits must) in
     Some (cfg, Wcet.Pipeline.analyze cfg ca, loops, bounds)
 
+(* Random costs on a CFG of [nb] blocks, of either sign (so a loop can
+   be worth skipping). *)
+let random_costs st nb =
+  { Wcet.Pipeline.pl_block_cost =
+      Array.init nb (fun _ -> Random.State.int st 40 - 12);
+    pl_edge_cost =
+      Array.init nb (fun _ -> (Random.State.int st 4, Random.State.int st 4)) }
+
 (* Besides the analyzer's own costs and bounds, each function is solved
-   under random ones on the same CFG: costs of either sign (so a loop can
-   be worth skipping) and bounds from 0 up. *)
+   under random ones on the same CFG: random costs and bounds from 0
+   up. *)
 let pass_matches_simplex seed (cfg, pl, loops, bounds) : bool =
   let st = Random.State.make [| seed; Cfg.num_blocks cfg |] in
   let nb = Cfg.num_blocks cfg in
-  let random_costs () =
-    { Wcet.Pipeline.pl_block_cost =
-        Array.init nb (fun _ -> Random.State.int st 40 - 12);
-      pl_edge_cost =
-        Array.init nb (fun _ -> (Random.State.int st 4, Random.State.int st 4)) }
-  in
   let random_bounds () =
     List.map
       (fun lb -> { lb with Wcet.Boundanalysis.lb_bound = Random.State.int st 5 })
@@ -77,7 +79,8 @@ let pass_matches_simplex seed (cfg, pl, loops, bounds) : bool =
        p = s
        || QCheck.Test.fail_reportf "%s: pass %s, simplex %s" cfg.Cfg.c_fname
             (show p) (show s))
-    [ (pl, bounds); (random_costs (), bounds); (random_costs (), random_bounds ()) ]
+    [ (pl, bounds); (random_costs st nb, bounds);
+      (random_costs st nb, random_bounds ()) ]
 
 let pass_equals_simplex_prop =
   QCheck.Test.make ~count:300
@@ -217,6 +220,135 @@ let test_fuel () =
   Alcotest.check_raises "one short" (Wcet.Fuel.Exhausted "IPET longest path")
     (fun () -> ignore (pass ~fuel:(fuel 4) cfg pl loops bounds))
 
+(* ---- the OMT search against the reference branch & bound ---- *)
+
+(* [Smt.search] over the pass and the reference's branch & bound over
+   the flow system with the cut rows, as answers. *)
+let search ?fuel cfg pl loops bounds cuts : answer =
+  match Wcet.Smt.search ?fuel (Ipet.sweep cfg pl loops bounds) cuts with
+  | s -> Ok (s.Wcet.Smt.flow, s.Wcet.Smt.exact)
+  | exception Ipet.Analysis_failed m -> Error m
+
+let simplex_cut cfg pl loops bounds cuts : answer =
+  match
+    let sys = Ipet_ref.build_system cfg pl loops bounds in
+    Ipet_ref.solve_system ~extra:(Ipet_ref.cut_rows sys cuts) sys
+  with
+  | s -> Ok (s.Lp_ref.is_objective_bound, s.Lp_ref.is_exact)
+  | exception Ipet.Analysis_failed m -> Error m
+
+(* Random cuts over the edges of reachable blocks outside every loop
+   body — the edges [Smt.derive_cuts] may name — under the analyzer's
+   costs and under random ones. Where the reference's branch & bound
+   ran out of nodes it proves nothing, and the case is skipped. *)
+let search_matches_simplex seed (cfg, pl, loops, bounds) : bool =
+  let st = Random.State.make [| seed; Cfg.num_blocks cfg; 7 |] in
+  let nb = Cfg.num_blocks cfg in
+  let in_loop = Array.make nb false in
+  List.iter
+    (fun l -> List.iter (fun b -> in_loop.(b) <- true) l.Wcet.Loops.l_body)
+    loops.Wcet.Loops.loops;
+  let edges =
+    Cfg.reverse_postorder cfg
+    |> List.filter (fun b -> not in_loop.(b))
+    |> List.concat_map (fun b ->
+      List.map (fun (_, kind) -> (b, kind)) (Cfg.successors cfg b))
+    |> Array.of_list
+  in
+  let random_cuts () =
+    if Array.length edges < 2 then []
+    else
+      List.init (Random.State.int st 6) (fun _ ->
+        let pick () = edges.(Random.State.int st (Array.length edges)) in
+        (pick (), pick ()))
+      |> List.filter (fun (a, b) -> a <> b)
+  in
+  List.for_all
+    (fun (pl, cuts) ->
+       let r = simplex_cut cfg pl loops bounds cuts in
+       match r with
+       | Ok (_, false) -> true
+       | _ ->
+         let p = search cfg pl loops bounds cuts in
+         p = r
+         || QCheck.Test.fail_reportf "%s, %d cuts: search %s, simplex %s"
+              cfg.Cfg.c_fname (List.length cuts) (show p) (show r))
+    [ (pl, random_cuts ()); (random_costs st nb, random_cuts ()) ]
+
+let search_equals_simplex_prop =
+  QCheck.Test.make ~count:100
+    ~name:"omt search: branch & bound over the pass = simplex ILP with cuts"
+    (QCheck.int_bound 0xFFFF)
+    (fun seed ->
+       let p = Testlib.Gen.gen_program seed in
+       List.for_all
+         (fun comp ->
+            let b = Fcstack.Chain.build ~exact:true comp p in
+            List.for_all
+              (fun f ->
+                 match phases b f with
+                 | None -> true
+                 | Some sys -> search_matches_simplex seed sys)
+              b.Fcstack.Chain.b_asm.Asm.pr_funcs)
+         Fcstack.Chain.all_compilers)
+
+(* Three diamonds in a row, each with a costly arm (10 cycles, taken)
+   and a cheap one (1 cycle, fall), and every two costly arms in
+   conflict. The root path takes all three costly arms. Forbidding one
+   of them leaves a path that still takes two (25), so the search must
+   branch again below it before it finds the best path that keeps every
+   cut: one costly arm (16). *)
+let diamonds =
+  handmade
+    [| [ (1, t); (2, f) ]; [ (3, f) ]; [ (3, f) ];
+       [ (4, t); (5, f) ]; [ (6, f) ]; [ (6, f) ];
+       [ (7, t); (8, f) ]; [ (9, f) ]; [ (9, f) ]; [] |]
+    [ 9 ] [| 1; 10; 1; 1; 10; 1; 1; 10; 1; 1 |]
+
+let diamond_cuts = [ ((0, t), (3, t)); ((0, t), (6, t)); ((3, t), (6, t)) ]
+
+let test_search_two_levels () =
+  let cfg, pl, loops = diamonds in
+  let expected = Ok (16, true) in
+  checks "simplex" (show expected)
+    (show (simplex_cut cfg pl loops [] diamond_cuts));
+  checks "search" (show expected) (show (search cfg pl loops [] diamond_cuts));
+  checks "ipet" "34" (show (pass cfg pl loops []));
+  (* two children of the root at 25, and two at 16 below each of them:
+     a node at 25 may still hold a path worth 25 until it is branched *)
+  checki "nodes" 6
+    (Wcet.Smt.search (Ipet.sweep cfg pl loops []) diamond_cuts).Wcet.Smt.nodes
+
+(* Two diamonds and every pair of their arms in conflict: no path keeps
+   all cuts, although the LP relaxation (half a unit on each arm) does.
+   Both solvers refuse alike. *)
+let test_search_no_feasible_path () =
+  let cfg, pl, loops =
+    handmade
+      [| [ (1, t); (2, f) ]; [ (3, f) ]; [ (3, f) ];
+         [ (4, t); (5, f) ]; [ (6, f) ]; [ (6, f) ]; [] |]
+      [ 6 ] [| 1; 1; 1; 1; 1; 1; 1 |]
+  in
+  let cuts =
+    List.concat_map
+      (fun a -> List.map (fun b -> ((0, a), (3, b))) [ t; f ])
+      [ t; f ]
+  in
+  checks "simplex" "IPET infeasible" (show (simplex_cut cfg pl loops [] cuts));
+  checks "search" "IPET infeasible" (show (search cfg pl loops [] cuts))
+
+(* Out of nodes, the search stops at its costliest open node: never
+   below the optimum, never above the IPET bound, and not exact. *)
+let test_search_budget () =
+  let cfg, pl, loops = diamonds in
+  let fuel n = { Wcet.Fuel.default with Wcet.Fuel.fl_bb_nodes = n } in
+  List.iter
+    (fun (n, expected) ->
+       checks (Printf.sprintf "%d node(s)" n) expected
+         (show (search ~fuel:(fuel n) cfg pl loops [] diamond_cuts)))
+    [ (0, "34 (relaxed)"); (1, "34 (relaxed)"); (2, "25 (relaxed)");
+      (5, "25 (relaxed)"); (6, "16") ]
+
 (* ---- through the driver: loop-bound annotations at the extremes ---- *)
 
 let annotated (bound : string) : Fcstack.Chain.built =
@@ -262,8 +394,9 @@ let test_large_loopbound () =
     engines
 
 (* Two exclusive guards (OMT cuts them) and a loop bounded past the
-   simplex's 54-bit range: the pass still bounds, and the OMT engine's
-   cut system refuses instead of escaping with a raw exception. *)
+   reference simplex's 54-bit range. The OMT search runs on the pass's
+   native integers, so every engine bounds it: the cut-free IPET pass,
+   and under OMT and Both a bound the cut makes strictly tighter. *)
 let test_loopbound_past_simplex () =
   let p =
     Minic.Parser.parse_program
@@ -282,15 +415,21 @@ let test_loopbound_past_simplex () =
   in
   Minic.Typecheck.check_program_exn p;
   let b = Fcstack.Chain.build Fcstack.Chain.Cdefault_o0 p in
-  checkb "ipet bounds" true
-    ((analyze Wcet.Report.Ipet b).Wcet.Report.rp_wcet > 1 lsl 54);
+  let ipet = (analyze Wcet.Report.Ipet b).Wcet.Report.rp_wcet in
+  checkb "ipet bounds" true (ipet > 1 lsl 54);
   List.iter
     (fun engine ->
+       let name = Wcet.Report.engine_name engine in
        match analyze engine b with
-       | r -> Alcotest.failf "bounded at %d cycles" r.Wcet.Report.rp_wcet
-       | exception Wcet.Driver.Error m ->
-         checks (Wcet.Report.engine_name engine)
-           "path analysis: LP arithmetic overflow" m)
+       | exception Wcet.Driver.Error m -> Alcotest.failf "%s: %s" name m
+       | r ->
+         checkb (name ^ ": cuts found") true (r.Wcet.Report.rp_omt_cuts > 0);
+         checkb (name ^ ": exact") true r.Wcet.Report.rp_exact_ilp;
+         checkb
+           (Printf.sprintf "%s: %d strictly below ipet %d" name
+              r.Wcet.Report.rp_wcet ipet)
+           true
+           (r.Wcet.Report.rp_wcet < ipet && r.Wcet.Report.rp_wcet > 1 lsl 54))
     [ Wcet.Report.Omt; Wcet.Report.Both ]
 
 let suite =
@@ -302,6 +441,11 @@ let suite =
     ("ipet: a region with no exit carries no flow", `Quick, test_dead_region);
     ("ipet: refusals match the simplex's", `Quick, test_refusals);
     ("ipet: one unit of fuel per visited block", `Quick, test_fuel);
+    QCheck_alcotest.to_alcotest search_equals_simplex_prop;
+    ("omt search: cuts broken at two levels", `Quick, test_search_two_levels);
+    ("omt search: no path keeps every cut", `Quick,
+     test_search_no_feasible_path);
+    ("omt search: out of nodes, a sound fallback", `Quick, test_search_budget);
     ("ipet: a hostile loopbound is a refusal", `Quick, test_hostile_loopbound);
     ("ipet: a large loopbound still bounds", `Quick, test_large_loopbound);
     ("ipet: a loopbound past the simplex's range", `Quick,

@@ -58,7 +58,7 @@ let random_opts rng =
     ro_analysis_fuel =
       pick rng
         [ Wcet.Fuel.default;
-          { Wcet.Fuel.default with fl_widen = 17; fl_omt = 3 } ];
+          { Wcet.Fuel.default with fl_widen = 17; fl_bb_nodes = 3 } ];
     ro_passes = random_passes rng;
     ro_engine = pick rng all_engines }
 

@@ -6,7 +6,7 @@
    a hand-built infeasible-path node must be *strictly* tighter under
    OMT (the engine's reason to exist, pinned as a unit test), the
    [Both] report must agree with the two single-engine runs, and a
-   starved OMT fuel budget must refuse — never mis-bound, never cache. *)
+   starved sweep budget must refuse — never mis-bound, never cache. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -143,45 +143,42 @@ let test_report_renders_engine () =
   checkb "default engine keeps the legacy report shape" false
     (contains (Wcet.Report.to_string r0) "engine")
 
-(* ---- fuel: OMT exhaustion refuses, and is never cached ---- *)
+(* ---- fuel: a starved search refuses, and is never cached ---- *)
 
+(* Every sweep of the search, the root's included, runs on the
+   [fl_simplex] budget, so starving it refuses under OMT as under IPET.
+   (The search's other budget, [fl_bb_nodes], only ever degrades the
+   bound: see the chaos suite.) *)
 let test_omt_fuel_refuses_uncached () =
   let b = Lazy.force infeasible_built in
-  let starved = { Wcet.Fuel.default with Wcet.Fuel.fl_omt = 0 } in
+  let starved = { Wcet.Fuel.default with Wcet.Fuel.fl_simplex = 0 } in
   let cache = Wcet.Memo.create () in
-  let attempt () =
+  let attempt engine =
     match
-      Wcet.Driver.analyze ~cache ~fuel:starved ~engine:Wcet.Report.Omt
+      Wcet.Driver.analyze ~cache ~fuel:starved ~engine
         b.Fcstack.Chain.b_asm b.Fcstack.Chain.b_layout
     with
     | _ -> Alcotest.fail "starved OMT search produced a bound"
     | exception Wcet.Driver.Error m ->
       checkb ("reported as divergence: " ^ m) true (contains m "diverged");
-      checkb ("names the omt budget: " ^ m) true (contains m "omt")
+      checkb ("names the sweep: " ^ m) true (contains m "IPET longest path")
   in
-  attempt ();
-  attempt ();
+  attempt Wcet.Report.Omt;
+  attempt Wcet.Report.Omt;
   let st = Wcet.Memo.stats cache in
   checki "refusals never cached" 0 st.Wcet.Report.st_entries;
   checki "each attempt re-ran" 2 st.Wcet.Report.st_misses;
-  (* the IPET engine never touches the OMT budget: same fuel, fine *)
-  match
-    Wcet.Driver.analyze ~fuel:starved ~engine:Wcet.Report.Ipet
-      b.Fcstack.Chain.b_asm b.Fcstack.Chain.b_layout
-  with
-  | r -> checkb "ipet unaffected by omt starvation" true
-           (r.Wcet.Report.rp_wcet > 0)
-  | exception Wcet.Driver.Error m ->
-    Alcotest.fail ("ipet refused under omt starvation: " ^ m)
+  (* the IPET engine's pass is the search's root: it refuses alike *)
+  attempt Wcet.Report.Ipet
 
-(* a cut-free function runs zero OMT queries, so even a starved budget
-   degenerates to IPET exactly (no gratuitous refusals) *)
+(* a cut-free function runs no search node, so even a budget of zero
+   nodes degenerates to IPET exactly (no gratuitous fallback) *)
 let test_no_cuts_no_queries () =
   let src =
     build_src {| global double g; void m() { $g = $g +. 1.0; } main m; |}
   in
   let b = Fcstack.Chain.build ~exact:true Fcstack.Chain.Cvcomp src in
-  let starved = { Wcet.Fuel.default with Wcet.Fuel.fl_omt = 0 } in
+  let starved = { Wcet.Fuel.default with Wcet.Fuel.fl_bb_nodes = 0 } in
   let omt =
     Wcet.Driver.analyze ~fuel:starved ~engine:Wcet.Report.Omt
       b.Fcstack.Chain.b_asm b.Fcstack.Chain.b_layout
@@ -189,6 +186,7 @@ let test_no_cuts_no_queries () =
   let ipet = analyze ~engine:Wcet.Report.Ipet b in
   checki "straight-line: omt = ipet" ipet.Wcet.Report.rp_wcet
     omt.Wcet.Report.rp_wcet;
+  checkb "still exact" true omt.Wcet.Report.rp_exact_ilp;
   checki "no cuts" 0 omt.Wcet.Report.rp_omt_cuts
 
 let suite =

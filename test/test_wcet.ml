@@ -296,52 +296,52 @@ let test_irreducible_rejected () =
     Alcotest.fail "irreducible flow accepted"
   with Wcet.Loops.Irreducible _ -> ()
 
-(* ---- LP solver ---- *)
+(* ---- the reference LP solver (test/lp_ref.ml) ---- *)
 
 let test_simplex_basic () =
   (* max 3x + 2y s.t. x + y <= 4, x <= 2 -> x=2, y=2, obj=10 *)
-  let q = Wcet.Lp.Q.of_int in
+  let q = Lp_ref.Q.of_int in
   let pb =
-    { Wcet.Lp.pb_nvars = 2;
+    { Lp_ref.pb_nvars = 2;
       pb_objective = [| q 3; q 2 |];
       pb_constraints =
-        [ { Wcet.Lp.cs_coeffs = [ (0, Wcet.Lp.Q.one); (1, Wcet.Lp.Q.one) ];
-            cs_rel = Wcet.Lp.Le; cs_rhs = q 4 };
-          { Wcet.Lp.cs_coeffs = [ (0, Wcet.Lp.Q.one) ];
-            cs_rel = Wcet.Lp.Le; cs_rhs = q 2 } ] }
+        [ { Lp_ref.cs_coeffs = [ (0, Lp_ref.Q.one); (1, Lp_ref.Q.one) ];
+            cs_rel = Lp_ref.Le; cs_rhs = q 4 };
+          { Lp_ref.cs_coeffs = [ (0, Lp_ref.Q.one) ];
+            cs_rel = Lp_ref.Le; cs_rhs = q 2 } ] }
   in
-  let sol = Wcet.Lp.solve pb in
-  checki "objective 10" 10 (Wcet.Lp.Q.floor sol.Wcet.Lp.sol_objective)
+  let sol = Lp_ref.solve pb in
+  checki "objective 10" 10 (Lp_ref.Q.floor sol.Lp_ref.sol_objective)
 
 let test_simplex_equality_and_ge () =
   (* max x s.t. x + y = 5, x >= 1, y >= 2 -> x = 3 *)
-  let q = Wcet.Lp.Q.of_int in
+  let q = Lp_ref.Q.of_int in
   let pb =
-    { Wcet.Lp.pb_nvars = 2;
+    { Lp_ref.pb_nvars = 2;
       pb_objective = [| q 1; q 0 |];
       pb_constraints =
-        [ { Wcet.Lp.cs_coeffs = [ (0, Wcet.Lp.Q.one); (1, Wcet.Lp.Q.one) ];
-            cs_rel = Wcet.Lp.Eq; cs_rhs = q 5 };
-          { Wcet.Lp.cs_coeffs = [ (1, Wcet.Lp.Q.one) ];
-            cs_rel = Wcet.Lp.Ge; cs_rhs = q 2 } ] }
+        [ { Lp_ref.cs_coeffs = [ (0, Lp_ref.Q.one); (1, Lp_ref.Q.one) ];
+            cs_rel = Lp_ref.Eq; cs_rhs = q 5 };
+          { Lp_ref.cs_coeffs = [ (1, Lp_ref.Q.one) ];
+            cs_rel = Lp_ref.Ge; cs_rhs = q 2 } ] }
   in
-  let sol = Wcet.Lp.solve pb in
-  checki "objective 3" 3 (Wcet.Lp.Q.floor sol.Wcet.Lp.sol_objective)
+  let sol = Lp_ref.solve pb in
+  checki "objective 3" 3 (Lp_ref.Q.floor sol.Lp_ref.sol_objective)
 
 let test_simplex_infeasible () =
-  let q = Wcet.Lp.Q.of_int in
+  let q = Lp_ref.Q.of_int in
   let pb =
-    { Wcet.Lp.pb_nvars = 1;
+    { Lp_ref.pb_nvars = 1;
       pb_objective = [| q 1 |];
       pb_constraints =
-        [ { Wcet.Lp.cs_coeffs = [ (0, Wcet.Lp.Q.one) ];
-            cs_rel = Wcet.Lp.Le; cs_rhs = q 1 };
-          { Wcet.Lp.cs_coeffs = [ (0, Wcet.Lp.Q.one) ];
-            cs_rel = Wcet.Lp.Ge; cs_rhs = q 3 } ] }
+        [ { Lp_ref.cs_coeffs = [ (0, Lp_ref.Q.one) ];
+            cs_rel = Lp_ref.Le; cs_rhs = q 1 };
+          { Lp_ref.cs_coeffs = [ (0, Lp_ref.Q.one) ];
+            cs_rel = Lp_ref.Ge; cs_rhs = q 3 } ] }
   in
-  match Wcet.Lp.solve pb with
+  match Lp_ref.solve pb with
   | _ -> Alcotest.fail "infeasible accepted"
-  | exception Wcet.Lp.Infeasible -> ()
+  | exception Lp_ref.Infeasible -> ()
 
 (* simplex vs brute force on random small integer LPs: every integral
    feasible point's objective is <= the LP optimum *)
@@ -352,20 +352,20 @@ let simplex_bound_prop =
        let st = Random.State.make [| seed; 0x51 |] in
        let nvars = 2 + Random.State.int st 2 in
        let ncons = 1 + Random.State.int st 3 in
-       let q = Wcet.Lp.Q.of_int in
+       let q = Lp_ref.Q.of_int in
        let obj = Array.init nvars (fun _ -> q (Random.State.int st 10)) in
        let cons =
          List.init ncons (fun _ ->
-             { Wcet.Lp.cs_coeffs =
+             { Lp_ref.cs_coeffs =
                  List.init nvars (fun j -> (j, q (1 + Random.State.int st 4)));
-               cs_rel = Wcet.Lp.Le;
+               cs_rel = Lp_ref.Le;
                cs_rhs = q (2 + Random.State.int st 20) })
        in
        let pb =
-         { Wcet.Lp.pb_nvars = nvars; pb_objective = obj; pb_constraints = cons }
+         { Lp_ref.pb_nvars = nvars; pb_objective = obj; pb_constraints = cons }
        in
-       match Wcet.Lp.solve pb with
-       | exception Wcet.Lp.Unbounded -> true (* positive coeffs: shouldn't *)
+       match Lp_ref.solve pb with
+       | exception Lp_ref.Unbounded -> true (* positive coeffs: shouldn't *)
        | sol ->
          (* brute force over the integer box [0,8]^n *)
          let best = ref 0 in
@@ -377,16 +377,16 @@ let simplex_bound_prop =
                     let lhs =
                       List.fold_left
                         (fun acc (k, coeff) ->
-                           acc + (Wcet.Lp.Q.floor coeff * List.nth point k))
-                        0 c.Wcet.Lp.cs_coeffs
+                           acc + (Lp_ref.Q.floor coeff * List.nth point k))
+                        0 c.Lp_ref.cs_coeffs
                     in
-                    lhs <= Wcet.Lp.Q.floor c.Wcet.Lp.cs_rhs)
+                    lhs <= Lp_ref.Q.floor c.Lp_ref.cs_rhs)
                  cons
              in
              if feasible then begin
                let v =
                  List.fold_left
-                   (fun acc (k, c) -> acc + (Wcet.Lp.Q.floor c * List.nth point k))
+                   (fun acc (k, c) -> acc + (Lp_ref.Q.floor c * List.nth point k))
                    0
                    (List.mapi (fun k c -> (k, c)) (Array.to_list obj))
                in
@@ -399,7 +399,7 @@ let simplex_bound_prop =
              done
          in
          enum [] 0;
-         Wcet.Lp.Q.compare sol.Wcet.Lp.sol_objective (q !best) >= 0)
+         Lp_ref.Q.compare sol.Lp_ref.sol_objective (q !best) >= 0)
 
 (* ---- loop bounds ---- *)
 
@@ -680,7 +680,7 @@ let suite =
 (* ---- exact rationals ---- *)
 
 let test_rationals () =
-  let module Q = Wcet.Lp.Q in
+  let module Q = Lp_ref.Q in
   checkb "1/3 + 1/6 = 1/2" true (Q.equal (Q.add (Q.make 1 3) (Q.make 1 6)) (Q.make 1 2));
   checkb "normalization" true (Q.equal (Q.make 2 4) (Q.make 1 2));
   checkb "negative denominator" true (Q.equal (Q.make 1 (-2)) (Q.make (-1) 2));
