@@ -16,6 +16,7 @@
      peephole. *)
 
 module Asm = Target.Asm
+module Symtab = Minic.Symtab
 
 exception Error of string
 
@@ -68,7 +69,8 @@ let fstack = [| 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11 |]
 
 type ctx = {
   cx_cfg : config;
-  cx_prog : Minic.Ast.program;
+  cx_prog : Symtab.t;
+  cx_scope : Symtab.scope;     (* [cx_fsrc]'s names over [cx_prog] *)
   cx_fsrc : Minic.Ast.func;
   cx_homes : (string, home) Hashtbl.t;
   cx_buf : Asm.instr list ref; (* reversed *)
@@ -96,60 +98,6 @@ let home_of (cx : ctx) (x : string) : home =
   match Hashtbl.find_opt cx.cx_homes x with
   | Some h -> h
   | None -> fail "unbound variable %s" x
-
-let var_typ (cx : ctx) (x : string) : Minic.Ast.typ =
-  match
-    List.assoc_opt x
-      (cx.cx_fsrc.Minic.Ast.fn_params @ cx.cx_fsrc.Minic.Ast.fn_locals)
-  with
-  | Some t -> t
-  | None -> fail "unbound variable %s" x
-
-let global_typ (cx : ctx) (x : string) : Minic.Ast.typ =
-  match List.assoc_opt x cx.cx_prog.Minic.Ast.prog_globals with
-  | Some t -> t
-  | None -> fail "unbound global %s" x
-
-let array_def (cx : ctx) (x : string) : Minic.Ast.array_def =
-  match
-    List.find_opt
-      (fun a -> String.equal a.Minic.Ast.arr_name x)
-      cx.cx_prog.Minic.Ast.prog_arrays
-  with
-  | Some a -> a
-  | None -> fail "unbound array %s" x
-
-let vol_typ (cx : ctx) (x : string) : Minic.Ast.typ =
-  match Minic.Ast.find_volatile cx.cx_prog x with
-  | Some (t, _) -> t
-  | None -> fail "unbound volatile %s" x
-
-(* Static type of an expression (the program is type-checked upstream). *)
-let rec expr_typ (cx : ctx) (e : Minic.Ast.expr) : Minic.Ast.typ =
-  match e with
-  | Minic.Ast.Econst_int _ -> Minic.Ast.Tint
-  | Minic.Ast.Econst_float _ -> Minic.Ast.Tfloat
-  | Minic.Ast.Econst_bool _ -> Minic.Ast.Tbool
-  | Minic.Ast.Evar x -> var_typ cx x
-  | Minic.Ast.Eglobal x -> global_typ cx x
-  | Minic.Ast.Eindex (a, _) -> (array_def cx a).Minic.Ast.arr_elt
-  | Minic.Ast.Eunop (op, _) ->
-    (match op with
-     | Minic.Ast.Oneg | Minic.Ast.Oint_of_float -> Minic.Ast.Tint
-     | Minic.Ast.Onot -> Minic.Ast.Tbool
-     | Minic.Ast.Ofneg | Minic.Ast.Ofabs | Minic.Ast.Ofloat_of_int ->
-       Minic.Ast.Tfloat)
-  | Minic.Ast.Ebinop (op, _, _) ->
-    (match op with
-     | Minic.Ast.Oadd | Minic.Ast.Osub | Minic.Ast.Omul | Minic.Ast.Odiv
-     | Minic.Ast.Omod | Minic.Ast.Oand | Minic.Ast.Oor | Minic.Ast.Oxor
-     | Minic.Ast.Oshl | Minic.Ast.Oshr -> Minic.Ast.Tint
-     | Minic.Ast.Ofadd | Minic.Ast.Ofsub | Minic.Ast.Ofmul
-     | Minic.Ast.Ofdiv -> Minic.Ast.Tfloat
-     | Minic.Ast.Ocmp _ | Minic.Ast.Ofcmp _ | Minic.Ast.Oband
-     | Minic.Ast.Obor -> Minic.Ast.Tbool)
-  | Minic.Ast.Econd (_, e1, _) -> expr_typ cx e1
-  | Minic.Ast.Evolatile x -> vol_typ cx x
 
 let is_float (t : Minic.Ast.typ) : bool =
   match t with
@@ -180,7 +128,7 @@ let fconds_of_cmp = Asm.fconds_of_cmp
 (* Evaluate [e] into the pattern result register of its class; returns
    that register (as a generic int; interpret by class). *)
 let rec eval_to_reg0 (cx : ctx) (e : Minic.Ast.expr) : int =
-  let t = expr_typ cx e in
+  let t = Symtab.expr_typ cx.cx_scope e in
   match e with
   | Minic.Ast.Econst_int n ->
     emit_intconst cx pat_int_r n;
@@ -217,7 +165,7 @@ let rec eval_to_reg0 (cx : ctx) (e : Minic.Ast.expr) : int =
     end
   | Minic.Ast.Eindex (a, idx) ->
     let sidx = eval_to_slot0 cx idx in
-    let arr = array_def cx a in
+    let arr = Symtab.array cx.cx_prog a in
     let sh = if is_float arr.Minic.Ast.arr_elt then 3 else 2 in
     emit cx (Asm.Plwz (pat_int_a, Asm.Aind (Asm.sp, Int32.of_int sidx)));
     emit cx (Asm.Pslwi (pat_int_b, pat_int_a, sh));
@@ -240,7 +188,7 @@ let rec eval_to_reg0 (cx : ctx) (e : Minic.Ast.expr) : int =
       pat_int_r
     end
   | Minic.Ast.Eunop (op, e1) ->
-    let t1 = expr_typ cx e1 in
+    let t1 = Symtab.expr_typ cx.cx_scope e1 in
     let s1 = eval_to_slot0 cx e1 in
     let load_int () =
       emit cx (Asm.Plwz (pat_int_a, Asm.Aind (Asm.sp, Int32.of_int s1)))
@@ -278,7 +226,7 @@ let rec eval_to_reg0 (cx : ctx) (e : Minic.Ast.expr) : int =
   | Minic.Ast.Ebinop (op, e1, e2) ->
     let s1 = eval_to_slot0 cx e1 in
     let s2 = eval_to_slot0 cx e2 in
-    let t1 = expr_typ cx e1 in
+    let t1 = Symtab.expr_typ cx.cx_scope e1 in
     let load2_int () =
       emit cx (Asm.Plwz (pat_int_a, Asm.Aind (Asm.sp, Int32.of_int s1)));
       emit cx (Asm.Plwz (pat_int_b, Asm.Aind (Asm.sp, Int32.of_int s2)))
@@ -362,12 +310,12 @@ and eval_to_slot0 (cx : ctx) (e : Minic.Ast.expr) : int =
      | Hireg _ | Hfreg _ ->
        let r = eval_to_reg0 cx e in
        let off = alloc_temp cx in
-       if is_float (expr_typ cx e) then
+       if is_float (Symtab.expr_typ cx.cx_scope e) then
          emit cx (Asm.Pstfd (r, Asm.Aind (Asm.sp, Int32.of_int off)))
        else emit cx (Asm.Pstw (r, Asm.Aind (Asm.sp, Int32.of_int off)));
        off)
   | _ ->
-    let t = expr_typ cx e in
+    let t = Symtab.expr_typ cx.cx_scope e in
     let r = eval_to_reg0 cx e in
     let off = alloc_temp cx in
     if is_float t then
@@ -467,7 +415,7 @@ let rec ifconvertible (depth : int) (e : Minic.Ast.expr) : bool =
    home of a variable (read-only). Depth overflow spills the left
    operand to a temporary slot around the right operand's evaluation. *)
 let rec eval2 ?into (cx : ctx) (e : Minic.Ast.expr) (d : int) : int =
-  let t = expr_typ cx e in
+  let t = Symtab.expr_typ cx.cx_scope e in
   let flt = is_float t in
   let ireg k = istack.(k) and freg k = fstack.(k) in
   let dst =
@@ -506,7 +454,7 @@ let rec eval2 ?into (cx : ctx) (e : Minic.Ast.expr) (d : int) : int =
     else emit cx (Asm.Plwz (dst, global_addr cx x));
     dst
   | Minic.Ast.Eindex (a, idx) ->
-    let arr = array_def cx a in
+    let arr = Symtab.array cx.cx_prog a in
     let sh = if is_float arr.Minic.Ast.arr_elt then 3 else 2 in
     let ri = eval2 cx idx d in
     let roff = ireg d in
@@ -557,7 +505,7 @@ let rec eval2 ?into (cx : ctx) (e : Minic.Ast.expr) (d : int) : int =
        dst
      | _, _, _ -> assert false)
   | Minic.Ast.Ebinop (op, e1, e2) ->
-    let t1 = expr_typ cx e1 in
+    let t1 = Symtab.expr_typ cx.cx_scope e1 in
     let flt1 = is_float t1 in
     let limit = if flt1 then Array.length fstack else Array.length istack in
     let r1, r2 =
@@ -730,10 +678,11 @@ let annot_arg (cx : ctx) (e : Minic.Ast.expr) : Asm.annot_arg =
      | Hireg r -> Asm.AA_ireg r
      | Hfreg r -> Asm.AA_freg r
      | Hslot off ->
-       if is_float (var_typ cx x) then Asm.AA_stack_float (Int32.of_int off)
+       if is_float (Symtab.var cx.cx_scope x) then
+         Asm.AA_stack_float (Int32.of_int off)
        else Asm.AA_stack_int (Int32.of_int off))
   | _ ->
-    let t = expr_typ cx e in
+    let t = Symtab.expr_typ cx.cx_scope e in
     let r = eval_expr cx e in
     let off = alloc_temp cx in
     if is_float t then begin
@@ -746,7 +695,7 @@ let annot_arg (cx : ctx) (e : Minic.Ast.expr) : Asm.annot_arg =
     end
 
 let store_to_home (cx : ctx) (x : string) (r : int) : unit =
-  let flt = is_float (var_typ cx x) in
+  let flt = is_float (Symtab.var cx.cx_scope x) in
   match home_of cx x with
   | Hslot off ->
     if flt then emit cx (Asm.Pstfd (r, Asm.Aind (Asm.sp, Int32.of_int off)))
@@ -775,11 +724,11 @@ let rec gen_stmt (cx : ctx) (epilogue : unit -> unit) (s : Minic.Ast.stmt) :
      end
    | Minic.Ast.Sglobassign (x, e) ->
      let r = eval_expr cx e in
-     if is_float (global_typ cx x) then
+     if is_float (Symtab.global cx.cx_prog x) then
        emit cx (Asm.Pstfd (r, global_addr cx x))
      else emit cx (Asm.Pstw (r, global_addr cx x))
    | Minic.Ast.Sstore (a, idx, e) ->
-     let arr = array_def cx a in
+     let arr = Symtab.array cx.cx_prog a in
      let sh = if is_float arr.Minic.Ast.arr_elt then 3 else 2 in
      (* index into a temp slot, value into a register, then combine *)
      let sidx = alloc_temp cx in
@@ -795,7 +744,8 @@ let rec gen_stmt (cx : ctx) (epilogue : unit -> unit) (s : Minic.Ast.stmt) :
        emit cx (Asm.Pstw (rv, Asm.Aindx (Asm.int_scratch1, Asm.int_scratch2)))
    | Minic.Ast.Svolstore (x, e) ->
      let r = eval_expr cx e in
-     if is_float (vol_typ cx x) then emit cx (Asm.Poutf (x, r))
+     if is_float (fst (Symtab.volatile cx.cx_prog x)) then
+       emit cx (Asm.Poutf (x, r))
      else emit cx (Asm.Pouti (x, r))
    | Minic.Ast.Sseq (a, b) ->
      gen_stmt cx epilogue a;
@@ -932,7 +882,7 @@ let float_consts (f : Minic.Ast.func) : (float * int) list =
     f.Minic.Ast.fn_body;
   Hashtbl.fold (fun _ cv acc -> cv :: acc) counts []
 
-let gen_func (cfg : config) (prog : Minic.Ast.program) (fsrc : Minic.Ast.func) :
+let gen_func (cfg : config) (prog : Symtab.t) (fsrc : Minic.Ast.func) :
   Asm.func =
   let fsrc = if cfg.cg_fold then Fold.fold_func fsrc else fsrc in
   (* chain fusion exposes new folding opportunities: fold again after *)
@@ -943,6 +893,7 @@ let gen_func (cfg : config) (prog : Minic.Ast.program) (fsrc : Minic.Ast.func) :
   let cx =
     { cx_cfg = cfg;
       cx_prog = prog;
+      cx_scope = Symtab.scope prog fsrc;
       cx_fsrc = fsrc;
       cx_homes = Hashtbl.create 61;
       cx_buf = ref [];
@@ -1093,5 +1044,6 @@ let gen_func (cfg : config) (prog : Minic.Ast.program) (fsrc : Minic.Ast.func) :
   { Asm.fn_name = fsrc.Minic.Ast.fn_name; fn_code = code }
 
 let gen_program (cfg : config) (p : Minic.Ast.program) : Asm.program =
-  { Asm.pr_funcs = List.map (gen_func cfg p) p.Minic.Ast.prog_funcs;
+  let prog = Symtab.of_program p in
+  { Asm.pr_funcs = List.map (gen_func cfg prog) p.Minic.Ast.prog_funcs;
     pr_main = p.Minic.Ast.prog_main }

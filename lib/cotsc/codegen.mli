@@ -25,5 +25,4 @@ val o2 : config
 
 exception Error of string
 
-val gen_func : config -> Minic.Ast.program -> Minic.Ast.func -> Target.Asm.func
 val gen_program : config -> Minic.Ast.program -> Target.Asm.program

@@ -12,8 +12,11 @@ exception Error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
+module Symtab = Minic.Symtab
+
 type env = {
-  env_prog : Minic.Ast.program;
+  env_prog : Symtab.t;
+  env_scope : Symtab.scope;  (* the source function's names *)
   env_func : Rtl.func;
   env_vars : (string, Rtl.reg) Hashtbl.t; (* local -> pseudo-register *)
 }
@@ -22,20 +25,6 @@ let var_reg (env : env) (x : string) : Rtl.reg =
   match Hashtbl.find_opt env.env_vars x with
   | Some r -> r
   | None -> fail "unbound variable %s" x
-
-let global_typ (env : env) (x : string) : Minic.Ast.typ =
-  match List.assoc_opt x env.env_prog.Minic.Ast.prog_globals with
-  | Some t -> t
-  | None -> fail "unbound global %s" x
-
-let array_def (env : env) (x : string) : Minic.Ast.array_def =
-  match
-    List.find_opt
-      (fun a -> String.equal a.Minic.Ast.arr_name x)
-      env.env_prog.Minic.Ast.prog_arrays
-  with
-  | Some a -> a
-  | None -> fail "unbound array %s" x
 
 let chunk_of_typ (t : Minic.Ast.typ) : Rtl.chunk =
   match t with
@@ -78,52 +67,9 @@ let op_of_unop (op : Minic.Ast.unop) : Rtl.operation =
   | Minic.Ast.Ofloat_of_int -> Rtl.Ofloatofint
   | Minic.Ast.Oint_of_float -> Rtl.Ointoffloat
 
-(* Static type of an expression (programs are type-checked before
-   selection, so the partial lookups cannot fail). *)
-let rec expr_typ (env : env) (e : Minic.Ast.expr) : Minic.Ast.typ =
-  match e with
-  | Minic.Ast.Econst_int _ -> Minic.Ast.Tint
-  | Minic.Ast.Econst_float _ -> Minic.Ast.Tfloat
-  | Minic.Ast.Econst_bool _ -> Minic.Ast.Tbool
-  | Minic.Ast.Evar x ->
-    let f =
-      match
-        Minic.Ast.find_func env.env_prog env.env_func.Rtl.f_name
-      with
-      | Some f -> f
-      | None -> fail "no source function %s" env.env_func.Rtl.f_name
-    in
-    (match
-       List.assoc_opt x (f.Minic.Ast.fn_params @ f.Minic.Ast.fn_locals)
-     with
-     | Some t -> t
-     | None -> fail "unbound variable %s" x)
-  | Minic.Ast.Eglobal x -> global_typ env x
-  | Minic.Ast.Eindex (a, _) -> (array_def env a).Minic.Ast.arr_elt
-  | Minic.Ast.Eunop (op, _) ->
-    (match op with
-     | Minic.Ast.Oneg -> Minic.Ast.Tint
-     | Minic.Ast.Onot -> Minic.Ast.Tbool
-     | Minic.Ast.Ofneg | Minic.Ast.Ofabs | Minic.Ast.Ofloat_of_int ->
-       Minic.Ast.Tfloat
-     | Minic.Ast.Oint_of_float -> Minic.Ast.Tint)
-  | Minic.Ast.Ebinop (op, _, _) ->
-    (match op with
-     | Minic.Ast.Oadd | Minic.Ast.Osub | Minic.Ast.Omul | Minic.Ast.Odiv
-     | Minic.Ast.Omod | Minic.Ast.Oand | Minic.Ast.Oor | Minic.Ast.Oxor
-     | Minic.Ast.Oshl | Minic.Ast.Oshr -> Minic.Ast.Tint
-     | Minic.Ast.Ofadd | Minic.Ast.Ofsub | Minic.Ast.Ofmul
-     | Minic.Ast.Ofdiv -> Minic.Ast.Tfloat
-     | Minic.Ast.Ocmp _ | Minic.Ast.Ofcmp _ | Minic.Ast.Oband
-     | Minic.Ast.Obor -> Minic.Ast.Tbool)
-  | Minic.Ast.Econd (_, e1, _) -> expr_typ env e1
-  | Minic.Ast.Evolatile x ->
-    (match Minic.Ast.find_volatile env.env_prog x with
-     | Some (t, _) -> t
-     | None -> fail "unbound volatile %s" x)
-
 let fresh_for (env : env) (e : Minic.Ast.expr) : Rtl.reg =
-  Rtl.fresh_reg env.env_func (Rtl.class_of_typ (expr_typ env e))
+  Rtl.fresh_reg env.env_func
+    (Rtl.class_of_typ (Symtab.expr_typ env.env_scope e))
 
 (* Translate expression [e] into [dest], continue at [k]; returns the
    fragment entry node. *)
@@ -141,9 +87,11 @@ let rec trans_expr (env : env) (e : Minic.Ast.expr) (dest : Rtl.reg)
     Rtl.add_instr f (Rtl.Iop (Rtl.Omove, [ var_reg env x ], dest, k))
   | Minic.Ast.Eglobal x ->
     Rtl.add_instr f
-      (Rtl.Iload (chunk_of_typ (global_typ env x), Rtl.ADglob x, [], dest, k))
+      (Rtl.Iload
+         (chunk_of_typ (Symtab.global env.env_prog x), Rtl.ADglob x, [], dest,
+          k))
   | Minic.Ast.Eindex (a, idx) ->
-    let arr = array_def env a in
+    let arr = Symtab.array env.env_prog a in
     let ridx = Rtl.fresh_reg f Rtl.Cint in
     let roff = Rtl.fresh_reg f Rtl.Cint in
     let load =
@@ -225,14 +173,14 @@ let rec trans_stmt (env : env) (s : Minic.Ast.stmt) (k : Rtl.node) : Rtl.node =
   | Minic.Ast.Sskip -> k
   | Minic.Ast.Sassign (x, e) -> trans_expr env e (var_reg env x) k
   | Minic.Ast.Sglobassign (x, e) ->
-    let t = global_typ env x in
+    let t = Symtab.global env.env_prog x in
     let r = Rtl.fresh_reg f (Rtl.class_of_typ t) in
     let store =
       Rtl.add_instr f (Rtl.Istore (chunk_of_typ t, Rtl.ADglob x, [], r, k))
     in
     trans_expr env e r store
   | Minic.Ast.Sstore (a, idx, e) ->
-    let arr = array_def env a in
+    let arr = Symtab.array env.env_prog a in
     let telt = arr.Minic.Ast.arr_elt in
     let ridx = Rtl.fresh_reg f Rtl.Cint in
     let roff = Rtl.fresh_reg f Rtl.Cint in
@@ -248,11 +196,7 @@ let rec trans_stmt (env : env) (s : Minic.Ast.stmt) (k : Rtl.node) : Rtl.node =
     in
     trans_expr env idx ridx shift
   | Minic.Ast.Svolstore (x, e) ->
-    let t =
-      match Minic.Ast.find_volatile env.env_prog x with
-      | Some (t, _) -> t
-      | None -> fail "unbound volatile %s" x
-    in
+    let t, _ = Symtab.volatile env.env_prog x in
     let r = Rtl.fresh_reg f (Rtl.class_of_typ t) in
     let out = Rtl.add_instr f (Rtl.Iout (x, r, k)) in
     trans_expr env e r out
@@ -315,9 +259,12 @@ let rec trans_stmt (env : env) (s : Minic.Ast.stmt) (k : Rtl.node) : Rtl.node =
     List.fold_right (fun (e, r) k' -> trans_expr env e r k') regs annot
 
 (* Translate one function. *)
-let trans_func (prog : Minic.Ast.program) (fsrc : Minic.Ast.func) : Rtl.func =
+let trans_func (prog : Symtab.t) (fsrc : Minic.Ast.func) : Rtl.func =
   let f = Rtl.create_func fsrc.Minic.Ast.fn_name fsrc.Minic.Ast.fn_ret in
-  let env = { env_prog = prog; env_func = f; env_vars = Hashtbl.create 61 } in
+  let env =
+    { env_prog = prog; env_scope = Symtab.scope prog fsrc; env_func = f;
+      env_vars = Hashtbl.create 61 }
+  in
   (* allocate pseudo-registers for parameters and locals *)
   let params =
     List.map
@@ -338,6 +285,7 @@ let trans_func (prog : Minic.Ast.program) (fsrc : Minic.Ast.func) : Rtl.func =
   { f with Rtl.f_params = params; Rtl.f_entry = entry }
 
 let trans_program (p : Minic.Ast.program) : Rtl.program =
+  let prog = Symtab.of_program p in
   { Rtl.p_source = p;
-    p_funcs = List.map (trans_func p) p.Minic.Ast.prog_funcs;
+    p_funcs = List.map (trans_func prog) p.Minic.Ast.prog_funcs;
     p_main = p.Minic.Ast.prog_main }

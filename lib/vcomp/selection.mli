@@ -6,5 +6,4 @@
 
 exception Error of string
 
-val trans_func : Minic.Ast.program -> Minic.Ast.func -> Rtl.func
 val trans_program : Minic.Ast.program -> Rtl.program
