@@ -64,7 +64,7 @@ let run (files : string list) (compare_all : bool) (simulate : bool)
       | _ -> true
     in
     (* cache accounting is stderr-only: stdout reports stay
-       byte-identical across fail_fast/cache/jobs configurations *)
+       byte-identical across cache/jobs configurations *)
     let finish session summarize =
       let written = write_annot () in
       let code = summarize () in

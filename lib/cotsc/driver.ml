@@ -10,12 +10,6 @@ type level =
   | Onoregalloc
   | Ofull
 
-let level_name (l : level) : string =
-  match l with
-  | Onone -> "default -O0 (patterns)"
-  | Onoregalloc -> "default -O no-regalloc"
-  | Ofull -> "default -O full"
-
 let config_of_level (l : level) : Codegen.config =
   match l with
   | Onone -> Codegen.o0

@@ -6,7 +6,6 @@ type level =
   | Onoregalloc  (** optimized without register allocation *)
   | Ofull        (** fully optimized *)
 
-val level_name : level -> string
 val config_of_level : level -> Codegen.config
 
 val compile :

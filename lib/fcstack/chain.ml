@@ -46,21 +46,6 @@ let pipeline_spec ?(exact = false)
   | Cdefault_o2 -> if exact then "o2" else "o2+fma"
   | Cvcomp -> "vcomp:" ^ Vcomp.Pass.spec passes
 
-(* Compile a mini-C program under a configuration. [exact] forces
-   bit-exact source semantics (disables the default-O2 FMA contraction);
-   [passes] selects the vcomp middle-end pipeline, whose per-pass
-   validators are controlled by [validate]. *)
-let compile ?(exact = false) ?(validate = false)
-    ?(passes = Vcomp.Pass.default_options) (c : compiler)
-    (src : Minic.Ast.program) : Target.Asm.program =
-  match c with
-  | Cdefault_o0 -> Cotsc.Driver.compile ~level:Cotsc.Driver.Onone src
-  | Cdefault_o1 -> Cotsc.Driver.compile ~level:Cotsc.Driver.Onoregalloc src
-  | Cdefault_o2 ->
-    Cotsc.Driver.compile ~level:Cotsc.Driver.Ofull ~contract_fma:(not exact) src
-  | Cvcomp ->
-    Vcomp.Driver.compile ~options:{ passes with opt_validate = validate } src
-
 (* A fully built node: source, assembly, layout, plus the pipeline spec
    that produced it and (for vcomp) the per-pass stats. *)
 type built = {
@@ -72,25 +57,34 @@ type built = {
   b_pass_stats : Vcomp.Pass.pass_stats list; (* empty for COTS builds *)
 }
 
-let build ?exact ?validate ?(passes = Vcomp.Pass.default_options)
-    (c : compiler) (src : Minic.Ast.program) : built =
+(* Compile and lay out a mini-C program under a configuration.
+   [exact] forces bit-exact source semantics (disables the default-O2
+   FMA contraction); [passes] selects the vcomp middle-end pipeline,
+   whose per-pass validators are controlled by [validate]. *)
+let build ?(exact = false) ?(validate = false)
+    ?(passes = Vcomp.Pass.default_options) (c : compiler)
+    (src : Minic.Ast.program) : built =
   let asm, stats =
     match c with
     | Cvcomp ->
-      let validate = Option.value ~default:false validate in
       let _, asm, stats =
         Vcomp.Driver.compile_full
           ~options:{ passes with opt_validate = validate } src
       in
       (asm, stats)
-    | Cdefault_o0 | Cdefault_o1 | Cdefault_o2 ->
-      (compile ?exact ?validate ~passes c src, [])
+    | Cdefault_o0 -> (Cotsc.Driver.compile ~level:Cotsc.Driver.Onone src, [])
+    | Cdefault_o1 ->
+      (Cotsc.Driver.compile ~level:Cotsc.Driver.Onoregalloc src, [])
+    | Cdefault_o2 ->
+      ( Cotsc.Driver.compile ~level:Cotsc.Driver.Ofull
+          ~contract_fma:(not exact) src,
+        [] )
   in
   { b_source = src;
     b_asm = asm;
     b_layout = Target.Layout.build src asm;
     b_compiler = c;
-    b_spec = pipeline_spec ?exact ~passes c;
+    b_spec = pipeline_spec ~exact ~passes c;
     b_pass_stats = stats }
 
 (* Run the built node on the simulator. [fuel] bounds the executed

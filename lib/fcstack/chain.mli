@@ -20,14 +20,6 @@ val pipeline_spec :
     (e.g. ["o2+fma"], ["vcomp:constprop,cse,gvn,licm,deadcode"]);
     joined into the WCET analysis-cache content key. *)
 
-val compile :
-  ?exact:bool -> ?validate:bool -> ?passes:Vcomp.Pass.options -> compiler ->
-  Minic.Ast.program -> Target.Asm.program
-(** [exact] disables semantics-relaxing optimizations (default-O2's FMA
-    contraction); [passes] selects the vcomp middle-end pipeline
-    (default: everything on); [validate] turns on vcomp's per-pass
-    validators. *)
-
 type built = {
   b_source : Minic.Ast.program;
   b_asm : Target.Asm.program;
@@ -41,6 +33,10 @@ type built = {
 val build :
   ?exact:bool -> ?validate:bool -> ?passes:Vcomp.Pass.options -> compiler ->
   Minic.Ast.program -> built
+(** Compile and lay out. [exact] disables semantics-relaxing
+    optimizations (default-O2's FMA contraction); [passes] selects the
+    vcomp middle-end pipeline (default: everything on); [validate]
+    turns on vcomp's per-pass validators. *)
 
 val simulate :
   ?cycles:int -> ?fuel:int -> built -> Minic.Interp.world ->

@@ -7,9 +7,7 @@
    rest of the workload completes and stays byte-identical to a run
    without the faulty node. Every catchable failure in the per-node
    chain therefore becomes a [Diag.t] instead of an escaping exception;
-   exceptions never cross the [Par] boundary (unless the caller
-   explicitly asks for the old abort-on-first-error behaviour with
-   [Toolchain.config.fail_fast]).
+   exceptions never cross the [Par] boundary.
 
    Rendering is deliberately stable and one-line (newlines inside
    messages are flattened), so diagnostics are greppable in CI logs and
@@ -171,6 +169,19 @@ let capture ~(node : string) ~(stage : stage) (f : unit -> 'a) :
   match f () with
   | v -> Ok v
   | exception e -> Result.Error (of_exn ~node ~stage e)
+
+(* The front end of every per-node chain: [parse] under the Parse
+   stage, then the typechecker, whose rejection is a Typecheck
+   diagnostic. Checking before compiling means a corrupted AST fails
+   here instead of crashing somewhere inside a code generator. *)
+let checked ~(node : string) (parse : unit -> Minic.Ast.program) :
+  (Minic.Ast.program, t) Result.t =
+  Result.bind (capture ~node ~stage:Parse parse) (fun src ->
+      match Minic.Typecheck.check_program src with
+      | Ok () -> Ok src
+      | Result.Error e ->
+        Result.Error
+          (make ~node ~stage:Typecheck (Minic.Typecheck.error_to_string e)))
 
 (* ---- aggregation over a per-node run ---- *)
 

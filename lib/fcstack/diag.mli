@@ -2,8 +2,8 @@
 
     Every catchable failure in the per-node chain becomes a [Diag.t]
     instead of an escaping exception — exceptions never cross the
-    {!Par} boundary (unless [Toolchain.config.fail_fast] explicitly
-    asks for the old abort-on-first-error behaviour). Rendering is
+    {!Par} boundary, and [--fail-fast] is a client-side choice to stop
+    emitting after the first failed input. Rendering is
     stable and one-line; diagnostics and summaries go to stderr only,
     so stdout stays byte-identical across failure configurations. *)
 
@@ -69,6 +69,12 @@ val of_exn : node:string -> stage:stage -> exn -> t
 
 val capture : node:string -> stage:stage -> (unit -> 'a) -> ('a, t) Result.t
 (** Run [f], turning any exception into a diagnostic via {!of_exn}. *)
+
+val checked :
+  node:string -> (unit -> Minic.Ast.program) -> (Minic.Ast.program, t) Result.t
+(** The per-node front end: [parse] under {!capture} at the [Parse]
+    stage, then [Minic.Typecheck.check_program], whose rejection is a
+    [Typecheck] diagnostic. Returns the checked program. *)
 
 val errors_of : ('a, t) Result.t list -> t list
 (** The diagnostics of the failed entries, in input order. *)

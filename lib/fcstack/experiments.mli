@@ -35,8 +35,7 @@ val find_pc : node_result -> Chain.compiler -> per_compiler
 
     A failing node becomes a {!Diag.t} in [wr_diags] and is dropped
     from [wr_nodes]; the surviving rows are identical to a run without
-    the faulty node. With [config.fail_fast] the original exception
-    escapes instead. *)
+    the faulty node. *)
 val run_workload :
   ?nodes:int -> ?seed:int -> ?config:Toolchain.config -> unit ->
   workload_results
@@ -89,11 +88,11 @@ val map_workload :
   config:Toolchain.config -> nodes:int -> seed:int ->
   (Scade.Symbol.node * Minic.Ast.program -> 'a) -> 'a list
 (** The one workload traversal behind every measurement driver: [f]
-    over each generated node, results in node order. Batch by default
-    ([Par.map_list] over the materialized program); under
-    [config.stream] the workload is pulled shard by shard through
-    [Par.run_stream] with generation inside the producer — identical
-    results, bounded resident shards. *)
+    over each generated node, results in node order. The workload is
+    pulled shard by shard through {!Par.run_stream} with generation
+    inside the producer; [config.stream] picks the shard size and
+    lookahead, and without it the whole workload is one shard.
+    Results are identical across shapes. *)
 
 val print_engines_json :
   Format.formatter -> ?nodes:int -> ?seed:int -> ?config:Toolchain.config ->

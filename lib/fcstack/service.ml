@@ -5,8 +5,8 @@
    (fcc/aitw) are one-request in-process clients, the daemon (bin/fcd)
    is an accept loop feeding it, and bench's serve study drives it
    over a real socket. A [session] owns exactly the state that may
-   outlive a request (the warm [Wcet.Memo], the Domain pool width, the
-   failure policy — [Toolchain.session]); everything request-scoped
+   outlive a request (the warm [Wcet.Memo] and the Domain pool width —
+   [Toolchain.session]); everything request-scoped
    arrives inside the [Request.t], so requests cannot contaminate each
    other by construction.
 
@@ -35,9 +35,6 @@ let create ?(state = Toolchain.default_session) () : session =
 let served (s : session) : int = Atomic.get s.sv_served
 
 let jobs (s : session) : int = s.sv_state.Toolchain.ss_jobs
-let fail_fast (s : session) : bool = s.sv_state.Toolchain.ss_fail_fast
-let stream (s : session) : Toolchain.stream_opts option =
-  s.sv_state.Toolchain.ss_stream
 
 let stats (s : session) : Wcet.Report.analysis_stats option =
   Option.map Wcet.Memo.stats s.sv_state.Toolchain.ss_cache
@@ -64,16 +61,7 @@ let run_compile (config : Toolchain.config) ~(name : string)
   let ( let* ) = Result.bind in
   let outcome : (unit, Diag.t) Result.t =
     let* src =
-      Diag.capture ~node:name ~stage:Diag.Parse (fun () ->
-          Minic.Parser.parse_program source)
-    in
-    let* () =
-      match Minic.Typecheck.check_program src with
-      | Ok () -> Ok ()
-      | Error e ->
-        Error
-          (Diag.make ~node:name ~stage:Diag.Typecheck
-             (Minic.Typecheck.error_to_string e))
+      Diag.checked ~node:name (fun () -> Minic.Parser.parse_program source)
     in
     let* b =
       Diag.capture ~node:name ~stage:Diag.Compile (fun () ->
@@ -129,16 +117,7 @@ let run_analyze (config : Toolchain.config) ~(name : string)
   let ( let* ) = Result.bind in
   let outcome : (unit, Diag.t) Result.t =
     let* src =
-      Diag.capture ~node:name ~stage:Diag.Parse (fun () ->
-          Minic.Parser.parse_program source)
-    in
-    let* () =
-      match Minic.Typecheck.check_program src with
-      | Ok () -> Ok ()
-      | Error e ->
-        Error
-          (Diag.make ~node:name ~stage:Diag.Typecheck
-             (Minic.Typecheck.error_to_string e))
+      Diag.checked ~node:name (fun () -> Minic.Parser.parse_program source)
     in
     Diag.capture ~node:name ~stage:Diag.Wcet (fun () ->
         let observed_max (b : Chain.built) (seeds : int list) : int =

@@ -6,7 +6,7 @@
     daemon ([bin/fcd]) is an accept loop feeding it, and bench's serve
     study drives it over a real socket. A {!session} owns exactly the
     state that may outlive a request ({!Toolchain.session}: the warm
-    {!Wcet.Memo}, the Domain pool width, the failure policy);
+    {!Wcet.Memo} and the Domain pool width);
     everything request-scoped arrives inside the {!Request.t}, so
     requests cannot contaminate each other by construction.
 
@@ -29,15 +29,13 @@ type session
 
 val create : ?state:Toolchain.session -> unit -> session
 (** Fresh session (default {!Toolchain.default_session}: one domain,
-    no cache, collect-all failure policy). *)
+    no cache). *)
 
 val served : session -> int
 (** Requests answered so far (all transports — in-process and wire). *)
 
 val jobs : session -> int
-val fail_fast : session -> bool
-val stream : session -> Toolchain.stream_opts option
-(** Projections of the session state for batch orchestration. *)
+(** The session's Domain pool width, for batch orchestration. *)
 
 val stats : session -> Wcet.Report.analysis_stats option
 (** Cache accounting snapshot ([None] without a cache). *)

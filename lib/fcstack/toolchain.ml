@@ -39,10 +39,6 @@ type config = {
   (* differential-validation battery size (None: Chain's default seeds) *)
   worlds : int option;
   compiler : compiler;
-  (* abort the whole run on the first failing node (the pre-diagnostic
-     behaviour: the exception escapes and Par rethrows the
-     smallest-indexed one) instead of containing it as a Diag *)
-  fail_fast : bool;
   (* simulator step budget per run (None: Target.Sim's default) *)
   sim_fuel : int option;
   (* iteration budgets for every fixpoint/solver loop of the analyzer;
@@ -56,10 +52,9 @@ type config = {
      the OMT engine, or both cross-checked per node; part of the
      analysis-cache content key *)
   engine : Wcet.Report.engine;
-  (* streaming execution shape (--stream): pull the workload shard by
-     shard through Par.run_stream with bounded resident shards, instead
-     of materializing it up front. None = batch. Output is
-     byte-identical either way. *)
+  (* streaming execution shape (--stream): the shard size and lookahead
+     of Par.run_stream. None = batch, which is the same stream with the
+     whole workload as one shard. Output is byte-identical either way. *)
   stream : stream_opts option;
 }
 
@@ -68,7 +63,6 @@ let default : config =
     cache = None;
     worlds = None;
     compiler = Cvcomp;
-    fail_fast = false;
     sim_fuel = None;
     analysis_fuel = Wcet.Fuel.default;
     passes = Vcomp.Pass.default_options;
@@ -78,7 +72,7 @@ let default : config =
 (* ---- the session / request split (PR 9) ---------------------------
 
    A persistent server holds state that outlives any one request (the
-   warm cache, the Domain pool width, the failure policy) and must
+   warm cache, the Domain pool width) and must
    never let one request's options leak into the next (compiler,
    passes, engine, worlds, fuel — everything that changes what a
    single answer means). The two records below make that split a type:
@@ -91,8 +85,7 @@ let default : config =
 type session = {
   ss_jobs : int;                   (* Domains for per-node fan-out *)
   ss_cache : Wcet.Memo.t option;   (* ONE warm cache for the whole session *)
-  ss_fail_fast : bool;             (* batch failure policy *)
-  ss_stream : stream_opts option;  (* batch execution shape *)
+  ss_stream : stream_opts option;  (* execution shape; None = one shard *)
 }
 
 type request_opts = {
@@ -105,7 +98,7 @@ type request_opts = {
 }
 
 let default_session : session =
-  { ss_jobs = 1; ss_cache = None; ss_fail_fast = false; ss_stream = None }
+  { ss_jobs = 1; ss_cache = None; ss_stream = None }
 
 let default_request : request_opts =
   { ro_compiler = Cvcomp;
@@ -115,9 +108,8 @@ let default_request : request_opts =
     ro_passes = Vcomp.Pass.default_options;
     ro_engine = Wcet.Report.Ipet }
 
-let session ?(jobs = 1) ?cache ?(fail_fast = false) ?stream () : session =
-  { ss_jobs = max 1 jobs; ss_cache = cache; ss_fail_fast = fail_fast;
-    ss_stream = stream }
+let session ?(jobs = 1) ?cache ?stream () : session =
+  { ss_jobs = max 1 jobs; ss_cache = cache; ss_stream = stream }
 
 let request_opts ?(compiler = Cvcomp) ?worlds ?sim_fuel
     ?(analysis_fuel = Wcet.Fuel.default)
@@ -133,7 +125,6 @@ let request_opts ?(compiler = Cvcomp) ?worlds ?sim_fuel
 let of_session_request (s : session) (r : request_opts) : config =
   { jobs = s.ss_jobs;
     cache = s.ss_cache;
-    fail_fast = s.ss_fail_fast;
     stream = s.ss_stream;
     compiler = r.ro_compiler;
     worlds = r.ro_worlds;

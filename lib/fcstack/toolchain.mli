@@ -36,11 +36,6 @@ type config = {
   worlds : int option;         (** validation battery size (None: default
                                    seeds of {!Chain.validate_chain}) *)
   compiler : compiler;
-  fail_fast : bool;            (** abort the run on the first failing
-                                   node (exception escapes; {!Par}
-                                   rethrows the smallest-indexed one)
-                                   instead of containing it as a
-                                   {!Diag.t} *)
   sim_fuel : int option;       (** simulator step budget per run (None:
                                    [Target.Sim]'s default) *)
   analysis_fuel : Wcet.Fuel.t; (** fixpoint/solver iteration budgets;
@@ -55,19 +50,19 @@ type config = {
                                    refuses unless omt <= ipet); part
                                    of the analysis-cache key *)
   stream : stream_opts option; (** streaming execution shape
-                                   ([--stream]); [None] = batch. Never
-                                   changes output bytes. *)
+                                   ([--stream]); [None] = batch, i.e.
+                                   the whole workload as one shard.
+                                   Never changes output bytes. *)
 }
 
 val default : config
-(** Sequential, memory-only, verified-style, fault-containing
-    ([fail_fast = false]), default fuel. *)
+(** Sequential, memory-only, verified-style, batch, default fuel. *)
 
 (** {2 Session vs request (the service split)}
 
     A persistent server ({!Service}) holds one [session] for its whole
     lifetime — the warm {!Wcet.Memo}, the Domain pool width, the
-    failure policy — and combines it with a fresh [request_opts] per
+    execution shape — and combines it with a fresh [request_opts] per
     request. Everything that changes what a single answer *means*
     (compiler, passes, engine, worlds, fuel budgets — all the
     analysis-cache key material) is request-scoped, so the server
@@ -77,8 +72,7 @@ val default : config
 type session = {
   ss_jobs : int;                   (** Domains for per-node fan-out (≥ 1) *)
   ss_cache : Wcet.Memo.t option;   (** ONE warm cache for the session *)
-  ss_fail_fast : bool;             (** batch failure policy *)
-  ss_stream : stream_opts option;  (** batch execution shape *)
+  ss_stream : stream_opts option;  (** execution shape; [None] = one shard *)
 }
 
 type request_opts = {
@@ -91,14 +85,14 @@ type request_opts = {
 }
 
 val default_session : session
-(** Sequential, memory-only cacheless, fault-containing, batch. *)
+(** Sequential, memory-only cacheless, batch. *)
 
 val default_request : request_opts
 (** Verified-style compiler, default fuel/passes, IPET engine. *)
 
 val session :
-  ?jobs:int -> ?cache:Wcet.Memo.t -> ?fail_fast:bool ->
-  ?stream:stream_opts -> unit -> session
+  ?jobs:int -> ?cache:Wcet.Memo.t -> ?stream:stream_opts -> unit ->
+  session
 (** Build session-scoped state; omitted fields take
     {!default_session}'s. *)
 

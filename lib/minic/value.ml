@@ -27,12 +27,6 @@ let as_bool = function
   | Vbool b -> b
   | Vint _ | Vfloat _ -> type_error "expected a boolean value"
 
-let typ_of (v : t) : Ast.typ =
-  match v with
-  | Vint _ -> Ast.Tint
-  | Vfloat _ -> Ast.Tfloat
-  | Vbool _ -> Ast.Tbool
-
 let zero_of_typ (t : Ast.typ) : t =
   match t with
   | Ast.Tint -> Vint 0l

@@ -16,7 +16,6 @@ val as_int : t -> int32
 val as_float : t -> float
 val as_bool : t -> bool
 
-val typ_of : t -> Ast.typ
 val zero_of_typ : Ast.typ -> t
 
 val equal : t -> t -> bool

@@ -13,8 +13,6 @@ type config = {
 (* MPC755 L1: 32 KiB, 8-way, 32-byte lines (128 sets), split I/D. *)
 let mpc755_l1 : config = { cfg_sets = 128; cfg_assoc = 8; cfg_line = 32 }
 
-let mpc : config = mpc755_l1
-
 (* Tiny configuration for unit tests: conflicts within a few accesses. *)
 let tiny : config = { cfg_sets = 4; cfg_assoc = 2; cfg_line = 16 }
 

@@ -12,9 +12,6 @@ type config = {
 val mpc755_l1 : config
 (** MPC755 L1: 32 KiB, 8-way, 32-byte lines (128 sets), split I/D. *)
 
-val mpc : config
-(** Alias for {!mpc755_l1}. *)
-
 val tiny : config
 (** Small configuration for unit tests: 4 sets, 2-way, 16-byte lines. *)
 

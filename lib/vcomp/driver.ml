@@ -21,11 +21,7 @@ type options = Pass.options = {
 
 let default_options : options = Pass.default_options
 
-(* Ablation configurations used by the design-choice benchmarks. *)
-let no_constprop : options = { default_options with opt_constprop = false }
-let no_cse : options = { default_options with opt_cse = false }
-let no_gvn : options = { default_options with opt_gvn = false }
-let no_licm : options = { default_options with opt_licm = false }
+(* The base of the ablation configurations: every pass, no validators. *)
 let no_validation : options = { default_options with opt_validate = false }
 
 (* Compile a type-checked mini-C program through the pass pipeline,

@@ -22,10 +22,6 @@ type options = Pass.options = {
 val default_options : options
 (** All optimizations and validation on. *)
 
-val no_constprop : options
-val no_cse : options
-val no_gvn : options
-val no_licm : options
 val no_validation : options
 
 val compile : ?options:options -> Minic.Ast.program -> Target.Asm.program

@@ -190,11 +190,6 @@ let fixpoint ~(fuel : int) ~(what : string) (cfg : t) (init : 'a)
   done;
   states
 
-let exit_blocks (cfg : t) : int list =
-  Array.to_list cfg.c_blocks
-  |> List.filter (fun b -> b.b_is_exit)
-  |> List.map (fun b -> b.b_id)
-
 let pp (ppf : Format.formatter) (cfg : t) : unit =
   Format.fprintf ppf "@[<v>cfg %s (%d blocks)@," cfg.c_fname (num_blocks cfg);
   Array.iter

@@ -52,5 +52,4 @@ val fixpoint :
     one {!Fuel.tick} and one unit of [fuel].
     @raise Fuel.Exhausted [what] when the budget runs out. *)
 
-val exit_blocks : t -> int list
 val pp : Format.formatter -> t -> unit

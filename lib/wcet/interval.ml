@@ -68,11 +68,6 @@ let mul (a : t) (b : t) : t =
 let shift_left_const (a : t) (k : int) : t =
   if k < 0 || k > 31 then top else mul a (make (1 lsl k) (1 lsl k))
 
-(* Bitwise AND with a non-negative constant mask bounds the result. *)
-let and_const (a : t) (mask : int) : t =
-  ignore a;
-  if mask >= 0 then { lo = 0; hi = mask } else top
-
 (* Refine the left operand assuming "left CMP right" holds. *)
 let refine_cmp (c : Minic.Ast.comparison) (left : t) (right : t) : t option =
   match c with

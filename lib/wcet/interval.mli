@@ -36,7 +36,6 @@ val sub : t -> t -> t
 val neg : t -> t
 val mul : t -> t -> t
 val shift_left_const : t -> int -> t
-val and_const : t -> int -> t
 
 val refine_cmp : Minic.Ast.comparison -> t -> t -> t option
 (** Refine the left operand assuming "left CMP right" holds; [None]

@@ -201,6 +201,52 @@ let test_fcc_roundtrip_via_files () =
        | Error msg -> Alcotest.fail msg)
     program
 
+let test_map_workload_shapes () =
+  (* the one workload traversal equals a plain map over the
+     materialized program in every shape: batch (one shard of
+     [max 1 nodes]), single-node shards, a shard size that does not
+     divide the workload, exactly one shard and an oversized one; with
+     one domain and two, on an empty, a single-node and a 7-node
+     workload *)
+  let seed = 31 in
+  let f ((node : Scade.Symbol.node), src) =
+    (node.Scade.Symbol.n_name, Minic.Pp.program_to_string src)
+  in
+  List.iter
+    (fun nodes ->
+       let expected =
+         List.map f (Scade.Workload.flight_program ~nodes ~seed)
+       in
+       let shapes =
+         None
+         :: List.map
+              (fun size ->
+                 Some
+                   { Fcstack.Toolchain.default_stream with
+                     Fcstack.Toolchain.so_shard_size = max 1 size })
+              [ 1; 3; nodes; nodes + 5 ]
+       in
+       List.iter
+         (fun stream ->
+            List.iter
+              (fun jobs ->
+                 let config =
+                   { Fcstack.Toolchain.default with
+                     Fcstack.Toolchain.jobs; stream }
+                 in
+                 checkb
+                   (Printf.sprintf "nodes=%d jobs=%d shard=%s" nodes jobs
+                      (match stream with
+                       | None -> "batch"
+                       | Some s ->
+                         string_of_int s.Fcstack.Toolchain.so_shard_size))
+                   true
+                   (Fcstack.Experiments.map_workload ~config ~nodes ~seed f
+                    = expected))
+              [ 1; 2 ])
+         shapes)
+    [ 0; 1; 7 ]
+
 let suite =
   [ ("chain validation across compilers", `Slow, test_chain_validation_all);
     ("band: O1 gain negligible (paper -0.5%)", `Slow, test_band_o1_negligible);
@@ -217,4 +263,6 @@ let suite =
      test_batched_validation_catches_corruption);
     ("annotation flow demo", `Quick, test_annot_demo);
     ("listing shapes", `Quick, test_listing_shapes);
-    ("file round trip through the tools", `Quick, test_fcc_roundtrip_via_files) ]
+    ("file round trip through the tools", `Quick, test_fcc_roundtrip_via_files);
+    ("map_workload equals a plain map in every shape", `Quick,
+     test_map_workload_shapes) ]
