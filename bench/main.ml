@@ -163,7 +163,7 @@ let run_scale_leg (nodes : int) (config : Fcstack.Toolchain.config) : int =
 
 let run_bench (experiment : string) (nodes : int)
     (passes : Vcomp.Pass.options) (engine : Wcet.Report.engine) (jobs : int)
-    (stream : Fcstack.Toolchain.stream_opts option) (chaos : bool)
+    (stream : int option) (chaos : bool)
     (chaos_seed : int) (copts : Fcstack.Cliopts.cache_opts) : int =
   if chaos then run_chaos chaos_seed engine
   else if experiment = "scale-leg" then begin

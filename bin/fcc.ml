@@ -26,7 +26,7 @@
 
 let run (files : string list) (output : string option) (validate : bool)
     (dump_rtl : bool) (exact : bool)
-    (stream : Fcstack.Toolchain.stream_opts option) (o : Fcstack.Cliopts.t)
+    (stream : int option) (o : Fcstack.Cliopts.t)
     : int =
   let open Fcstack in
   match Option.map open_out output with

@@ -123,18 +123,13 @@ let render_result (r : Par.node_result) : string =
 
 (* ---- the in-process runner ------------------------------------------ *)
 
-(* Execution shape of an in-process leg: a batch fan-out over [jobs]
-   domains, or the bounded-buffer stream pulling shards of
-   [shard_size] nodes and folding outcomes back in global node order.
-   Containment must be shape-blind: a fault in the middle of a shard
-   may not disturb any other node, in its shard or out of it. *)
-type shape =
-  | Batch of { jobs : int }
-  | Stream of { jobs : int; shard_size : int }
-
 (* Run the named workload with [plan]'s faults injected: source faults
-   rewrite the victim's program, [Ffuel] starves its analysis budget. *)
-let run_workload ~(plan : plan) ~(config : Toolchain.config) (shape : shape)
+   rewrite the victim's program, [Ffuel] starves its analysis budget.
+   The leg's config picks the execution shape ([jobs] domains, one
+   shard or shards of [config.stream] nodes): containment must be
+   shape-blind, so a fault in the middle of a shard may not disturb
+   any other node, in its shard or out of it. *)
+let run_workload ~(plan : plan) ~(config : Toolchain.config)
     (named : (string * Minic.Ast.program) list) :
   (Par.node_result, Diag.t) Result.t list =
   let task i (name, src) () =
@@ -148,19 +143,10 @@ let run_workload ~(plan : plan) ~(config : Toolchain.config) (shape : shape)
       in
       Par.chain_node ~config name (apply_fault fault src)
   in
-  let tasks = Array.of_list (List.mapi task named) in
-  match shape with
-  | Batch { jobs } -> Array.to_list (Par.run ~jobs tasks)
-  | Stream { jobs; shard_size } ->
-    let n = Array.length tasks in
-    let producer k =
-      let lo = k * shard_size in
-      if lo >= n then None
-      else Some (Array.sub tasks lo (min shard_size (n - lo)))
-    in
-    List.rev
-      (Par.run_stream ~jobs ~consumer:(fun acc _ r -> r :: acc) ~init:[]
-         ~producer ())
+  List.rev
+    (Par.fold ~jobs:config.Toolchain.jobs ?stream:config.Toolchain.stream
+       (Array.of_list (List.mapi task named))
+       ~consumer:(fun acc _ r -> r :: acc) ~init:[])
 
 let has_sub (s : string) (sub : string) : bool =
   let n = String.length sub in
@@ -396,7 +382,7 @@ let raw (d : daemon) ~(what : string) ?timeout_s (payload : string)
 (* The next frame must be an [err] frame whose message contains [sub]. *)
 let expect_err (d : daemon) ~(what : string) ?(sub = "")
     (rd : Wire.fd_reader) : unit =
-  match Wire.read_frame_fd ~idle_timeout:true rd with
+  match Wire.read_frame ~idle_timeout:true rd with
   | Wire.Frame ("err", msg) ->
     if not (has_sub msg sub) then
       d.bad (Printf.sprintf "%s refused with unexpected message: %s" what msg)
@@ -504,7 +490,7 @@ let kill_restart ~(seed : int) (work : probe list) (d : daemon) : unit =
 let hostile_frames (p : probe) (d : daemon) : unit =
   raw d ~what:"the oversized prefix" "fcd1 req 999999999999\n" (fun _ rd ->
       expect_err d ~what:"oversized prefix" rd;
-      match Wire.read_frame_fd ~idle_timeout:true rd with
+      match Wire.read_frame ~idle_timeout:true rd with
       | Wire.Eof -> ()
       | f ->
         d.bad
@@ -519,11 +505,11 @@ let hostile_frames (p : probe) (d : daemon) : unit =
   raw d ~what:"the garbage frame" ~timeout_s:60.0 "fcd1 req 9\ngarbage!!"
     (fun fd rd ->
        expect_err d ~what:"garbage request" rd;
-       match Wire.write_frame_fd fd ~kind:"req" (Request.to_wire p.pr_rq) with
+       match Wire.write_frame fd ~kind:"req" (Request.to_wire p.pr_rq) with
        | exception Unix.Unix_error _ ->
          d.bad "connection closed by well-framed garbage"
        | () ->
-         (match Wire.read_frame_fd ~idle_timeout:true rd with
+         (match Wire.read_frame ~idle_timeout:true rd with
           | Wire.Frame ("resp", payload) ->
             (match Response.of_wire payload with
              | Ok r -> expect_answer d ~what:"after garbage, request" p r
@@ -618,7 +604,7 @@ let overload_and_kill (work : probe list) (d : daemon) : unit =
       | None -> Unix.sleepf 0.05
       | Some fd ->
         (match
-           Wire.read_frame_fd ~idle_timeout:true (raw_reader ~timeout_s:2.0 fd)
+           Wire.read_frame ~idle_timeout:true (raw_reader ~timeout_s:2.0 fd)
          with
          | Wire.Frame ("busy", _) -> saw_busy := true
          | _ -> ());
@@ -682,13 +668,14 @@ let run ?(seed = 20260806) ?(nodes = 14) ?(victims = 3)
                         ^ Diag.to_string d))
          named)
   in
-  (* an in-process row: the workload under [plan] in [shape], against
-     the cache [setup] builds in the leg's directory *)
-  let local ~(plan : plan) (shape : shape)
+  (* an in-process row: the workload under [plan] on [jobs] domains in
+     shards of [stream] nodes, against the cache [setup] builds in the
+     leg's directory *)
+  let local ~(plan : plan) ~(jobs : int) ?stream
       (setup : string -> Wcet.Memo.t option) ~(leg : string) ~(dir : string)
     : string list =
-    let config = { base with Toolchain.cache = setup dir } in
-    check_leg ~plan ~reference named leg (run_workload ~plan ~config shape named)
+    let config = { base with Toolchain.jobs; stream; cache = setup dir } in
+    check_leg ~plan ~reference named leg (run_workload ~plan ~config named)
   in
   let no_cache _ = None and mem_cache _ = Some (Wcet.Memo.create ()) in
   (* a warmed persistent store with every entry truncated mid-byte:
@@ -696,8 +683,9 @@ let run ?(seed = 20260806) ?(nodes = 14) ?(victims = 3)
   let truncated dir =
     let warm = Wcet.Memo.create ~dir () in
     ignore
-      (run_workload ~plan:[] ~config:{ base with Toolchain.cache = Some warm }
-         (Batch { jobs = 2 }) named);
+      (run_workload ~plan:[]
+         ~config:{ base with Toolchain.jobs = 2; cache = Some warm }
+         named);
     truncate_store dir;
     Some (Wcet.Memo.create ~dir ())
   in
@@ -708,14 +696,13 @@ let run ?(seed = 20260806) ?(nodes = 14) ?(victims = 3)
     Some (Wcet.Memo.create ~dir ())
   in
   let legs =
-    [ ("j1/nocache", local ~plan (Batch { jobs = 1 }) no_cache);
-      ("j4/nocache", local ~plan (Batch { jobs = 4 }) no_cache);
-      ("j1/memcache", local ~plan (Batch { jobs = 1 }) mem_cache);
-      ("j4/memcache", local ~plan (Batch { jobs = 4 }) mem_cache);
-      ("j4/stream/memcache",
-       local ~plan (Stream { jobs = 4; shard_size = 5 }) mem_cache);
-      ("truncated-store", local ~plan:[] (Batch { jobs = 2 }) truncated);
-      ("enospc-store", local ~plan:[] (Batch { jobs = 2 }) clogged) ]
+    [ ("j1/nocache", local ~plan ~jobs:1 no_cache);
+      ("j4/nocache", local ~plan ~jobs:4 no_cache);
+      ("j1/memcache", local ~plan ~jobs:1 mem_cache);
+      ("j4/memcache", local ~plan ~jobs:4 mem_cache);
+      ("j4/stream/memcache", local ~plan ~jobs:4 ~stream:5 mem_cache);
+      ("truncated-store", local ~plan:[] ~jobs:2 truncated);
+      ("enospc-store", local ~plan:[] ~jobs:2 clogged) ]
     @
     match fcd_exe with
     | None -> []

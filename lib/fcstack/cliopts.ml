@@ -58,10 +58,10 @@ let fail_fast_term : bool Term.t =
     & info [ "fail-fast" ]
         ~doc:
           "Stop at the first failing input (in input order): it is the \
-           last one emitted, and the run exits 2. Without this flag a \
-           failure is contained to its input and the rest complete. \
-           Inputs before the failure produce byte-identical output \
-           either way.")
+           last one emitted, no later input is run, and the run exits \
+           2. Without this flag a failure is contained to its input and \
+           the rest complete. Inputs before the failure produce \
+           byte-identical output either way.")
 
 (* ---- optimization pipeline selection (-O / --passes) ---- *)
 
@@ -136,30 +136,16 @@ let shard_size_arg : int option Term.t =
            bytes; smaller shards lower peak memory, larger shards \
            amortize scheduling.")
 
-let lookahead_arg : int option Term.t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "lookahead" ] ~docv:"K"
-        ~doc:
-          "Extra shards kept resident beyond the $(b,-j) domains when \
-           streaming (default 1). Implies $(b,--stream). Does not \
-           change output bytes.")
-
-let stream_term : Toolchain.stream_opts option Term.t =
+let stream_term : int option Term.t =
   Term.(
-    const (fun stream shard_size lookahead ->
-        if (not stream) && shard_size = None && lookahead = None then None
+    const (fun stream shard_size ->
+        if (not stream) && shard_size = None then None
         else
-          let d = Toolchain.default_stream in
           Some
-            { Toolchain.so_shard_size =
-                max 1
-                  (Option.value shard_size ~default:d.Toolchain.so_shard_size);
-              so_lookahead =
-                max 0
-                  (Option.value lookahead ~default:d.Toolchain.so_lookahead) })
-    $ stream_arg $ shard_size_arg $ lookahead_arg)
+            (max 1
+               (Option.value shard_size
+                  ~default:Scade.Workload.default_shard_size)))
+    $ stream_arg $ shard_size_arg)
 
 (* ---- WCET path-engine selection (--engine) ---- *)
 
@@ -358,8 +344,7 @@ let read_file (path : string) : string =
   close_in ic;
   s
 
-let run_client ~(tool : string) (o : t)
-    ~(stream : Toolchain.stream_opts option)
+let run_client ~(tool : string) (o : t) ~(stream : int option)
     ~(request : string -> string -> Request.t)
     ~(emit : Response.t -> unit)
     ~(finish : Service.session option -> (unit -> int) -> int)
@@ -380,27 +365,7 @@ let run_client ~(tool : string) (o : t)
     | Error d -> Response.refused [ d ]
     | Ok source -> exec (request file source)
   in
-  (* Emission is strictly in input order, so output is byte-identical
-     across -j, --stream and transports. With --fail-fast the first
-     failing file ends it: nothing after it is emitted and its
-     diagnostics are the only ones reported. *)
   let diags = ref [] in
-  let emit_one (r : Response.t) : unit =
-    emit r;
-    diags := List.rev_append r.Response.rs_diags !diags
-  in
-  let stops (r : Response.t) =
-    o.cl_fail_fast && r.Response.rs_status <> Response.Sok
-  in
-  (* the emit-and-stop fold: once the fail-fast victim is emitted,
-     [stopped] holds and nothing further is *)
-  let emit_until (stopped : bool) (r : Response.t) : bool =
-    if stopped then stopped
-    else begin
-      emit_one r;
-      stops r
-    end
-  in
   (* diagnostics and the failure summary are stderr-only: stdout is
      byte-identical across cache/jobs/stream configurations *)
   let summarize () : int =
@@ -409,40 +374,51 @@ let run_client ~(tool : string) (o : t)
     if o.cl_fail_fast && diags <> [] then 2
     else Diag.exit_code ~total ~failed:(List.length diags)
   in
+  (* The one traversal of both transports: every file is a task of one
+     [Par.fold], and emission is strictly in input order, so output is
+     byte-identical across -j, --stream and transports. With
+     --fail-fast, a failing file lowers [first_failure] to its index;
+     a file above it is never run, and nothing above it is emitted. *)
+  let first_failure = Atomic.make max_int in
+  let rec lower (i : int) : unit =
+    let m = Atomic.get first_failure in
+    if i < m && not (Atomic.compare_and_set first_failure m i) then lower i
+  in
+  let traverse ~jobs (exec : Request.t -> Response.t) : unit =
+    let task i file () =
+      if i > Atomic.get first_failure then None
+      else begin
+        let r = run_file exec file in
+        if o.cl_fail_fast && r.Response.rs_status <> Response.Sok then lower i;
+        Some r
+      end
+    in
+    Par.fold ~jobs ?stream
+      (Array.of_list (List.mapi task files))
+      ~consumer:(fun () i r ->
+          match r with
+          | Some r when i <= Atomic.get first_failure ->
+            emit r;
+            diags := List.rev_append r.Response.rs_diags !diags
+          | Some _ | None -> ())
+      ~init:()
+  in
   match o.cl_connect with
   | None ->
     let session = new_session () in
-    let run = run_file (Service.run_request session) in
-    (* pull the file list shard by shard through the bounded buffer
-       (one shard without --stream) and emit each file the moment its
-       global turn comes, never holding more than jobs + lookahead
-       shards of results *)
-    let arr = Array.of_list files in
-    let n = Array.length arr in
-    let shard, lookahead = Par.shape stream ~n in
-    let producer k =
-      let lo = k * shard in
-      if lo >= n then None
-      else
-        Some
-          (Array.map (fun f () -> run f) (Array.sub arr lo (min shard (n - lo))))
-    in
-    ignore
-      (Par.run_stream ~jobs:(min (Service.jobs session) n) ~lookahead
-         ~producer ~consumer:(fun st _ r -> emit_until st r) ~init:false ()
-       : bool);
+    traverse ~jobs:(Service.jobs session) (Service.run_request session);
     let code = finish (Some session) summarize in
     Service.gc session;
     code
   | Some socket ->
-    (* Client of a running daemon: one connection, requests in input
-       order (the protocol is serial per connection). Each request runs
-       under the retry policy — transport/busy failures reconnect and
-       re-issue (sound: requests are pure functions of request + store),
-       refusals are final. With --fallback-local, a request that
-       exhausts its retries (or a daemon that can't be reached at all)
-       degrades to in-process execution of the SAME request, so stdout
-       stays byte-identical. *)
+    (* Client of a running daemon: one connection, so one job and
+       requests in input order (the protocol is serial per connection).
+       Each request runs under the retry policy — transport/busy
+       failures reconnect and re-issue (sound: requests are pure
+       functions of request + store), refusals are final. With
+       --fallback-local, a request that exhausts its retries (or a
+       daemon that can't be reached at all) degrades to in-process
+       execution of the SAME request, so stdout stays byte-identical. *)
     let retried = ref 0 and extra = ref 0 in
     (* client-side wait bound: the server enforces the deadline, the
        grace covers transit and the compile path's entry-only check *)
@@ -498,9 +474,8 @@ let run_client ~(tool : string) (o : t)
      | Error _ | Ok _ ->
        (* a connect failure with --fallback-local just means the first
           request's attempts fail fast and degrade *)
-       let results = List.map (run_file exec) files in
+       traverse ~jobs:1 exec;
        drop_conn ();
-       ignore (List.fold_left emit_until false results : bool);
        let code = finish None summarize in
        (* cumulative retry accounting, stderr-only, printed only when
           a retry happened so retry-free runs keep a clean stderr *)

@@ -3,7 +3,7 @@
     bench, fcc, aitw and fcd splice the same Cmdliner terms: the cache
     trio [--no-cache]/[--cache-dir]/[--cache-gc-mb] (with
     [FCSTACK_CACHE_DIR] as the [--cache-dir] default), [-j], [-O]/
-    [--passes], [--engine] and the streaming trio. The flags fcc and
+    [--passes], [--engine] and the streaming pair. The flags fcc and
     aitw share fold into one record ({!term}), and {!run_client} is
     their one client: in-process or served execution, retry, local
     fallback, [--fail-fast], the failure summary and the exit code. *)
@@ -31,11 +31,12 @@ val engine_term : Wcet.Report.engine Cmdliner.Term.t
     holds per node. A bad engine name is a Cmdliner parse error
     (exit 124) before any work runs. *)
 
-val stream_term : Toolchain.stream_opts option Cmdliner.Term.t
-(** The streaming trio [--stream], [--shard-size N] and
-    [--lookahead K]; giving either size flag implies [--stream].
-    [None] = batch. Streaming never changes output bytes — it bounds
-    resident memory at [jobs + lookahead] shards. *)
+val stream_term : int option Cmdliner.Term.t
+(** The streaming pair [--stream] and [--shard-size N] (default
+    [Scade.Workload.default_shard_size]); [--shard-size] implies
+    [--stream]. The value is the shard size, [None] = batch. Streaming
+    never changes output bytes — it bounds resident memory at
+    [jobs + 1] shards. *)
 
 (** The flags fcc and aitw share. *)
 type t = {
@@ -46,7 +47,8 @@ type t = {
   cl_jobs : int;            (** [-j] *)
   cl_fail_fast : bool;
   (** [--fail-fast]: client-side; the first failing input (input
-      order) is the last one emitted, and the run exits 2. *)
+      order) is the last one emitted, no input after it runs, and the
+      run exits 2. *)
   cl_connect : string option;
   (** [--connect SOCKET]: run as a client of an [fcd] daemon;
       [None] = in-process. *)
@@ -68,7 +70,7 @@ val term : jobs_doc:string -> t Cmdliner.Term.t
 (** All of {!t}'s flags; [jobs_doc] is the tool's [-j] doc string. *)
 
 val run_client :
-  tool:string -> t -> stream:Toolchain.stream_opts option ->
+  tool:string -> t -> stream:int option ->
   request:(string -> string -> Request.t) ->
   emit:(Response.t -> unit) ->
   finish:(Service.session option -> (unit -> int) -> int) ->
@@ -77,19 +79,21 @@ val run_client :
     whole run of fcc or aitw; it returns the exit code.
 
     Each file is read and turned into [request file source]; a read
-    failure is a [Parse] refusal naming the file. Without [--connect],
-    the requests run on one in-process {!Service} session, across
-    [-j] domains through {!Par.run_stream} in the shape {!Par.shape}
-    picks from [stream] (all files as one shard when it is [None]).
-    With [--connect], they go to the daemon in input order over one
-    lazily opened connection, each under {!Retry.run}; a
-    retryable status drops the connection, and with [--fallback-local]
-    a request that still fails runs on a lazily created local session
-    (one stderr note each). An unreachable daemon without
-    [--fallback-local] prints the connect error and returns 2.
+    failure is a [Parse] refusal naming the file. Both transports run
+    the files through one {!Par.fold} in shards of [stream] files (all
+    files as one shard when it is [None]). Without [--connect], the
+    requests run on one in-process {!Service} session across [-j]
+    domains. With [--connect], they go to the daemon in input order
+    (one job) over one lazily opened connection, each under
+    {!Retry.run}; a retryable status drops the connection, and with
+    [--fallback-local] a request that still fails runs on a lazily
+    created local session (one stderr note each). An unreachable
+    daemon without [--fallback-local] prints the connect error and
+    returns 2.
 
-    Responses go to [emit] in input order; under [--fail-fast] the
-    first failing one is the last. Then [finish session summarize]
+    Responses go to [emit] in input order, each as soon as its turn
+    comes; under [--fail-fast] the first failing one is the last, and
+    no file after it is run or sent. Then [finish session summarize]
     runs, with the local session ([None] over [--connect]); it must
     call [summarize], which prints the diagnostics and the failure
     summary to stderr and returns the exit code (0 all ok, 1 partial,
@@ -100,16 +104,15 @@ val run_client :
     a retry happened). *)
 
 val session_of_opts :
-  ?jobs:int -> ?stream:Toolchain.stream_opts -> cache_opts ->
-  Toolchain.session
+  ?jobs:int -> ?stream:int -> cache_opts -> Toolchain.session
 (** The session-scoped state the flags ask for: no cache under
     [--no-cache], a persistent one when a directory is configured,
     memory-only otherwise. *)
 
 val config_of_opts :
   ?jobs:int -> ?compiler:Toolchain.compiler -> ?passes:Vcomp.Pass.options ->
-  ?engine:Wcet.Report.engine -> ?stream:Toolchain.stream_opts ->
-  cache_opts -> Toolchain.config
+  ?engine:Wcet.Report.engine -> ?stream:int -> cache_opts ->
+  Toolchain.config
 (** One config from the parsed flags (cache as in {!session_of_opts}). *)
 
 val finalize : Toolchain.config -> unit

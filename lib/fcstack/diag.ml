@@ -146,12 +146,15 @@ let of_wire (line : string) : (t, string) Result.t =
 
 (* Exception -> diagnostic. [stage] is where the chain was when the
    exception escaped; recognizable exceptions override it (a parse
-   error is a parse error wherever it was caught). *)
+   error is a parse error wherever it was caught, and a type error is
+   the checker's rejection, raised on entry by every compiler). *)
 let of_exn ~(node : string) ~(stage : stage) (e : exn) : t =
   match e with
   | Minic.Parser.Parse_error msg -> make ~node ~stage:Parse msg
   | Minic.Lexer.Lex_error (msg, pos) ->
     make ~node ~stage:Parse ~context:[ ("pos", string_of_int pos) ] msg
+  | Minic.Typecheck.Error e ->
+    make ~node ~stage:Typecheck (Minic.Typecheck.error_to_string e)
   | Wcet.Driver.Error msg -> make ~node ~stage:Wcet msg
   | Wcet.Fuel.Expired ->
     make ~node ~stage:Deadline
@@ -169,19 +172,6 @@ let capture ~(node : string) ~(stage : stage) (f : unit -> 'a) :
   match f () with
   | v -> Ok v
   | exception e -> Result.Error (of_exn ~node ~stage e)
-
-(* The front end of every per-node chain: [parse] under the Parse
-   stage, then the typechecker, whose rejection is a Typecheck
-   diagnostic. Checking before compiling means a corrupted AST fails
-   here instead of crashing somewhere inside a code generator. *)
-let checked ~(node : string) (parse : unit -> Minic.Ast.program) :
-  (Minic.Ast.program, t) Result.t =
-  Result.bind (capture ~node ~stage:Parse parse) (fun src ->
-      match Minic.Typecheck.check_program src with
-      | Ok () -> Ok src
-      | Result.Error e ->
-        Result.Error
-          (make ~node ~stage:Typecheck (Minic.Typecheck.error_to_string e)))
 
 (* ---- aggregation over a per-node run ---- *)
 

@@ -3,7 +3,7 @@
     Every catchable failure in the per-node chain becomes a [Diag.t]
     instead of an escaping exception — exceptions never cross the
     {!Par} boundary, and [--fail-fast] is a client-side choice to stop
-    emitting after the first failed input. Rendering is
+    running and emitting after the first failed input. Rendering is
     stable and one-line; diagnostics and summaries go to stderr only,
     so stdout stays byte-identical across failure configurations. *)
 
@@ -64,17 +64,14 @@ val of_wire : string -> (t, string) Result.t
 
 val of_exn : node:string -> stage:stage -> exn -> t
 (** Convert an escaped exception. [stage] is where the chain was when
-    it escaped; recognizable exceptions override it (parse errors,
-    analyzer refusals, simulator fuel/runtime errors). *)
+    it escaped; recognizable exceptions override it: parse errors,
+    [Minic.Typecheck.Error] (the [Typecheck] stage, with
+    [Minic.Typecheck.error_to_string] as the message — every compiler
+    checks its input on entry, so this is the one typecheck of a
+    compile), analyzer refusals, simulator fuel/runtime errors. *)
 
 val capture : node:string -> stage:stage -> (unit -> 'a) -> ('a, t) Result.t
 (** Run [f], turning any exception into a diagnostic via {!of_exn}. *)
-
-val checked :
-  node:string -> (unit -> Minic.Ast.program) -> (Minic.Ast.program, t) Result.t
-(** The per-node front end: [parse] under {!capture} at the [Parse]
-    stage, then [Minic.Typecheck.check_program], whose rejection is a
-    [Typecheck] diagnostic. Returns the checked program. *)
 
 val errors_of : ('a, t) Result.t list -> t list
 (** The diagnostics of the failed entries, in input order. *)

@@ -44,14 +44,14 @@ let contain (node : Scade.Symbol.node) (f : unit -> 'a) :
    to each generated (node, source) pair of the [nodes]-node workload
    and fold the results into [consume] in node order. The workload is
    pulled shard by shard through [Par.run_stream], with generation
-   inside the producer; [config.stream] only picks the shard size and
-   lookahead, and without it the whole workload is one shard. Results
-   are identical element for element across shapes, so every table and
-   JSON printed from them is byte-identical. *)
+   inside the producer; [config.stream] only picks the shard size, and
+   without it the whole workload is one shard. Results are identical
+   element for element across shapes, so every table and JSON printed
+   from them is byte-identical. *)
 let fold_workload ~(config : Toolchain.config) ~(nodes : int) ~(seed : int)
     (f : Scade.Symbol.node * Minic.Ast.program -> 'a)
     (consume : 'acc -> 'a -> 'acc) (init : 'acc) : 'acc =
-  let shard_size, lookahead = Par.shape config.Toolchain.stream ~n:nodes in
+  let shard_size = Par.shape config.Toolchain.stream ~n:nodes in
   let plan = Scade.Workload.shard_plan ~shard_size ~nodes ~seed () in
   let producer k =
     if k >= Scade.Workload.shard_count plan then None
@@ -61,7 +61,7 @@ let fold_workload ~(config : Toolchain.config) ~(nodes : int) ~(seed : int)
            (fun pair () -> f pair)
            (Scade.Workload.generate_shard plan k))
   in
-  Par.run_stream ~jobs:config.Toolchain.jobs ~lookahead ~producer
+  Par.run_stream ~jobs:config.Toolchain.jobs ~producer
     ~consumer:(fun acc _ v -> consume acc v)
     ~init ()
 
@@ -691,10 +691,8 @@ let scale_leg_json ~(config : Toolchain.config) (leg : scale_leg) : string =
   let stream_fields =
     match config.Toolchain.stream with
     | None -> "\"stream\": false"
-    | Some s ->
-      Printf.sprintf
-        "\"stream\": true, \"shard_size\": %d, \"lookahead\": %d"
-        s.Toolchain.so_shard_size s.Toolchain.so_lookahead
+    | Some shard_size ->
+      Printf.sprintf "\"stream\": true, \"shard_size\": %d" shard_size
   in
   Printf.sprintf
     "{ \"nodes\": %d, \"jobs\": %d, %s, \"compiler\": %S, \

@@ -90,8 +90,8 @@ val map_workload :
 (** The one workload traversal behind every measurement driver: [f]
     over each generated node, results in node order. The workload is
     pulled shard by shard through {!Par.run_stream} with generation
-    inside the producer; [config.stream] picks the shard size and
-    lookahead, and without it the whole workload is one shard.
+    inside the producer; [config.stream] picks the shard size, and
+    without it the whole workload is one shard.
     Results are identical across shapes. *)
 
 val print_engines_json :

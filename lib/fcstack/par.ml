@@ -59,8 +59,6 @@ type 'a shard = {
   mutable sh_done : int;         (* completed tasks *)
 }
 
-let default_lookahead = 1
-
 (* Pull shards lazily from [producer] (shard k, [None] = end of
    stream), run every task on up to [jobs] domains, and fold completed
    results into [consumer] in global task order. Memory is bounded: at
@@ -84,7 +82,7 @@ let default_lookahead = 1
    overlaps compilation, but a producer need not be thread-safe beyond
    being callable from another domain. [consumer] always runs under
    the lock — never concurrently with itself. *)
-let run_stream ?(jobs = default_jobs ()) ?(lookahead = default_lookahead)
+let run_stream ?(jobs = default_jobs ()) ?(lookahead = 1)
     ~(producer : int -> (unit -> 'a) array option)
     ~(consumer : 'acc -> int -> 'a -> 'acc) ~(init : 'acc) () : 'acc =
   let lookahead = max 0 lookahead in
@@ -222,23 +220,31 @@ let run_stream ?(jobs = default_jobs ()) ?(lookahead = default_lookahead)
     | None -> !acc
   end
 
-(* The execution shape of [n] tasks: shard size and lookahead from the
-   stream options, and without them the whole input as one shard. *)
-let shape (stream : Toolchain.stream_opts option) ~(n : int) : int * int =
-  match stream with
-  | Some s -> (max 1 s.Toolchain.so_shard_size, s.Toolchain.so_lookahead)
-  | None -> (max 1 n, default_lookahead)
+(* The shard size of [n] tasks: the stream's when set, and without it
+   the whole input as one shard. *)
+let shape (stream : int option) ~(n : int) : int =
+  max 1 (Option.value stream ~default:n)
+
+(* The one slicer of a task array: cut [tasks] into shards of
+   [shape stream] tasks and fold their results through the stream
+   above in task order. With one job or at most one task everything
+   runs sequentially in the calling domain. *)
+let fold ?(jobs = default_jobs ()) ?stream (tasks : (unit -> 'a) array)
+    ~(consumer : 'acc -> int -> 'a -> 'acc) ~(init : 'acc) : 'acc =
+  let n = Array.length tasks in
+  let shard = shape stream ~n in
+  let producer k =
+    let lo = k * shard in
+    if lo >= n then None else Some (Array.sub tasks lo (min shard (n - lo)))
+  in
+  run_stream ~jobs:(min jobs n) ~producer ~consumer ~init ()
 
 (* Run [tasks.(i) ()] for every [i] on up to [jobs] domains and return
-   the results in task order: the stream above over one shard, so a
-   batch inherits its smallest-index exception rule and, with one job
-   or at most one task, its sequential path in the calling domain. *)
-let run ?(jobs = default_jobs ()) (tasks : (unit -> 'a) array) : 'a array =
+   the results in task order: [fold] over one shard, so a batch
+   inherits the stream's smallest-index exception rule. *)
+let run ?jobs (tasks : (unit -> 'a) array) : 'a array =
   Array.of_list
-    (List.rev
-       (run_stream ~jobs:(min jobs (Array.length tasks))
-          ~producer:(fun k -> if k = 0 then Some tasks else None)
-          ~consumer:(fun acc _ v -> v :: acc) ~init:[] ()))
+    (List.rev (fold ?jobs tasks ~consumer:(fun acc _ v -> v :: acc) ~init:[]))
 
 (* Order-preserving parallel map over a list. *)
 let map_list ?jobs (f : 'a -> 'b) (xs : 'a list) : 'b list =
@@ -257,15 +263,15 @@ type node_result = {
   pn_validation : (unit, string) Result.t;
 }
 
-(* The per-node body: the front end ([Diag.checked]) and then each
-   stage under [Diag.capture], so a failure costs exactly this node —
-   the caller's other nodes proceed, and the diagnostic records node,
-   stage and message. Exceptions never escape this function. *)
+(* The per-node body: each stage under [Diag.capture], so a failure
+   costs exactly this node — the caller's other nodes proceed, and the
+   diagnostic records node, stage and message. The compiler typechecks
+   its input on entry, and [Diag.of_exn] turns its rejection into a
+   Typecheck diagnostic. Exceptions never escape this function. *)
 let chain_node ~(config : Toolchain.config) ?exact ?validate ?cycles
     (name : string) (src : Minic.Ast.program) :
   (node_result, Diag.t) Result.t =
   let ( let* ) = Result.bind in
-  let* src = Diag.checked ~node:name (fun () -> src) in
   let* b =
     Diag.capture ~node:name ~stage:Diag.Compile (fun () ->
         Chain.build ?exact ?validate ~passes:config.Toolchain.passes
@@ -325,14 +331,12 @@ let run_chain_nodes ?(config = Toolchain.default) ?exact ?validate ?cycles
    arrive shard by shard from [producer], each node runs [chain_node]
    under the config, and outcomes fold into [consumer] in global input
    order — the per-node results are identical to [run_chain] over the
-   concatenated shards, with only [jobs + lookahead] shards resident.
-   Lookahead comes from [config.stream] when set. *)
+   concatenated shards, with only [jobs + 1] shards resident. *)
 let run_chain_stream ?(config = Toolchain.default) ?exact ?validate ?cycles
     ~(producer : int -> (string * Minic.Ast.program) array option)
     ~(consumer : 'acc -> int -> (node_result, Diag.t) Result.t -> 'acc)
     ~(init : 'acc) () : 'acc =
-  let _, lookahead = shape config.Toolchain.stream ~n:0 in
-  run_stream ~jobs:config.Toolchain.jobs ~lookahead
+  run_stream ~jobs:config.Toolchain.jobs
     ~producer:(fun k ->
         Option.map
           (Array.map (fun (name, src) () ->

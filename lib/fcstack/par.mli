@@ -11,19 +11,27 @@ val default_jobs : unit -> int
 
 val run : ?jobs:int -> (unit -> 'a) array -> 'a array
 (** [run ~jobs tasks] evaluates every task on up to [jobs] domains and
-    returns results in task order: {!run_stream} over one shard, so
-    one job or at most one task runs sequentially in the calling
-    domain. If tasks raise, the exception of the smallest-indexed
-    raising task is re-raised in the caller. *)
+    returns results in task order: {!fold} into an array. If tasks
+    raise, the exception of the smallest-indexed raising task is
+    re-raised in the caller. *)
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map. *)
 
-val shape : Toolchain.stream_opts option -> n:int -> int * int
-(** [shape stream ~n] is the [(shard_size, lookahead)] that
-    {!run_stream} uses for [n] tasks: from [stream] when set (shard size
-    at least 1), otherwise one shard of [max 1 n] tasks and lookahead
-    1. Every fcstack stream takes its shape from here. *)
+val shape : int option -> n:int -> int
+(** [shape stream ~n] is the shard size for [n] tasks: [stream] when
+    set, otherwise [n] (one shard); at least 1 either way. *)
+
+val fold :
+  ?jobs:int -> ?stream:int -> (unit -> 'a) array ->
+  consumer:('acc -> int -> 'a -> 'acc) -> init:'acc -> 'acc
+(** [fold ~jobs ~stream tasks ~consumer ~init] cuts [tasks] into shards
+    of {!shape}[ stream] tasks, runs them through {!run_stream} on up to
+    [jobs] domains and folds [consumer acc index result] in task order.
+    The only place a task array is sliced into shards; one job or at
+    most one task runs sequentially in the calling domain. [consumer]
+    reaches index [i] only after every task at or below [i] has
+    finished. *)
 
 val run_stream :
   ?jobs:int -> ?lookahead:int ->
@@ -34,9 +42,8 @@ val run_stream :
     every task on up to [jobs] domains, and fold results into
     [consumer acc global_index result] in global task order. At most
     [jobs + lookahead] (default 1) shards are resident at any instant,
-    so memory is
-    flat in the stream length; the fold observes exactly what the
-    sequential run would, byte for byte.
+    so memory is flat in the stream length; the fold observes exactly
+    what the sequential run would, byte for byte.
 
     [producer] is called one shard at a time, in order, from worker
     domains outside the stream lock (generation overlaps evaluation);
@@ -60,9 +67,11 @@ type node_result = {
 val chain_node :
   config:Toolchain.config -> ?exact:bool -> ?validate:bool -> ?cycles:int ->
   string -> Minic.Ast.program -> (node_result, Diag.t) Result.t
-(** One node's chain (typecheck → compile/link → WCET → validation)
-    with per-stage failure containment: any failure becomes a
-    {!Diag.t} naming the node and the stage; exceptions never escape.
+(** One node's chain (compile/link → WCET → validation) with per-stage
+    failure containment: any failure becomes a {!Diag.t} naming the
+    node and the stage; exceptions never escape. The compiler
+    typechecks on entry, so an ill-typed node is one [Typecheck]
+    diagnostic ({!Diag.of_exn}).
     This is the per-node body of {!run_chain}; the chaos harness drives
     it directly with per-node configs. *)
 
@@ -94,7 +103,6 @@ val run_chain_stream :
   init:'acc -> unit -> 'acc
 (** {!run_chain} in streaming shape: named mini-C programs arrive shard
     by shard from [producer], per-node outcomes fold into [consumer] in
-    global input order, and only [jobs + lookahead] shards stay
-    resident (lookahead from [config.stream] when set). The outcome for
-    every node is identical to {!run_chain} over the concatenated
-    shards. *)
+    global input order, and only [jobs + 1] shards stay resident. The
+    outcome for every node is identical to {!run_chain} over the
+    concatenated shards. *)

@@ -47,9 +47,9 @@ let gc (s : session) : unit =
 
 (* ---- the request executor -------------------------------------------- *)
 
-(* Ported verbatim from fcc's per-file body: parse / typecheck /
-   compile with per-stage containment, optional RTL dump, optional
-   whole-chain differential validation. Byte-compatible with the
+(* Ported verbatim from fcc's per-file body: parse / compile (which
+   typechecks on entry) with per-stage containment, optional RTL dump,
+   optional whole-chain differential validation. Byte-compatible with the
    pre-service fcc — including the partial artifacts of a failed
    request (RTL dumped before the failure, assembly of a chain whose
    validation failed). *)
@@ -61,7 +61,8 @@ let run_compile (config : Toolchain.config) ~(name : string)
   let ( let* ) = Result.bind in
   let outcome : (unit, Diag.t) Result.t =
     let* src =
-      Diag.checked ~node:name (fun () -> Minic.Parser.parse_program source)
+      Diag.capture ~node:name ~stage:Diag.Parse (fun () ->
+          Minic.Parser.parse_program source)
     in
     let* b =
       Diag.capture ~node:name ~stage:Diag.Compile (fun () ->
@@ -117,7 +118,8 @@ let run_analyze (config : Toolchain.config) ~(name : string)
   let ( let* ) = Result.bind in
   let outcome : (unit, Diag.t) Result.t =
     let* src =
-      Diag.checked ~node:name (fun () -> Minic.Parser.parse_program source)
+      Diag.capture ~node:name ~stage:Diag.Parse (fun () ->
+          Minic.Parser.parse_program source)
     in
     Diag.capture ~node:name ~stage:Diag.Wcet (fun () ->
         let observed_max (b : Chain.built) (seeds : int list) : int =
@@ -265,24 +267,21 @@ type connection_end = Cend_eof | Cend_shutdown | Cend_budget
    malformed *frame* poisons the stream (err frame, hang up); a
    well-framed malformed *request* costs only that request (err frame,
    keep serving) — the service's containment contract at the protocol
-   layer. Generic over the transport ([read]/[write]) so the channel
-   path (--stdio, in-process tests) and the hardened fd path (the
-   daemon's sockets) share one protocol loop — containment rules can't
-   drift between transports. *)
-let serve_io ?max_requests ?(log = true) (s : session)
-    ~(read : unit -> Wire.frame) ~(write : kind:string -> string -> unit) :
-  connection_end =
+   layer. Frames arrive through [rd] and answers go to [out]; the
+   daemon's sockets and --stdio share this loop and this transport. *)
+let serve_io ?max_requests ?(log = true) (s : session) (rd : Wire.fd_reader)
+    (out : Unix.file_descr) : connection_end =
   let budget_left () =
     match max_requests with None -> true | Some m -> served s < m
   in
+  let write ~kind payload = Wire.write_frame out ~kind payload in
   let rec loop () : connection_end =
     if not (budget_left ()) then Cend_budget
     else
-      match read () with
+      match Wire.read_frame rd with
       | Wire.Eof -> Cend_eof
       | Wire.Bad msg ->
-        (try write ~kind:"err" msg
-         with Sys_error _ | Unix.Unix_error _ -> ());
+        (try write ~kind:"err" msg with Unix.Unix_error _ -> ());
         Cend_eof
       | Wire.Frame ("bye", _) -> Cend_eof
       | Wire.Frame ("shutdown", _) -> Cend_shutdown
@@ -304,12 +303,8 @@ let serve_io ?max_requests ?(log = true) (s : session)
   loop ()
 
 let serve_connection ?max_requests ?(log = true) (s : session)
-    (ic : in_channel) (oc : out_channel) : connection_end =
-  serve_io ?max_requests ~log s
-    ~read:(fun () -> Wire.read_frame ic)
-    ~write:(fun ~kind payload ->
-        Wire.write_frame oc ~kind payload;
-        flush oc)
+    (inp : Unix.file_descr) (out : Unix.file_descr) : connection_end =
+  serve_io ?max_requests ~log s (Wire.fd_reader inp) out
 
 (* Refuse to take over a socket path another live daemon is accepting
    on: a successful connect proves a peer is behind it, and unlinking
@@ -361,9 +356,19 @@ let serve_unix ?max_requests ?(log = true) ?(stop = fun () -> false)
   ignore_sigpipe ();
   claim_socket_path path;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.bind sock (Unix.ADDR_UNIX path)
-   with e -> (try Unix.close sock with Unix.Unix_error _ -> ()); raise e);
-  Unix.listen sock (max 16 pending_budget);
+  (* bind under a private name and rename it to [path] once listening,
+     so a client that sees [path] can connect at once: bound directly,
+     [path] would exist before [listen] and refuse connects *)
+  let staging = Printf.sprintf "%s.%d" path (Unix.getpid ()) in
+  (try
+     (try Sys.remove staging with Sys_error _ -> ());
+     Unix.bind sock (Unix.ADDR_UNIX staging);
+     Unix.listen sock (max 16 pending_budget);
+     Unix.rename staging path
+   with e ->
+     (try Unix.close sock with Unix.Unix_error _ -> ());
+     (try Sys.remove staging with Sys_error _ -> ());
+     raise e);
   Unix.set_nonblock sock;
   if log then Printf.eprintf "fcd: listening on %s\n%!" path;
   let budget_left () =
@@ -378,7 +383,7 @@ let serve_unix ?max_requests ?(log = true) ?(stop = fun () -> false)
         if Queue.length pending < pending_budget then Queue.add fd pending
         else begin
           (try
-             Wire.write_frame_fd fd ~kind:"busy"
+             Wire.write_frame fd ~kind:"busy"
                (Printf.sprintf "server saturated (%d pending connections)"
                   pending_budget)
            with Unix.Unix_error _ -> ());
@@ -409,10 +414,7 @@ let serve_unix ?max_requests ?(log = true) ?(stop = fun () -> false)
         (Option.map (fun ms -> float_of_int ms /. 1000.0) read_timeout_ms);
       Wire.set_aux rd (Some (sock, drain_accept));
       let ended =
-        try
-          serve_io ?max_requests ~log s
-            ~read:(fun () -> Wire.read_frame_fd rd)
-            ~write:(fun ~kind payload -> Wire.write_frame_fd fd ~kind payload)
+        try serve_io ?max_requests ~log s rd fd
         with e ->
           (* per-connection isolation: whatever escaped, only this
              connection pays — the daemon keeps serving *)
@@ -436,10 +438,7 @@ let serve_unix ?max_requests ?(log = true) ?(stop = fun () -> false)
    printf-authored frames, no socket lifecycle involved. *)
 let serve_stdio ?max_requests ?(log = true) (s : session) : unit =
   ignore_sigpipe ();
-  set_binary_mode_in stdin true;
-  set_binary_mode_out stdout true;
-  ignore (serve_connection ?max_requests ~log s stdin stdout);
-  flush stdout
+  ignore (serve_connection ?max_requests ~log s Unix.stdin Unix.stdout)
 
 (* ---- the client ------------------------------------------------------- *)
 
@@ -476,8 +475,8 @@ module Client = struct
     let node = rq.Request.rq_name in
     Wire.set_read_timeout c.c_rd timeout_s;
     match
-      Wire.write_frame_fd c.c_fd ~kind:"req" (Request.to_wire rq);
-      Wire.read_frame_fd ~idle_timeout:true c.c_rd
+      Wire.write_frame c.c_fd ~kind:"req" (Request.to_wire rq);
+      Wire.read_frame ~idle_timeout:true c.c_rd
     with
     | Wire.Frame ("resp", payload) ->
       (match Response.of_wire payload with
@@ -493,20 +492,17 @@ module Client = struct
         (Printf.sprintf "unexpected frame kind %S" kind)
     | Wire.Eof -> Response.transport ~node "connection closed by daemon"
     | Wire.Bad msg -> Response.transport ~node ("protocol error: " ^ msg)
-    | exception Sys_error msg -> Response.transport ~node msg
     | exception Unix.Unix_error (e, _, _) ->
       Response.transport ~node (Unix.error_message e)
-    | exception End_of_file ->
-      Response.transport ~node "connection closed by daemon"
 
   let close (c : conn) : unit =
-    (try Wire.write_frame_fd c.c_fd ~kind:"bye" ""
-     with Sys_error _ | Unix.Unix_error _ -> ());
+    (try Wire.write_frame c.c_fd ~kind:"bye" ""
+     with Unix.Unix_error _ -> ());
     try Unix.close c.c_fd with Unix.Unix_error _ -> ()
 
   let shutdown (c : conn) : unit =
-    (try Wire.write_frame_fd c.c_fd ~kind:"shutdown" ""
-     with Sys_error _ | Unix.Unix_error _ -> ());
+    (try Wire.write_frame c.c_fd ~kind:"shutdown" ""
+     with Unix.Unix_error _ -> ());
     try Unix.close c.c_fd with Unix.Unix_error _ -> ()
 end
 

@@ -63,13 +63,16 @@ type connection_end =
   | Cend_budget    (** [max_requests] exhausted *)
 
 val serve_connection :
-  ?max_requests:int -> ?log:bool -> session -> in_channel -> out_channel ->
-  connection_end
-(** Serve one connection's frames. A malformed frame poisons the
-    stream (err frame, hang up); a well-framed malformed request costs
-    only that request (err frame, keep serving). With [log] (default
-    true), each request logs one stderr line with its cache-stats
-    delta — a warm repeat shows [0 misses]. *)
+  ?max_requests:int -> ?log:bool -> session -> Unix.file_descr ->
+  Unix.file_descr -> connection_end
+(** [serve_connection s inp out] serves one connection's frames, read
+    from [inp] through {!Wire.read_frame} and answered on [out] through
+    {!Wire.write_frame} — the one transport of every peer. A malformed
+    frame poisons the stream (err frame, hang up); a well-framed
+    malformed request costs only that request (err frame, keep
+    serving). With [log] (default true), each request logs one stderr
+    line with its cache-stats delta — a warm repeat shows
+    [0 misses]. *)
 
 val serve_unix :
   ?max_requests:int -> ?log:bool -> ?stop:(unit -> bool) ->
@@ -83,16 +86,18 @@ val serve_unix :
 
     Hardening: refuses to start if another live daemon is accepting on
     [path] (raises [Failure]; a stale socket file is removed and
-    rebound). Any escape from one connection costs that connection
-    only. [read_timeout_ms] bounds each blocking read once a peer has
-    committed to a frame (slow-loris = poisoned stream, not a parked
-    daemon). Beyond [pending_budget] (default 16) queued connections,
+    rebound); [path] appears only once the daemon is listening, so a
+    client can connect as soon as it sees the file. Any escape from one
+    connection costs that connection only. [read_timeout_ms] bounds
+    each blocking read once a peer has committed to a frame
+    (slow-loris = poisoned stream, not a parked daemon). Beyond [pending_budget] (default 16) queued connections,
     new arrivals are shed with a fast [busy] frame ([Sbusy] at the
     client: empty, retryable); draining happens even while the daemon
     is blocked mid-read on another connection. *)
 
 val serve_stdio : ?max_requests:int -> ?log:bool -> session -> unit
-(** One connection over stdin/stdout ([fcd --stdio]). *)
+(** {!serve_connection} on [Unix.stdin] and [Unix.stdout]
+    ([fcd --stdio]). *)
 
 (** Client side of the wire protocol. *)
 module Client : sig

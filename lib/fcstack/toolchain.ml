@@ -17,19 +17,6 @@ type compiler =
   | Cdefault_o2   (* COTS baseline, fully optimized (incl. FMA contraction) *)
   | Cvcomp        (* verified-style optimizing compiler (CompCert stand-in) *)
 
-(* Streaming execution shape (Par.run_stream): the workload is pulled
-   shard by shard instead of materialized up front, bounding resident
-   memory at [jobs + so_lookahead] shards of [so_shard_size] nodes.
-   Output stays byte-identical to the batch path — the stream option
-   picks an execution shape, never a semantics. *)
-type stream_opts = {
-  so_shard_size : int;  (* nodes per produced shard, >= 1 *)
-  so_lookahead : int;   (* resident shards beyond [jobs], >= 0 *)
-}
-
-let default_stream : stream_opts =
-  { so_shard_size = Scade.Workload.default_shard_size; so_lookahead = 1 }
-
 type config = {
   jobs : int;
   (* WCET-analysis cache, possibly persistent (Wcet.Memo.create ?dir).
@@ -52,10 +39,11 @@ type config = {
      the OMT engine, or both cross-checked per node; part of the
      analysis-cache content key *)
   engine : Wcet.Report.engine;
-  (* streaming execution shape (--stream): the shard size and lookahead
-     of Par.run_stream. None = batch, which is the same stream with the
-     whole workload as one shard. Output is byte-identical either way. *)
-  stream : stream_opts option;
+  (* streaming execution shape (--stream): the shard size of
+     Par.run_stream, bounding resident memory at jobs + 1 shards. None =
+     batch, which is the same stream with the whole workload as one
+     shard. Output is byte-identical either way. *)
+  stream : int option;
 }
 
 let default : config =
@@ -85,7 +73,7 @@ let default : config =
 type session = {
   ss_jobs : int;                   (* Domains for per-node fan-out *)
   ss_cache : Wcet.Memo.t option;   (* ONE warm cache for the whole session *)
-  ss_stream : stream_opts option;  (* execution shape; None = one shard *)
+  ss_stream : int option;         (* shard size; None = one shard *)
 }
 
 type request_opts = {

@@ -17,18 +17,6 @@ type compiler =
 (** Defined here (not in {!Chain}) so [config] can carry it; {!Chain}
     re-exports the constructors, so [Chain.Cvcomp] remains valid. *)
 
-type stream_opts = {
-  so_shard_size : int;  (** nodes per produced shard, >= 1 *)
-  so_lookahead : int;   (** resident shards beyond [jobs], >= 0 *)
-}
-(** Streaming execution shape ({!Par.run_stream}): the workload is
-    pulled shard by shard with at most [jobs + so_lookahead] shards
-    resident, so memory is flat in the workload size. Picks an
-    execution shape only — output is byte-identical to batch. *)
-
-val default_stream : stream_opts
-(** [Scade.Workload.default_shard_size] nodes per shard, lookahead 1. *)
-
 type config = {
   jobs : int;                  (** Domains for per-node fan-out (≥ 1) *)
   cache : Wcet.Memo.t option;  (** shared WCET-analysis cache, possibly
@@ -49,10 +37,12 @@ type config = {
                                    or both cross-checked ([Both]
                                    refuses unless omt <= ipet); part
                                    of the analysis-cache key *)
-  stream : stream_opts option; (** streaming execution shape
-                                   ([--stream]); [None] = batch, i.e.
-                                   the whole workload as one shard.
-                                   Never changes output bytes. *)
+  stream : int option;         (** streaming shard size ([--stream]):
+                                   the workload is pulled shard by
+                                   shard, at most [jobs + 1] resident;
+                                   [None] = batch, i.e. the whole
+                                   workload as one shard. Never
+                                   changes output bytes. *)
 }
 
 val default : config
@@ -72,7 +62,7 @@ val default : config
 type session = {
   ss_jobs : int;                   (** Domains for per-node fan-out (≥ 1) *)
   ss_cache : Wcet.Memo.t option;   (** ONE warm cache for the session *)
-  ss_stream : stream_opts option;  (** execution shape; [None] = one shard *)
+  ss_stream : int option;         (** shard size; [None] = one shard *)
 }
 
 type request_opts = {
@@ -91,7 +81,7 @@ val default_request : request_opts
 (** Verified-style compiler, default fuel/passes, IPET engine. *)
 
 val session :
-  ?jobs:int -> ?cache:Wcet.Memo.t -> ?stream:stream_opts -> unit ->
+  ?jobs:int -> ?cache:Wcet.Memo.t -> ?stream:int -> unit ->
   session
 (** Build session-scoped state; omitted fields take
     {!default_session}'s. *)

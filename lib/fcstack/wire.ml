@@ -117,33 +117,9 @@ type frame =
   | Eof
   | Bad of string             (* protocol error: refuse the stream *)
 
-let write_frame (oc : out_channel) ~(kind : string) (payload : string) : unit =
-  output_string oc
-    (Printf.sprintf "%s %s %d\n" protocol_version kind (String.length payload));
-  output_string oc payload
-
-(* Read the header up to '\n' byte by byte (bounded — a peer that
-   never sends a newline must not make us buffer forever). *)
-let read_header (ic : in_channel) : (string, frame) Result.t =
-  let b = Buffer.create 32 in
-  let rec go (n : int) : (string, frame) Result.t =
-    if n > 256 then Error (Bad "frame header too long")
-    else
-      match input_char ic with
-      | '\n' -> Ok (Buffer.contents b)
-      | c ->
-        Buffer.add_char b c;
-        go (n + 1)
-      | exception End_of_file ->
-        if Buffer.length b = 0 then Error Eof
-        else Error (Bad "truncated frame header")
-  in
-  go 0
-
-(* Header syntax is shared between the channel and fd readers: one
-   parser, so a hostile length prefix is rejected identically on both
-   paths (bounded BEFORE any payload allocation — [max_frame_len] is a
-   protocol error, not an allocation attempt). *)
+(* Header syntax: a hostile length prefix is rejected BEFORE any
+   payload allocation ([max_frame_len] is a protocol error, not an
+   allocation attempt). *)
 let parse_header (header : string) : (string * int, frame) Result.t =
   match String.split_on_char ' ' header with
   | [ version; kind; len ] ->
@@ -160,22 +136,11 @@ let parse_header (header : string) : (string * int, frame) Result.t =
        | Some n -> Ok (kind, n))
   | _ -> Error (Bad (Printf.sprintf "malformed frame header %S" header))
 
-let read_frame (ic : in_channel) : frame =
-  match read_header ic with
-  | Error f -> f
-  | Ok header ->
-    (match parse_header header with
-     | Error f -> f
-     | Ok (kind, n) ->
-       (match really_input_string ic n with
-        | payload -> Frame (kind, payload)
-        | exception End_of_file -> Bad "truncated frame payload"))
+(* ---- the reader (timeouts, EINTR, shedding hook) --------------------- *)
 
-(* ---- fd-based reader (timeouts, EINTR, shedding hook) ---------------- *)
-
-(* The in_channel path above serves --stdio and in-process tests; the
-   server and client read sockets through this reader instead, because
-   resilience needs what buffered channels can't give us:
+(* Every peer — the daemon's sockets, [fcd --stdio], the client, the
+   chaos harness — reads frames through this buffered fd reader,
+   because resilience needs what buffered channels can't give us:
 
    - a per-read timeout, so a slow-loris peer that dribbles a frame
      one byte a minute poisons its own stream ([Bad]) instead of
@@ -285,7 +250,7 @@ let read_exact (rd : fd_reader) (n : int) ~(timeout : float option) : string =
    a mid-frame staller is poisoned. Clients pass [idle_timeout:true]:
    there the first byte IS the response arriving, and "the daemon
    never answered" must become a transport failure, not a hang. *)
-let read_frame_fd ?(idle_timeout = false) (rd : fd_reader) : frame =
+let read_frame ?(idle_timeout = false) (rd : fd_reader) : frame =
   let timeout = rd.rd_timeout in
   let first_timeout = if idle_timeout then timeout else None in
   match
@@ -328,7 +293,7 @@ let write_fd (fd : Unix.file_descr) (s : string) : unit =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-let write_frame_fd (fd : Unix.file_descr) ~(kind : string) (payload : string) :
+let write_frame (fd : Unix.file_descr) ~(kind : string) (payload : string) :
   unit =
   write_fd fd
     (Printf.sprintf "%s %s %d\n" protocol_version kind (String.length payload));

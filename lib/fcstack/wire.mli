@@ -44,27 +44,22 @@ type frame =
   | Eof                       (** clean end of stream before a header *)
   | Bad of string             (** protocol error: refuse the stream *)
 
-val write_frame : out_channel -> kind:string -> string -> unit
-(** Write one frame (caller flushes). *)
+(** {1 Transport}
 
-val read_frame : in_channel -> frame
-(** Read one frame; blocks until a full frame, [Eof] or an error. *)
-
-(** {1 fd-based reader}
-
-    The channel path above serves [--stdio] and in-process tests; the
-    server and client read sockets through this buffered reader, which
-    adds what resilience needs: a per-read timeout (a slow-loris peer
-    poisons its own stream as [Bad] instead of parking the daemon),
-    EINTR-safe read/write/select loops (a signal storm never surfaces
-    as a spurious transport failure), and an auxiliary readiness hook
-    so the server can shed new connections while blocked mid-read. *)
+    Every peer reads and writes frames on file descriptors: the
+    daemon's sockets, [fcd --stdio], the client and the chaos harness
+    share one reader and one writer. The reader buffers and adds what
+    resilience needs: a per-read timeout (a slow-loris peer poisons
+    its own stream as [Bad] instead of parking the daemon), EINTR-safe
+    read/write/select loops (a signal storm never surfaces as a
+    spurious transport failure), and an auxiliary readiness hook so
+    the server can shed new connections while blocked mid-read. *)
 
 type fd_reader
 
 val fd_reader : Unix.file_descr -> fd_reader
 (** Wrap a blocking stream fd. The reader owns buffering on the fd;
-    do not mix with channel reads on the same descriptor. *)
+    do not mix with other reads on the same descriptor. *)
 
 val set_read_timeout : fd_reader -> float option -> unit
 (** Seconds each blocking wait may last ([None] = unbounded). The
@@ -78,7 +73,7 @@ val set_aux : fd_reader -> (Unix.file_descr * (unit -> unit)) option -> unit
     never blocked behind one slow peer). The callback must leave the
     fd non-readable (drain it) or the wait will spin. *)
 
-val read_frame_fd : ?idle_timeout:bool -> fd_reader -> frame
+val read_frame : ?idle_timeout:bool -> fd_reader -> frame
 (** Read one frame. Without [idle_timeout] (default) the wait for the
     first header byte is unbounded — an idle connection is legal; the
     timeout starts once the peer commits to a frame. With
@@ -86,6 +81,6 @@ val read_frame_fd : ?idle_timeout:bool -> fd_reader -> frame
     timeout is [Bad "read timed out"]: stream poison, like any other
     protocol error. *)
 
-val write_frame_fd : Unix.file_descr -> kind:string -> string -> unit
+val write_frame : Unix.file_descr -> kind:string -> string -> unit
 (** Write one frame with a full-write, EINTR-safe loop. Raises
     [Unix.Unix_error] (e.g. [EPIPE]) if the peer is gone. *)

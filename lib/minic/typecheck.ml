@@ -234,7 +234,7 @@ let check_program (p : Ast.program) : (unit, error) result =
 let check_program_exn (p : Ast.program) : unit =
   match check_program p with
   | Ok () -> ()
-  | Result.Error e -> invalid_arg (error_to_string e)
+  | Result.Error e -> raise (Error e)
 
 let expr_type (tbl : Symtab.t) (sc : Symtab.scope) (e : Ast.expr) :
   (Ast.typ, error) result =

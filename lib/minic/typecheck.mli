@@ -22,12 +22,15 @@ type error = {
   err_msg : string;
 }
 
+exception Error of error
+(** The checker's rejection, raised by {!check_program_exn}. *)
+
 val error_to_string : error -> string
 
 val check_program : Ast.program -> (unit, error) result
 
 val check_program_exn : Ast.program -> unit
-(** @raise Invalid_argument on the first error. *)
+(** @raise Error on the first error. *)
 
 val expr_type : Symtab.t -> Symtab.scope -> Ast.expr -> (Ast.typ, error) result
 (** The type the checker assigns to an expression in a function's scope

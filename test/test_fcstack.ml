@@ -219,12 +219,7 @@ let test_map_workload_shapes () =
        in
        let shapes =
          None
-         :: List.map
-              (fun size ->
-                 Some
-                   { Fcstack.Toolchain.default_stream with
-                     Fcstack.Toolchain.so_shard_size = max 1 size })
-              [ 1; 3; nodes; nodes + 5 ]
+         :: List.map (fun size -> Some (max 1 size)) [ 1; 3; nodes; nodes + 5 ]
        in
        List.iter
          (fun stream ->
@@ -238,8 +233,7 @@ let test_map_workload_shapes () =
                    (Printf.sprintf "nodes=%d jobs=%d shard=%s" nodes jobs
                       (match stream with
                        | None -> "batch"
-                       | Some s ->
-                         string_of_int s.Fcstack.Toolchain.so_shard_size))
+                       | Some s -> string_of_int s))
                    true
                    (Fcstack.Experiments.map_workload ~config ~nodes ~seed f
                     = expected))

@@ -258,27 +258,23 @@ let test_refusal_keeps_partial_artifacts () =
 
 (* run serve_connection over a pair of pipes in its own domain; the
    test plays the client on the other ends *)
-let with_connection ?max_requests (f : out_channel -> in_channel -> unit) :
+let with_connection ?max_requests
+    (f : Unix.file_descr -> F.Wire.fd_reader -> unit) :
   F.Service.connection_end =
   let r1, w1 = Unix.pipe () (* client -> server *) in
   let r2, w2 = Unix.pipe () (* server -> client *) in
   let s = F.Service.create () in
   let server =
     Domain.spawn (fun () ->
-        let ic = Unix.in_channel_of_descr r1 in
-        let oc = Unix.out_channel_of_descr w2 in
-        let e = F.Service.serve_connection ?max_requests ~log:false s ic oc in
-        (try flush oc with Sys_error _ -> ());
-        (try close_out oc with Sys_error _ -> ());
-        (try close_in ic with Sys_error _ -> ());
+        let e = F.Service.serve_connection ?max_requests ~log:false s r1 w2 in
+        Unix.close w2;
+        Unix.close r1;
         e)
   in
-  let coc = Unix.out_channel_of_descr w1 in
-  let cic = Unix.in_channel_of_descr r2 in
-  f coc cic;
-  (try close_out coc with Sys_error _ -> ());
+  f w1 (F.Wire.fd_reader r2);
+  Unix.close w1;
   let e = Domain.join server in
-  (try close_in cic with Sys_error _ -> ());
+  Unix.close r2;
   e
 
 let simple_request name =
@@ -299,7 +295,6 @@ let test_connection_bye () =
         F.Wire.write_frame oc ~kind:"req"
           (F.Request.to_wire (simple_request "b.mc"));
         F.Wire.write_frame oc ~kind:"bye" "";
-        flush oc;
         check Alcotest.string "first answer" "resp" (read_kind ic);
         check Alcotest.string "second answer" "resp" (read_kind ic))
   in
@@ -308,8 +303,7 @@ let test_connection_bye () =
 let test_connection_shutdown () =
   let e =
     with_connection (fun oc _ic ->
-        F.Wire.write_frame oc ~kind:"shutdown" "";
-        flush oc)
+        F.Wire.write_frame oc ~kind:"shutdown" "")
   in
   checkb "shutdown is signalled to the accept loop" true
     (e = F.Service.Cend_shutdown)
@@ -321,7 +315,6 @@ let test_connection_budget () =
           (F.Request.to_wire (simple_request "a.mc"));
         F.Wire.write_frame oc ~kind:"req"
           (F.Request.to_wire (simple_request "b.mc"));
-        flush oc;
         check Alcotest.string "budgeted answer" "resp" (read_kind ic);
         (* the loop stops before reading the second request *)
         check Alcotest.string "no second answer" "<eof>" (read_kind ic))
@@ -337,7 +330,6 @@ let test_connection_contains_bad_request () =
         F.Wire.write_frame oc ~kind:"req"
           (F.Request.to_wire (simple_request "after.mc"));
         F.Wire.write_frame oc ~kind:"bye" "";
-        flush oc;
         check Alcotest.string "bad request -> err" "err" (read_kind ic);
         check Alcotest.string "unknown kind -> err" "err" (read_kind ic);
         check Alcotest.string "later request still served" "resp"
@@ -349,8 +341,8 @@ let test_connection_poisoned_by_bad_frame () =
   (* a malformed frame (not a malformed request) poisons the stream *)
   let e =
     with_connection (fun oc ic ->
-        output_string oc "this is not an fcd1 frame\n";
-        flush oc;
+        let junk = "this is not an fcd1 frame\n" in
+        ignore (Unix.write_substring oc junk 0 (String.length junk) : int);
         check Alcotest.string "bad frame -> err" "err" (read_kind ic);
         check Alcotest.string "then hangup" "<eof>" (read_kind ic))
   in
@@ -364,6 +356,110 @@ let test_client_transport_failure_is_data () =
   | Error msg ->
     checkb "error says it cannot connect" true
       (String.length msg >= 14 && String.sub msg 0 14 = "cannot connect")
+
+(* ---- the client: --fail-fast runs nothing after the failure ------- *)
+
+(* valid, parse error, valid, valid: the second file fails, so the
+   third and fourth are neither emitted nor run *)
+let with_fail_fast_files (f : string list -> unit) : unit =
+  let dir = Filename.temp_dir "fcclient" "" in
+  let write name contents =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    path
+  in
+  let files =
+    [ write "a.mc" (source_of_seed 7); write "bad.mc" "int main( {\n";
+      write "c.mc" (source_of_seed 8); write "d.mc" (source_of_seed 9) ]
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove files; Sys.rmdir dir)
+    (fun () -> f files)
+
+(* (exit code, responses emitted, requests built) of one in-process
+   --fail-fast run *)
+let run_fail_fast ~jobs ~stream files : int * int * int =
+  let requests = Atomic.make 0 and emitted = ref 0 in
+  let o =
+    { F.Cliopts.cl_opts = F.Toolchain.default_request;
+      cl_jobs = jobs;
+      cl_fail_fast = true;
+      cl_connect = None;
+      cl_deadline_ms = None;
+      cl_retry = F.Retry.default;
+      cl_fallback_local = false;
+      cl_cache = { F.Cliopts.co_no_cache = true; co_dir = None; co_gc_mb = None } }
+  in
+  let request name source =
+    Atomic.incr requests;
+    F.Request.make ~name ~action:(F.Request.Compile { ac_dump_rtl = false })
+      source
+  in
+  let code =
+    F.Cliopts.run_client ~tool:"test" o ~stream ~request
+      ~emit:(fun _ -> incr emitted)
+      ~finish:(fun _ summarize -> summarize ())
+      files
+  in
+  (code, !emitted, Atomic.get requests)
+
+let test_fail_fast_stops_running () =
+  with_fail_fast_files (fun files ->
+      let code, emitted, requests = run_fail_fast ~jobs:1 ~stream:None files in
+      check Alcotest.int "-j 1: exit code" 2 code;
+      check Alcotest.int "-j 1: responses emitted" 2 emitted;
+      check Alcotest.int "-j 1: requests built" 2 requests;
+      let code, emitted, _ = run_fail_fast ~jobs:2 ~stream:(Some 1) files in
+      check Alcotest.int "-j 2 --shard-size 1: exit code" 2 code;
+      check Alcotest.int "-j 2 --shard-size 1: responses emitted" 2 emitted)
+
+(* ---- one typecheck per compile: the compiler's rejection is the
+   Typecheck diagnostic ---------------------------------------------- *)
+
+let expect_typecheck_diag (what : string) ~(node : string)
+    (src : Minic.Ast.program) (diags : F.Diag.t list) : unit =
+  let e =
+    match Minic.Typecheck.check_program src with
+    | Ok () -> Alcotest.fail (what ^ ": the source typechecks")
+    | Error e -> e
+  in
+  match diags with
+  | [ d ] ->
+    checkb (what ^ ": stage") true (d.F.Diag.d_stage = F.Diag.Typecheck);
+    check Alcotest.string (what ^ ": node") node d.F.Diag.d_node;
+    check Alcotest.string (what ^ ": message")
+      (Minic.Typecheck.error_to_string e) d.F.Diag.d_message
+  | ds ->
+    Alcotest.fail
+      (Printf.sprintf "%s: %d diagnostics, expected one" what
+         (List.length ds))
+
+let test_typecheck_diagnostic () =
+  (* a write to an undeclared variable: parses, fails the typecheck *)
+  let ill_typed =
+    F.Chaos.apply_fault F.Chaos.Fcorrupt_source (Testlib.Gen.gen_program 3)
+  in
+  (match F.Par.chain_node ~config:F.Toolchain.default "bad" ill_typed with
+   | Ok _ -> Alcotest.fail "chain_node accepted an ill-typed node"
+   | Error d -> expect_typecheck_diag "chain_node" ~node:"bad" ill_typed [ d ]);
+  let source = Minic.Pp.program_to_string ill_typed in
+  let parsed = Minic.Parser.parse_program source in
+  let analyze an_compare =
+    F.Request.Analyze { an_compare; an_simulate = false; an_annot = None }
+  in
+  List.iter
+    (fun (what, action) ->
+       let r =
+         F.Service.run_request (F.Service.create ())
+           (F.Request.make ~name:"bad.mc" ~action source)
+       in
+       check Alcotest.string (what ^ ": status") "refused"
+         (F.Response.status_to_string r.F.Response.rs_status);
+       expect_typecheck_diag what ~node:"bad.mc" parsed r.F.Response.rs_diags)
+    [ ("compile", F.Request.Compile { ac_dump_rtl = false });
+      ("compile --dump-rtl", F.Request.Compile { ac_dump_rtl = true });
+      ("analyze", analyze false);
+      ("analyze --compare", analyze true) ]
 
 (* ---- ping: the liveness probe ------------------------------------- *)
 
@@ -498,7 +594,7 @@ let test_serve_unix_sheds_past_budget () =
   let shed = connect_retry path in
   let rd = F.Wire.fd_reader shed in
   F.Wire.set_read_timeout rd (Some 10.0);
-  (match F.Wire.read_frame_fd ~idle_timeout:true rd with
+  (match F.Wire.read_frame ~idle_timeout:true rd with
    | F.Wire.Frame ("busy", msg) ->
      checkb "the busy frame names the saturation" true
        (contains msg "saturated")
@@ -626,7 +722,7 @@ let test_fd_reader_survives_signal_storm () =
        in
        let rd = F.Wire.fd_reader b in
        F.Wire.set_read_timeout rd (Some 30.0);
-       let got = F.Wire.read_frame_fd rd in
+       let got = F.Wire.read_frame rd in
        Atomic.set stop_storm true;
        Domain.join writer;
        Domain.join storm;
@@ -662,6 +758,10 @@ let suite =
       test_connection_poisoned_by_bad_frame;
     Alcotest.test_case "client: transport failure is data" `Quick
       test_client_transport_failure_is_data;
+    Alcotest.test_case "client: --fail-fast runs nothing after the failure"
+      `Quick test_fail_fast_stops_running;
+    Alcotest.test_case "service: an ill-typed source is one Typecheck diag"
+      `Quick test_typecheck_diagnostic;
     Alcotest.test_case "ping: liveness probe leaves the session alone"
       `Quick test_ping;
     Alcotest.test_case "deadline: expired is a refusal, never cached"
