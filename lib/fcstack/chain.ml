@@ -87,12 +87,17 @@ let build ?(exact = false) ?(validate = false)
     b_spec = pipeline_spec ~exact ~passes c;
     b_pass_stats = stats }
 
+(* The built node loaded into the simulator, for a caller that runs it
+   on several worlds with [Target.Sim.exec]. *)
+let sim_image (b : built) : Target.Sim.image =
+  Target.Sim.load ~source:b.b_source b.b_asm b.b_layout
+
 (* Run the built node on the simulator. [fuel] bounds the executed
    steps (Target.Sim's default otherwise): a diverging program raises
    Minic.Interp.Out_of_fuel instead of hanging the pipeline. *)
 let simulate ?cycles ?fuel (b : built) (w : Minic.Interp.world) :
   Target.Sim.run_result =
-  Target.Sim.run ?cycles ?fuel ~source:b.b_source b.b_asm b.b_layout w []
+  Target.Sim.exec ?cycles ?fuel (sim_image b) w []
 
 (* Static WCET of the built node's entry point. The config's cache
    shares finished per-function analyses across nodes, compiler
@@ -114,9 +119,12 @@ let wcet ?(config = Toolchain.default) (b : built) : Wcet.Report.t =
    certification point of the paper — so callers choose [exact].
 
    Validation is batched: one compile+layout ([b], built once by the
-   caller) is exercised against the whole battery, so widening the
-   battery costs only interpreter/simulator runs. [~worlds:n] is the
-   batch form — seeds 1..n — used by the qcheck trace-equivalence
+   caller) is loaded into the simulator once and exercised against the
+   whole battery, so widening the battery costs only interpreter/
+   simulator runs. The image is loaded after the first world's
+   interpreter run, where a single simulation would load it, so a node
+   that fails raises the same first error either way. [~worlds:n] is
+   the batch form — seeds 1..n — used by the qcheck trace-equivalence
    harness; [~seeds] picks the battery explicitly. *)
 let validate_chain ?(cycles = 4) ?worlds ?(seeds = [ 1; 2; 3 ]) ?sim_fuel
     (b : built) : (unit, string) Result.t =
@@ -125,10 +133,14 @@ let validate_chain ?(cycles = 4) ?worlds ?(seeds = [ 1; 2; 3 ]) ?sim_fuel
     | Some n -> List.init n (fun i -> i + 1)
     | None -> seeds
   in
+  let image = lazy (sim_image b) in
   let check (seed : int) : (unit, string) Result.t =
     let w () = Minic.Interp.seeded_world ~seed () in
     let ri = Minic.Interp.run_cycles b.b_source (w ()) ~cycles in
-    let rs = (simulate ~cycles ?fuel:sim_fuel b (w ())).Target.Sim.rr_result in
+    let rs =
+      (Target.Sim.exec ~cycles ?fuel:sim_fuel (Lazy.force image) (w ()) [])
+        .Target.Sim.rr_result
+    in
     if Minic.Interp.result_equal ri rs then Ok ()
     else
       Error

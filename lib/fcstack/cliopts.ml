@@ -349,7 +349,6 @@ let run_client ~(tool : string) (o : t) ~(stream : int option)
     ~(emit : Response.t -> unit)
     ~(finish : Service.session option -> (unit -> int) -> int)
     (files : string list) : int =
-  let total = List.length files in
   let new_session () =
     Service.create
       ~state:(session_of_opts ~jobs:o.cl_jobs o.cl_cache)
@@ -365,11 +364,13 @@ let run_client ~(tool : string) (o : t) ~(stream : int option)
     | Error d -> Response.refused [ d ]
     | Ok source -> exec (request file source)
   in
-  let diags = ref [] in
+  let diags = ref [] and emitted = ref 0 in
   (* diagnostics and the failure summary are stderr-only: stdout is
-     byte-identical across cache/jobs/stream configurations *)
+     byte-identical across cache/jobs/stream configurations. The
+     summary counts the responses emitted: with --fail-fast, the files
+     after the first failure never ran. *)
   let summarize () : int =
-    let diags = List.rev !diags in
+    let diags = List.rev !diags and total = !emitted in
     Diag.print_summary ~total diags;
     if o.cl_fail_fast && diags <> [] then 2
     else Diag.exit_code ~total ~failed:(List.length diags)
@@ -399,6 +400,7 @@ let run_client ~(tool : string) (o : t) ~(stream : int option)
           match r with
           | Some r when i <= Atomic.get first_failure ->
             emit r;
+            incr emitted;
             diags := List.rev_append r.Response.rs_diags !diags
           | Some _ | None -> ())
       ~init:()

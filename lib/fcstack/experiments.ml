@@ -511,12 +511,13 @@ let print_overestimation (ppf : Format.formatter) ?(nodes = 20) ?(seed = 2026)
                  (fun c ->
                     let b = Chain.build c src in
                     let report = Chain.wcet ~config b in
+                    let image = Chain.sim_image b in
                     let observed =
                       List.fold_left
                         (fun acc s ->
                            let sim =
-                             Chain.simulate ?fuel:config.Toolchain.sim_fuel b
-                               (Minic.Interp.seeded_world ~seed:s ())
+                             Target.Sim.exec ?fuel:config.Toolchain.sim_fuel
+                               image (Minic.Interp.seeded_world ~seed:s ()) []
                            in
                            max acc sim.Target.Sim.rr_stats.Target.Sim.cycles)
                         0 [ 1; 2; 3; 4; 5; 6 ]

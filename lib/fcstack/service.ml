@@ -123,10 +123,13 @@ let run_analyze (config : Toolchain.config) ~(name : string)
     in
     Diag.capture ~node:name ~stage:Diag.Wcet (fun () ->
         let observed_max (b : Chain.built) (seeds : int list) : int =
+          let image = Chain.sim_image b in
           List.fold_left
             (fun acc seed ->
                let w = Minic.Interp.seeded_world ~seed () in
-               let rr = Chain.simulate ?fuel:config.Toolchain.sim_fuel b w in
+               let rr =
+                 Target.Sim.exec ?fuel:config.Toolchain.sim_fuel image w []
+               in
                max acc rr.Target.Sim.rr_stats.Target.Sim.cycles)
             0 seeds
         in

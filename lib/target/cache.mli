@@ -17,12 +17,23 @@ val tiny : config
 
 type t = {
   cfg : config;
-  sets : int list array;  (** per set: resident line indices, MRU first *)
+  line_bits : int;  (** [cfg_line = 1 lsl line_bits] *)
+  set_mask : int;  (** [cfg_sets - 1] *)
+  ways : int array array;
+      (** per set [s]: the resident line indices in
+          [ways.(s).(0 .. fill.(s)-1)], most recently used first. A set
+          shares one empty array until its first miss gives it
+          [cfg_assoc] slots of its own; after that no access
+          allocates. *)
+  fill : int array;  (** per set: how many lines are resident *)
   mutable hits : int;
   mutable misses : int;
 }
 
 val create : config -> t
+(** An empty cache.
+    @raise Invalid_argument unless [cfg_line] and [cfg_sets] are powers
+    of two. *)
 
 val set_of : t -> int -> int
 (** Set index of a line index. *)
