@@ -1,7 +1,7 @@
 (* The MPC755-flavoured timing model (DESIGN section 5), shared verbatim
    by the executable simulator and the WCET analyzer's pipeline phase:
    there is exactly ONE cost function, [static_costs], and both [Sim]
-   (over a whole function body, once per run) and [Wcet.Pipeline] (over
+   (over a whole function body, once per image) and [Wcet.Pipeline] (over
    each basic block) call it. Overlap windows (dual-issue pairing, FPU
    pipelining, load-to-use forwarding) reset at labels and branches and
    every jump lands on a label, so block costs compose: summing
