@@ -582,15 +582,13 @@ let print_overestimation (ppf : Format.formatter) ?(nodes = 20) ?(seed = 2026)
 
 (* ---- scale legs (bench -e scale-leg) ------------------------------- *)
 
-(* Peak resident set, measured rather than asserted: a watcher Domain
-   samples VmRSS from /proc/self/status while the leg runs. VmRSS (not
-   VmHWM) because the watcher tracks its own maximum over the leg —
-   VmHWM is a process-lifetime high-water mark and could only report
-   the largest leg ever run in this process. On a platform without
-   procfs the samples read 0 and the leg degrades to wall-clock and
-   throughput only. *)
-
-let rss_kb () : int =
+(* Peak resident set, measured rather than asserted: VmHWM, the
+   process's resident high-water mark, read from /proc/self/status once
+   the leg is over. It covers the whole process lifetime, which is why
+   a scale leg runs alone in its own process. On a platform without
+   procfs it reads 0 and the leg degrades to wall-clock and throughput
+   only. *)
+let peak_rss_kb () : int =
   match open_in "/proc/self/status" with
   | exception Sys_error _ -> 0
   | ic ->
@@ -598,7 +596,7 @@ let rss_kb () : int =
       match input_line ic with
       | exception End_of_file -> 0
       | line ->
-        if String.length line > 6 && String.sub line 0 6 = "VmRSS:" then
+        if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
           try
             Scanf.sscanf
               (String.sub line 6 (String.length line - 6))
@@ -609,33 +607,6 @@ let rss_kb () : int =
     let v = scan () in
     close_in ic;
     v
-
-let with_rss_watcher (f : unit -> 'a) : 'a * int =
-  let stop = Atomic.make false in
-  let peak = Atomic.make (rss_kb ()) in
-  let watcher =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          let r = rss_kb () in
-          let rec bump () =
-            let m = Atomic.get peak in
-            if r > m && not (Atomic.compare_and_set peak m r) then bump ()
-          in
-          bump ();
-          Unix.sleepf 0.005
-        done)
-  in
-  let finish () =
-    Atomic.set stop true;
-    Domain.join watcher
-  in
-  match f () with
-  | v ->
-    finish ();
-    (v, max (Atomic.get peak) (rss_kb ()))
-  | exception e ->
-    finish ();
-    raise e
 
 type scale_leg = {
   sc_nodes : int;
@@ -673,16 +644,15 @@ let run_scale_leg ?(nodes = 2500) ?(seed = 2026) ?(config = Toolchain.default)
     | Error (_ : Diag.t) -> (total, fails + 1)
   in
   let t0 = Unix.gettimeofday () in
-  let (wcet_total, failures), peak =
-    with_rss_watcher (fun () ->
-        fold_workload ~config ~nodes ~seed work consume (0, 0))
+  let wcet_total, failures =
+    fold_workload ~config ~nodes ~seed work consume (0, 0)
   in
   let wall = Unix.gettimeofday () -. t0 in
   { sc_nodes = nodes;
     sc_failures = failures;
     sc_wcet_total = wcet_total;
     sc_wall_s = wall;
-    sc_peak_rss_kb = peak;
+    sc_peak_rss_kb = peak_rss_kb ();
     sc_throughput = (if wall > 0.0 then float_of_int nodes /. wall else 0.0);
     sc_stats = Option.map Wcet.Memo.stats config.Toolchain.cache }
 

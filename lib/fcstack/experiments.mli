@@ -113,7 +113,8 @@ type scale_leg = {
                               leg of one (nodes, seed, compiler) point,
                               whatever the jobs/cache/shape *)
   sc_wall_s : float;
-  sc_peak_rss_kb : int;   (** sampled VmRSS maximum (0: no procfs) *)
+  sc_peak_rss_kb : int;   (** the process's VmHWM after the leg
+                              (0: no procfs) *)
   sc_throughput : float;  (** nodes per second *)
   sc_stats : Wcet.Report.analysis_stats option;  (** [None]: no cache *)
 }
@@ -122,10 +123,10 @@ val run_scale_leg :
   ?nodes:int -> ?seed:int -> ?config:Toolchain.config -> unit -> scale_leg
 (** One scale leg: compile + analyze the whole workload
     in the execution shape the config picks (batch or [config.stream],
-    [config.jobs] domains, [config.cache]), while a watcher Domain
-    samples peak RSS from [/proc/self/status]. No simulation or
-    validation — this measures the service-shaped hot path. Defaults:
-    2500 nodes, seed 2026. *)
+    [config.jobs] domains, [config.cache]), then read the process's
+    peak RSS (VmHWM) from [/proc/self/status]: run one leg per process.
+    No simulation or validation — this measures the service-shaped hot
+    path. Defaults: 2500 nodes, seed 2026. *)
 
 val scale_leg_json :
   config:Toolchain.config -> scale_leg -> string

@@ -7,12 +7,13 @@
    non-negotiable for a verification pipeline: results are merged by
    task index, never by completion order, so the output of a parallel
    run is byte-identical to the sequential one regardless of
-   scheduling.
+   scheduling. The sequential reference itself lives with the tests
+   ([test/par_ref.ml]); the product has one engine for every [jobs].
 
-   Domain-safety audit (this PR): every compilation/analysis library
-   the workers call ([Cotsc], [Vcomp], [Wcet], [Target], [Scade],
-   [Minic]) keeps its mutable state in per-call records — codegen
-   contexts ([Cotsc.Codegen.ctx], [Scade.Acg.gen_state]), per-function
+   Domain-safety audit: every compilation/analysis library the workers
+   call ([Cotsc], [Vcomp], [Wcet], [Target], [Scade], [Minic]) keeps
+   its mutable state in per-call records — codegen contexts
+   ([Cotsc.Codegen.ctx], [Scade.Acg.gen_state]), per-function
    fresh-name counters ([Vcomp.Rtl.f_next_reg]/[f_next_node]),
    per-analysis hashtables ([Wcet.*], [Target.Layout]), per-run machine
    state ([Target.Sim.machine]) and seeded [Random.State] values
@@ -21,204 +22,187 @@
    test in [test/test_par.ml] runs two compilations concurrently from
    two Domains to keep it that way. *)
 
-let default_jobs () : int = max 1 (Domain.recommended_domain_count ())
-
-(* One task's captured outcome, written race-free by the single domain
-   that claimed its index. *)
-type 'a slot = ('a, exn * Printexc.raw_backtrace) Result.t option
-
-(* The one index-merge of the whole module: walk a retired shard's
-   index-ordered slots front to back, handing each result to [f] with
-   its global index, and stop at the first captured exception — the
-   smallest-indexed one therefore always wins, and no result at or
-   beyond it is ever observed. *)
-let fold_slots ~(base : int) (slots : 'a slot array)
-    (f : int -> 'a -> unit) : (exn * Printexc.raw_backtrace) option =
-  let n = Array.length slots in
-  let rec go i =
-    if i >= n then None
-    else
-      match slots.(i) with
-      | Some (Ok v) ->
-        f (base + i) v;
-        go (i + 1)
-      | Some (Error e) -> Some e
-      | None -> assert false (* every index was claimed *)
-  in
-  go 0
-
 (* ---- bounded-buffer streaming --------------------------------------- *)
 
-(* One in-flight shard: its tasks, their slots, a claim cursor and a
-   completion count. All fields are guarded by the stream mutex. *)
+(* One in-flight shard: its tasks, their results, a claim cursor and a
+   consume cursor. All fields are guarded by the stream mutex; a slot
+   is written once, by the domain that claimed its index. *)
 type 'a shard = {
   sh_base : int;                 (* global index of task 0 *)
   sh_tasks : (unit -> 'a) array;
-  sh_slots : 'a slot array;
+  sh_slots : 'a option array;
   mutable sh_next : int;         (* next unclaimed task *)
-  mutable sh_done : int;         (* completed tasks *)
+  mutable sh_consumed : int;     (* next task to fold into the consumer *)
 }
 
-(* Pull shards lazily from [producer] (shard k, [None] = end of
-   stream), run every task on up to [jobs] domains, and fold completed
-   results into [consumer] in global task order. Memory is bounded: at
-   most [jobs + lookahead] shards are resident (produced but not yet
-   retired) at any instant, so the resident set is independent of the
-   stream length — the flat-RSS contract of the streaming pipeline.
+(* The lock and condition of the last stream this domain finished, kept
+   for its next one. Both are custom blocks with finalizers; a fresh
+   pair per stream, promoted with every long task, raised the major
+   heap peak of perfbench batch-o0 (a one-node stream per node at -j 1)
+   by about 8%. A stream takes the pair out while it runs, so a stream
+   nested in a task or a consumer makes its own. *)
+let spare : (Mutex.t * Condition.t) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
-   Determinism: tasks are claimed oldest shard first; a shard is
-   retired — its slots folded, in index order, under the stream lock —
-   only when complete and when every older shard has been retired, so
-   [consumer] observes exactly the sequential order no matter how the
-   domains interleave. A raised task exception is re-raised in the
-   caller after all domains wind down; the first one in global order
-   wins (the stream stops claiming and producing, and no result at or
-   beyond the raising index reaches [consumer]). [jobs <= 1] runs
-   everything in the calling domain: produce a shard, run it, retire
-   it — the reference behaviour the parallel path reproduces.
+(* Pull shards lazily from [producer] (shard k, [None] = end of
+   stream), run every task on [jobs] domains, the calling one
+   included, and fold results into [consumer] in global task order.
+   Memory is bounded: at most [jobs + 1] shards are resident (produced
+   but not yet consumed) at any instant, so the resident set is
+   independent of the stream length — the flat-RSS contract of the
+   streaming pipeline.
+
+   Determinism: tasks are claimed in global order, oldest shard first,
+   and a result reaches [consumer] only once every result below it
+   has, so [consumer] observes exactly the sequential order no matter
+   how the domains interleave. A failure is a global index with an
+   exception: a raising task at its index, a raising producer at the
+   first index of the shard it did not produce, a raising consumer at
+   the index it was handed. The smallest failing index wins; once it
+   has failed no task above it is claimed and nothing is produced, and
+   no result at or beyond it reaches [consumer], so the consumed prefix
+   is the sequential one. Its exception is re-raised in the caller once
+   every domain has wound down.
 
    [producer] is called from worker domains, one call at a time (never
    concurrently, shards in order), outside the lock: generation
    overlaps compilation, but a producer need not be thread-safe beyond
    being callable from another domain. [consumer] always runs under
-   the lock — never concurrently with itself. *)
-let run_stream ?(jobs = default_jobs ()) ?(lookahead = 1)
+   the lock — never concurrently with itself. With [jobs = 1] the
+   calling domain runs the loop alone and no domain is spawned: it
+   produces a shard, runs and consumes its tasks in order, then
+   produces the next, exactly as the sequential reference does. *)
+let run_stream ~(jobs : int)
     ~(producer : int -> (unit -> 'a) array option)
     ~(consumer : 'acc -> int -> 'a -> 'acc) ~(init : 'acc) () : 'acc =
-  let lookahead = max 0 lookahead in
-  if jobs <= 1 then begin
-    (* sequential reference: one shard resident at a time *)
-    let acc = ref init in
-    let k = ref 0 and base = ref 0 and finished = ref false in
-    while not !finished do
-      match producer !k with
-      | None -> finished := true
-      | Some tasks ->
-        Array.iteri
-          (fun i t -> acc := consumer !acc (!base + i) (t ()))
-          tasks;
-        base := !base + Array.length tasks;
-        incr k
-    done;
-    !acc
-  end
-  else begin
-    let cap = jobs + lookahead in
-    let mutex = Mutex.create () and cond = Condition.create () in
-    (* all of the following is guarded by [mutex] *)
-    let window : 'a shard Queue.t = Queue.create () in
-    let next_shard = ref 0 in       (* next shard index to produce *)
-    let produced = ref 0 in         (* global task count produced *)
-    let producing = ref false in    (* a domain is inside [producer] *)
-    let exhausted = ref false in    (* producer returned None *)
-    let failed : (exn * Printexc.raw_backtrace) option ref = ref None in
-    let acc = ref init in
-    (* retire complete shards from the front of the window; under the
-       lock, so consumer folds are serial and in global order. After a
-       recorded failure nothing further is consumed or retired. *)
-    let retire_front () =
-      while
-        !failed = None
-        && (not (Queue.is_empty window))
-        && (let sh = Queue.peek window in
-            sh.sh_done = Array.length sh.sh_tasks)
-      do
-        let sh = Queue.pop window in
-        match
-          fold_slots ~base:sh.sh_base sh.sh_slots (fun i v ->
-              acc := consumer !acc i v)
-        with
-        | None -> ()
-        | Some e -> failed := Some e
-      done
+  let jobs = max 1 jobs in
+  let cap = jobs + 1 in
+  let mutex, cond =
+    match Domain.DLS.get spare with
+    | Some pair ->
+      Domain.DLS.set spare None;
+      pair
+    | None -> (Mutex.create (), Condition.create ())
+  in
+  (* all of the following is guarded by [mutex] *)
+  let window : 'a shard Queue.t = Queue.create () in
+  let next_shard = ref 0 in       (* next shard index to produce *)
+  let produced = ref 0 in         (* global task count produced *)
+  let producing = ref false in    (* a domain is inside [producer] *)
+  let exhausted = ref false in    (* producer returned None *)
+  let acc = ref init in
+  (* The smallest failing index with its exception. It is published
+     without the lock: a raising task records it before it waits for
+     the lock, so no other domain claims a task above it meanwhile. *)
+  let failed : (int * exn * Printexc.raw_backtrace) option Atomic.t =
+    Atomic.make None
+  in
+  let rec fail g e bt =
+    match Atomic.get failed with
+    | Some (f, _, _) when f <= g -> ()
+    | cur ->
+      if not (Atomic.compare_and_set failed cur (Some (g, e, bt))) then
+        fail g e bt
+  in
+  let below_failure g =
+    match Atomic.get failed with None -> true | Some (f, _, _) -> g < f
+  in
+  (* fold finished results into [consumer] front to back, stopping at
+     the first unfinished task or the failure; drop consumed shards *)
+  let rec consume () =
+    match Queue.peek_opt window with
+    | None -> ()
+    | Some sh when sh.sh_consumed = Array.length sh.sh_tasks ->
+      ignore (Queue.pop window);
+      consume ()
+    | Some sh ->
+      let i = sh.sh_consumed in
+      let g = sh.sh_base + i in
+      (match sh.sh_slots.(i) with
+       | Some v when below_failure g ->
+         sh.sh_consumed <- i + 1;
+         (match consumer !acc g v with
+          | a ->
+            acc := a;
+            consume ()
+          | exception e -> fail g e (Printexc.get_raw_backtrace ()))
+       | Some _ | None -> ())
+  in
+  (* claim the oldest unclaimed task, unless it lies at or above the
+     failure: claims are in global order, so that one is the only
+     candidate *)
+  let claim () =
+    match Seq.find (fun sh -> sh.sh_next < Array.length sh.sh_tasks)
+            (Queue.to_seq window) with
+    | Some sh when below_failure (sh.sh_base + sh.sh_next) ->
+      let i = sh.sh_next in
+      sh.sh_next <- i + 1;
+      Some (sh, i)
+    | Some _ | None -> None
+  in
+  let worker () =
+    Mutex.lock mutex;
+    let rec loop () =
+      match claim () with
+      | Some (sh, i) ->
+        Mutex.unlock mutex;
+        let r =
+          try Some (sh.sh_tasks.(i) ())
+          with e ->
+            fail (sh.sh_base + i) e (Printexc.get_raw_backtrace ());
+            None
+        in
+        Mutex.lock mutex;
+        sh.sh_slots.(i) <- r;
+        consume ();
+        Condition.broadcast cond;
+        loop ()
+      | None when !exhausted || Atomic.get failed <> None ->
+        (* nothing left to claim, and nothing more will be produced:
+           tasks still running elsewhere consume their own results *)
+        Mutex.unlock mutex
+      | None when !producing || Queue.length window >= cap ->
+        Condition.wait cond mutex;
+        loop ()
+      | None ->
+        let k = !next_shard in
+        incr next_shard;
+        producing := true;
+        Mutex.unlock mutex;
+        (* outside the lock, so generation overlaps the in-flight work *)
+        let r =
+          try Ok (producer k)
+          with e -> Error (e, Printexc.get_raw_backtrace ())
+        in
+        Mutex.lock mutex;
+        producing := false;
+        (match r with
+         | Ok None -> exhausted := true
+         | Ok (Some tasks) ->
+           let n = Array.length tasks in
+           Queue.push
+             { sh_base = !produced;
+               sh_tasks = tasks;
+               sh_slots = Array.make n None;
+               sh_next = 0;
+               sh_consumed = 0 }
+             window;
+           produced := !produced + n;
+           (* an empty shard has no task to finish: drop it here *)
+           consume ()
+         | Error (e, bt) -> fail !produced e bt);
+        Condition.broadcast cond;
+        loop ()
     in
-    let worker () =
-      Mutex.lock mutex;
-      let rec loop () =
-        if !failed <> None then Mutex.unlock mutex
-        else begin
-          (* oldest shard with an unclaimed task, if any *)
-          let claim = ref None in
-          (try
-             Queue.iter
-               (fun sh ->
-                  if sh.sh_next < Array.length sh.sh_tasks then begin
-                    claim := Some (sh, sh.sh_next);
-                    sh.sh_next <- sh.sh_next + 1;
-                    raise Exit
-                  end)
-               window
-           with Exit -> ());
-          match !claim with
-          | Some (sh, i) ->
-            Mutex.unlock mutex;
-            let r =
-              try Ok (sh.sh_tasks.(i) ())
-              with e -> Error (e, Printexc.get_raw_backtrace ())
-            in
-            Mutex.lock mutex;
-            sh.sh_slots.(i) <- Some r;
-            sh.sh_done <- sh.sh_done + 1;
-            retire_front ();
-            Condition.broadcast cond;
-            loop ()
-          | None ->
-            if (not !exhausted) && (not !producing)
-            && Queue.length window < cap then begin
-              let k = !next_shard in
-              incr next_shard;
-              producing := true;
-              Mutex.unlock mutex;
-              (* producer runs outside the lock so generation overlaps
-                 the in-flight work; a producer exception fails the
-                 whole stream (the prefix consumed before it is
-                 whatever had already retired) *)
-              let shard =
-                try Ok (producer k)
-                with e -> Error (e, Printexc.get_raw_backtrace ())
-              in
-              Mutex.lock mutex;
-              producing := false;
-              (match shard with
-               | Error e ->
-                 exhausted := true;
-                 if !failed = None then failed := Some e
-               | Ok None -> exhausted := true
-               | Ok (Some tasks) ->
-                 Queue.push
-                   { sh_base = !produced;
-                     sh_tasks = tasks;
-                     sh_slots = Array.make (Array.length tasks) None;
-                     sh_next = 0;
-                     sh_done = 0 }
-                   window;
-                 produced := !produced + Array.length tasks;
-                 (* an empty shard has no task to complete: retire it
-                    here or the window never drains *)
-                 retire_front ());
-              Condition.broadcast cond;
-              loop ()
-            end
-            else if !exhausted && Queue.is_empty window && not !producing
-            then begin
-              Condition.broadcast cond;
-              Mutex.unlock mutex
-            end
-            else begin
-              Condition.wait cond mutex;
-              loop ()
-            end
-        end
-      in
-      loop ()
-    in
-    let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join domains;
-    match !failed with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> !acc
-  end
+    loop ()
+  in
+  let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+  worker ();
+  List.iter Domain.join domains;
+  Domain.DLS.set spare (Some (mutex, cond));
+  match Atomic.get failed with
+  | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> !acc
 
 (* The shard size of [n] tasks: the stream's when set, and without it
    the whole input as one shard. *)
@@ -227,9 +211,8 @@ let shape (stream : int option) ~(n : int) : int =
 
 (* The one slicer of a task array: cut [tasks] into shards of
    [shape stream] tasks and fold their results through the stream
-   above in task order. With one job or at most one task everything
-   runs sequentially in the calling domain. *)
-let fold ?(jobs = default_jobs ()) ?stream (tasks : (unit -> 'a) array)
+   above in task order, on at most one domain per task. *)
+let fold ~(jobs : int) ?stream (tasks : (unit -> 'a) array)
     ~(consumer : 'acc -> int -> 'a -> 'acc) ~(init : 'acc) : 'acc =
   let n = Array.length tasks in
   let shard = shape stream ~n in
@@ -238,17 +221,6 @@ let fold ?(jobs = default_jobs ()) ?stream (tasks : (unit -> 'a) array)
     if lo >= n then None else Some (Array.sub tasks lo (min shard (n - lo)))
   in
   run_stream ~jobs:(min jobs n) ~producer ~consumer ~init ()
-
-(* Run [tasks.(i) ()] for every [i] on up to [jobs] domains and return
-   the results in task order: [fold] over one shard, so a batch
-   inherits the stream's smallest-index exception rule. *)
-let run ?jobs (tasks : (unit -> 'a) array) : 'a array =
-  Array.of_list
-    (List.rev (fold ?jobs tasks ~consumer:(fun acc _ v -> v :: acc) ~init:[]))
-
-(* Order-preserving parallel map over a list. *)
-let map_list ?jobs (f : 'a -> 'b) (xs : 'a list) : 'b list =
-  Array.to_list (run ?jobs (Array.map (fun x () -> f x) (Array.of_list xs)))
 
 (* ---- the per-node chain as a parallel workload ---------------------- *)
 
@@ -291,55 +263,25 @@ let chain_node ~(config : Toolchain.config) ?exact ?validate ?cycles
       pn_wcet = report.Wcet.Report.rp_wcet;
       pn_validation = validation }
 
-(* Run the full per-node chain — ACG when given a SCADE node, then
-   compile under the config's compiler, link ([Layout.build] inside
-   [Chain.build]), analyze and validate — for every node of a
-   workload, fanned out over [config.jobs] domains. The config's cache
-   is the shared WCET-analysis cache: Wcet.Memo is sharded and
-   mutex-protected, so one cache may be handed to any number of
-   concurrent workers without perturbing results (a hit returns what a
-   miss would compute). [exact]/[validate]/[cycles] stay per-call
-   knobs: they pick the semantics being checked, not how the toolchain
-   runs.
-
-   Failure containment: each node's outcome is a [Result.t] — a
-   failing node is recorded as its [Diag.t] and *skipped*; every other
-   node completes and merges by index exactly as before, so the
-   successful entries of a partially-failed run are byte-identical to
-   a fault-free run restricted to those nodes. *)
-let run_chain ?(config = Toolchain.default) ?exact ?validate ?cycles
-    (nodes : (string * Minic.Ast.program) list) :
-  (node_result, Diag.t) Result.t list =
-  map_list ~jobs:config.Toolchain.jobs
-    (fun (name, src) -> chain_node ~config ?exact ?validate ?cycles name src)
-    nodes
-
-(* Same, starting from SCADE nodes (runs the ACG inside the worker; an
-   ACG failure is a Compile-stage diagnostic). *)
+(* Run the full per-node chain — the ACG, then [chain_node] — for every
+   SCADE node of a workload, fanned out over [config.jobs] domains and
+   returned in input order. The config's cache is the shared
+   WCET-analysis cache: Wcet.Memo is sharded and mutex-protected, so
+   one cache may be handed to any number of concurrent workers without
+   perturbing results (a hit returns what a miss would compute). A
+   failing node, an ACG failure included (a Compile-stage diagnostic),
+   is recorded as its [Diag.t]; every other node completes exactly as
+   in a fault-free run. *)
 let run_chain_nodes ?(config = Toolchain.default) ?exact ?validate ?cycles
     (nodes : Scade.Symbol.node list) : (node_result, Diag.t) Result.t list =
-  map_list ~jobs:config.Toolchain.jobs
-    (fun node ->
-       let name = node.Scade.Symbol.n_name in
-       Result.bind
-         (Diag.capture ~node:name ~stage:Diag.Compile (fun () ->
-              Scade.Acg.generate node))
-         (fun src -> chain_node ~config ?exact ?validate ?cycles name src))
-    nodes
-
-(* The streaming counterpart of [run_chain]: named mini-C programs
-   arrive shard by shard from [producer], each node runs [chain_node]
-   under the config, and outcomes fold into [consumer] in global input
-   order — the per-node results are identical to [run_chain] over the
-   concatenated shards, with only [jobs + 1] shards resident. *)
-let run_chain_stream ?(config = Toolchain.default) ?exact ?validate ?cycles
-    ~(producer : int -> (string * Minic.Ast.program) array option)
-    ~(consumer : 'acc -> int -> (node_result, Diag.t) Result.t -> 'acc)
-    ~(init : 'acc) () : 'acc =
-  run_stream ~jobs:config.Toolchain.jobs
-    ~producer:(fun k ->
-        Option.map
-          (Array.map (fun (name, src) () ->
-               chain_node ~config ?exact ?validate ?cycles name src))
-          (producer k))
-    ~consumer ~init ()
+  let task (node : Scade.Symbol.node) () =
+    let name = node.Scade.Symbol.n_name in
+    Result.bind
+      (Diag.capture ~node:name ~stage:Diag.Compile (fun () ->
+           Scade.Acg.generate node))
+      (chain_node ~config ?exact ?validate ?cycles name)
+  in
+  List.rev
+    (fold ~jobs:config.Toolchain.jobs
+       (Array.of_list (List.map task nodes))
+       ~consumer:(fun acc _ r -> r :: acc) ~init:[])

@@ -325,16 +325,11 @@ let shard_bounds (p : plan) (k : int) : int * int =
   let lo = k * p.sp_shard_size in
   (min lo p.sp_nodes, min ((k + 1) * p.sp_shard_size) p.sp_nodes)
 
-let shard_rng (p : plan) (k : int) : Random.State.t =
-  Random.State.make [| p.sp_seed; k; 0x5CADE |]
-
+(* Node content draws only from the per-node seeds of [node_at], so
+   concatenated shards stay byte-identical to the monolithic generator
+   at every shard size. *)
 let generate_shard (p : plan) (k : int) :
   (Symbol.node * Minic.Ast.program) array =
-  (* the shard state is the anchored derivation point for shard-level
-     randomness (e.g. future profile jitter); node *content* draws only
-     from the per-node states of [node_at], so concatenated shards stay
-     byte-identical to the monolithic generator at every shard size *)
-  let _ = shard_rng p k in
   let lo, hi = shard_bounds p k in
   Array.init (hi - lo) (fun j ->
       let node = node_at ~seed:p.sp_seed (lo + j) in

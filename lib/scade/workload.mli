@@ -56,13 +56,6 @@ val shard_bounds : plan -> int -> int * int
 (** [shard_bounds plan k] is the global node-index range [\[lo, hi)] of
     shard [k] (empty once [k >= shard_count plan]). *)
 
-val shard_rng : plan -> int -> Random.State.t
-(** The per-shard random state, derived as
-    [Random.State.make [| seed; k; 0x5CADE |]] — the anchored
-    derivation point for shard-level randomness. Node content draws
-    only from per-node states ({!node_at}), which is what keeps
-    concatenated shards byte-identical to the monolithic generator. *)
-
 val generate_shard : plan -> int -> (Symbol.node * Minic.Ast.program) array
 (** Shard [k]: nodes [lo..hi-1] of the plan with their generated
     mini-C. Pure in [(plan, k)]; concatenating all shards equals

@@ -164,10 +164,9 @@ type t = {
   mutable ph_omt : int;
 }
 
-let create ?(shards = 16) ?dir ?gc_mb () : t =
-  let shards = max 1 shards in
+let create ?dir ?gc_mb () : t =
   { shards =
-      Array.init shards (fun _ ->
+      Array.init 16 (fun _ ->
           { sh_mutex = Mutex.create ();
             sh_table = Hashtbl.create 64;
             sh_hits = 0;

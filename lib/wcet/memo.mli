@@ -53,8 +53,8 @@ val key :
 val digest : key -> string
 (** The key's MD5 digest (16 raw bytes), for logging/tests. *)
 
-val create : ?shards:int -> ?dir:string -> ?gc_mb:int -> unit -> t
-(** Fresh cache; [shards] mutex-protected shards (default 16).
+val create : ?dir:string -> ?gc_mb:int -> unit -> t
+(** Fresh cache of 16 mutex-protected shards.
 
     [dir] attaches the persistent on-disk half ({!Store}): memory
     misses probe [dir], and finished analyses are written through, so

@@ -278,20 +278,23 @@ let survivors_identical_prop =
              (Fcstack.Toolchain.session ~jobs ?cache ())
              (Fcstack.Toolchain.request_opts ~worlds:2 ())
          in
-         Fcstack.Par.map_list ~jobs
-           (fun (i, (name, src)) ->
-              match List.assoc_opt i plan with
-              | None -> Fcstack.Par.chain_node ~config name src
-              | Some fault ->
-                let config =
-                  if fault = Fcstack.Chaos.Ffuel then
-                    { config with
-                      Fcstack.Toolchain.analysis_fuel = Wcet.Fuel.starved }
-                  else config
-                in
-                Fcstack.Par.chain_node ~config name
-                  (Fcstack.Chaos.apply_fault fault src))
-           indexed
+         let task (i, (name, src)) () =
+           match List.assoc_opt i plan with
+           | None -> Fcstack.Par.chain_node ~config name src
+           | Some fault ->
+             let config =
+               if fault = Fcstack.Chaos.Ffuel then
+                 { config with
+                   Fcstack.Toolchain.analysis_fuel = Wcet.Fuel.starved }
+               else config
+             in
+             Fcstack.Par.chain_node ~config name
+               (Fcstack.Chaos.apply_fault fault src)
+         in
+         List.rev
+           (Fcstack.Par.fold ~jobs
+              (Array.of_list (List.map task indexed))
+              ~consumer:(fun acc _ r -> r :: acc) ~init:[])
        in
        let reference =
          List.map
