@@ -4,6 +4,8 @@
    reachable from the entry take part: an unreachable node dominates
    nothing, is dominated by nothing and lies in no loop. *)
 
+module Intmap = Intmap
+
 type 'e graph = {
   entry : int;
   succs : (int * 'e) list array;

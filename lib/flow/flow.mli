@@ -4,6 +4,9 @@
     an unreachable node dominates nothing, is dominated by nothing and
     lies in no loop. *)
 
+module Intmap = Intmap
+(** Int-keyed Patricia maps, the one map of the dataflow states. *)
+
 type 'e graph = {
   entry : int;
   succs : (int * 'e) list array;

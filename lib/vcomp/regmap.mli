@@ -1,10 +1,9 @@
 (** Maps from pseudo-registers, for the environments of the forward
     dataflow analyses, and the worklist fixpoint over them. The maps are
-    Patricia trees, canonical in shape, that share every subtree an
-    operation leaves unchanged, so that a meet or an equality test of
-    two environments that differ in a few bindings skips the rest. *)
+    {!Flow.Intmap}'s Patricia trees, so that a meet or an equality test
+    of two environments that differ in a few bindings skips the rest. *)
 
-type 'a t
+type 'a t = 'a Flow.Intmap.t
 
 val empty : 'a t
 val find : Rtl.reg -> 'a t -> 'a option

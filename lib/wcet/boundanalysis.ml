@@ -184,9 +184,7 @@ let counter_init (va : Valueanalysis.result) (cfg : Cfg.t) (l : Loops.loop)
               | Creg r ->
                 Valueanalysis.as_int_itv (Valueanalysis.get_reg st_edge r)
               | Cslot k ->
-                (match
-                   Valueanalysis.IMap.find_opt k st_edge.Valueanalysis.slots
-                 with
+                (match Valueanalysis.find_slot st_edge k with
                  | Some v -> Valueanalysis.as_int_itv v
                  | None -> Interval.top)))
       l.Loops.l_entry_edges

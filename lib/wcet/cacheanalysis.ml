@@ -37,9 +37,14 @@ type t = {
   ca_dpersistent : int -> bool; (* is this data line persistent? *)
 }
 
+(* The geometry of the analyzed caches, shared with [Mustcache]. *)
 let line_size = Target.Cache.mpc755_l1.Target.Cache.cfg_line
 let nsets = Target.Cache.mpc755_l1.Target.Cache.cfg_sets
 let assoc = Target.Cache.mpc755_l1.Target.Cache.cfg_assoc
+
+let set_of (line : int) : int =
+  let s = line mod nsets in
+  if s < 0 then s + nsets else s
 
 let lines_of_range (lo : int) (hi : int) : int list =
   (* inclusive byte range *)
@@ -123,7 +128,6 @@ let analyze (cfg : Cfg.t) (va : Valueanalysis.result) (lay : Target.Layout.t) :
        block_daccesses.(b) <- List.rev !accs)
     reachable;
   (* ---- per-set capacity check ---- *)
-  let set_of l = l mod nsets in
   let count_per_set (lines : (int, unit) Hashtbl.t) : int array =
     let counts = Array.make nsets 0 in
     Hashtbl.iter (fun l () -> counts.(set_of l) <- counts.(set_of l) + 1) lines;

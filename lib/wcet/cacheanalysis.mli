@@ -17,6 +17,15 @@ type t = {
   ca_dpersistent : int -> bool;
 }
 
+val line_size : int
+val nsets : int
+val assoc : int
+(** The geometry of both L1 caches (the MPC755's), which {!Mustcache}
+    analyzes too. *)
+
+val set_of : int -> int
+(** The cache set of a memory line (address / [line_size]). *)
+
 exception Not_resolved
 
 val data_access :

@@ -33,7 +33,15 @@ let equal (a : t) (b : t) : bool = a.lo = b.lo && a.hi = b.hi
 
 let contains (i : t) (v : int) : bool = i.lo <= v && v <= i.hi
 
-let join (a : t) (b : t) : t = { lo = min a.lo b.lo; hi = max a.hi b.hi }
+(* [b] contains [a]. *)
+let leq (a : t) (b : t) : bool = b.lo <= a.lo && a.hi <= b.hi
+
+(* The join and the widening return an argument itself when the result
+   equals it, so that a state they leave unchanged stays shared. *)
+let join (a : t) (b : t) : t =
+  if leq b a then a
+  else if leq a b then b
+  else { lo = min a.lo b.lo; hi = max a.hi b.hi }
 
 (* Meet: returns None on empty intersection (unreachable state). *)
 let meet (a : t) (b : t) : t option =
@@ -42,8 +50,10 @@ let meet (a : t) (b : t) : t option =
 
 (* Standard widening: unstable bounds jump to the type extremes. *)
 let widen (old_i : t) (new_i : t) : t =
-  { lo = (if new_i.lo < old_i.lo then int32_min else old_i.lo);
-    hi = (if new_i.hi > old_i.hi then int32_max else old_i.hi) }
+  if leq new_i old_i then old_i
+  else
+    { lo = (if new_i.lo < old_i.lo then int32_min else old_i.lo);
+      hi = (if new_i.hi > old_i.hi then int32_max else old_i.hi) }
 
 let in_range (v : int) : bool = v >= int32_min && v <= int32_max
 

@@ -24,12 +24,19 @@ val is_const : t -> int option
 val equal : t -> t -> bool
 val contains : t -> int -> bool
 
+val leq : t -> t -> bool
+(** [leq a b]: [b] contains [a]. *)
+
 val join : t -> t -> t
+(** Returns [a] itself when it contains [b], and [b] when it contains
+    [a]. *)
+
 val meet : t -> t -> t option
 (** [None] on empty intersection (unreachable state). *)
 
 val widen : t -> t -> t
-(** Standard widening: unstable bounds jump to the type extremes. *)
+(** Standard widening: unstable bounds jump to the type extremes.
+    Returns the old interval itself when it contains the new one. *)
 
 val add : t -> t -> t
 val sub : t -> t -> t

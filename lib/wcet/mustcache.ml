@@ -28,84 +28,117 @@
    using the order at all. *)
 
 module Asm = Target.Asm
-module LMap = Map.Make (Int)
+module Intmap = Flow.Intmap
 
-let line_size = Target.Cache.mpc755_l1.Target.Cache.cfg_line
-let nsets = Target.Cache.mpc755_l1.Target.Cache.cfg_sets
-let assoc = Target.Cache.mpc755_l1.Target.Cache.cfg_assoc
-
-let set_of (line : int) : int =
-  let s = line mod nsets in
-  if s < 0 then s + nsets else s
+let line_size = Cacheanalysis.line_size
+let nsets = Cacheanalysis.nsets
+let assoc = Cacheanalysis.assoc
+let set_of = Cacheanalysis.set_of
 
 (* Abstract must-cache: line -> age upper bound in [0, assoc), stored
    per cache set so an access only touches its own set's (at most
    assoc-sized) map instead of filtering every tracked line. Absent
-   lines are possibly evicted (age >= assoc). The arrays are never
-   mutated in place: every update copies, so states share set maps
-   freely (which also lets [equal] short-circuit on physical
-   equality — after a copy most sets are the same map). *)
-type acache = int LMap.t array
+   lines are possibly evicted (age >= assoc). Both levels are shared
+   Patricia maps, and the outer one holds only the sets that have a
+   line (it never binds an empty set map), so equal states have one
+   shape: an access rebuilds one path, and a join, an equality or an
+   order test skips every set both states share. *)
+type acache = int Intmap.t Intmap.t
 
-let empty : acache = Array.make nsets LMap.empty
+let empty : acache = Intmap.empty
 
 let equal (a : acache) (b : acache) : bool =
-  a == b
-  || (let ok = ref true in
-      for s = 0 to nsets - 1 do
-        if !ok && not (a.(s) == b.(s) || LMap.equal Int.equal a.(s) b.(s))
-        then ok := false
-      done;
-      !ok)
+  Intmap.equal (Intmap.equal Int.equal) a b
 
 (* must-join: keep lines present in both, with the larger age bound *)
 let join (a : acache) (b : acache) : acache =
-  Array.init nsets (fun s ->
-      if a.(s) == b.(s) then a.(s)
-      else
-        LMap.merge
-          (fun _ x y ->
-             match x, y with
-             | Some x, Some y -> Some (max x y)
-             | Some _, None | None, Some _ | None, None -> None)
-          a.(s) b.(s))
+  Intmap.inter
+    (fun _ x y ->
+       let m = Intmap.inter (fun _ u v -> Some (max u v)) x y in
+       if Intmap.is_empty m then None else Some m)
+    a b
+
+(* [b] over-approximates [a]: every line [b] proves resident, [a] proves
+   resident at an age no larger, so their join is [b]. *)
+let leq (a : acache) (b : acache) : bool =
+  Intmap.leq
+    (fun _ x y ->
+       match x, y with
+       | Some x, Some y ->
+         Intmap.leq
+           (fun _ u v ->
+              match u, v with
+              | Some u, Some v -> u <= v
+              | _, None -> true
+              | None, Some _ -> false)
+           x y
+       | _, None -> true
+       | None, Some _ -> false)
+    a b
 
 (* age every line of one set by one, dropping lines reaching assoc *)
-let age_set (m : int LMap.t) ~(except : int) ~(limit : int) : int LMap.t =
-  LMap.filter_map
+let age_set (m : int Intmap.t) ~(except : int) ~(limit : int) : int Intmap.t =
+  Intmap.filter_map
     (fun l age ->
        if l <> except && age < limit then
          if age + 1 >= assoc then None else Some (age + 1)
        else Some age)
     m
 
-(* Precise access to one line of set map [m]: the line becomes
-   most-recently-used; other lines of the set younger than its
-   (worst-case) previous age grow older by one. If the line was
-   possibly absent, every line of the set ages. *)
-let touch_set (m : int LMap.t) (line : int) : int LMap.t =
-  let limit = Option.value ~default:assoc (LMap.find_opt line m) in
-  LMap.add line 0 (age_set m ~except:line ~limit)
+(* Precise access to one line of set map [m], where it has age bound
+   [age]: the line becomes most-recently-used; other lines of the set
+   younger than its (worst-case) previous age grow older by one. If the
+   line was possibly absent, every line of the set ages. *)
+let touch_set (m : int Intmap.t) (line : int) (age : int option) :
+  int Intmap.t =
+  let limit = Option.value ~default:assoc age in
+  Intmap.add line 0 (age_set m ~except:line ~limit)
 
 (* Imprecise access possibly touching the set: no line becomes young,
    every line may age. *)
-let blur_set (m : int LMap.t) : int LMap.t =
+let blur_set (m : int Intmap.t) : int Intmap.t =
   age_set m ~except:min_int ~limit:assoc
 
+(* [c] with set [s] mapped to [m], an empty [m] unbound. *)
+let put (c : acache) (s : int) (m : int Intmap.t) : acache =
+  if Intmap.is_empty m then Intmap.remove s c else Intmap.add s m c
+
+let set_map (c : acache) (s : int) : int Intmap.t =
+  match Intmap.find_opt s c with
+  | Some m -> m
+  | None -> Intmap.empty
+
 let access_line (c : acache) (line : int) : acache =
-  let c' = Array.copy c in
-  c'.(set_of line) <- touch_set c.(set_of line) line;
-  c'
+  let s = set_of line in
+  let m = set_map c s in
+  put c s (touch_set m line (Intmap.find_opt line m))
 
 let blur_sets (c : acache) (sets : int list) : acache =
-  let c' = Array.copy c in
-  List.iter (fun s -> c'.(s) <- blur_set c.(s)) sets;
-  c'
+  List.fold_left
+    (fun c s ->
+       match Intmap.find_opt s c with
+       | Some m -> put c s (blur_set m)
+       | None -> c)
+    c sets
+
+(* [blur_sets] over every set. *)
+let blur_all (c : acache) : acache =
+  Intmap.filter_map
+    (fun _ m ->
+       let m' = blur_set m in
+       if Intmap.is_empty m' then None else Some m')
+    c
+
+(* The age bound of [line] in [c]; [None] when it may be evicted. *)
+let age (c : acache) (line : int) : int option =
+  match Intmap.find_opt (set_of line) c with
+  | Some m -> Intmap.find_opt line m
+  | None -> None
 
 (* Is an access to [line] guaranteed to hit in state [c]? *)
 let must_hit (c : acache) (line : int) : bool =
-  match LMap.find_opt line c.(set_of line) with
-  | Some age -> age < assoc
+  match age c line with
+  | Some a -> a < assoc
   | None -> false
 
 (* ---- data-cache analysis over the reconstructed CFG ---- *)
@@ -114,6 +147,7 @@ let must_hit (c : acache) (line : int) : bool =
 type access =
   | Aline of int          (* exactly this line *)
   | Ablur of int list     (* possibly any line of these sets *)
+  | Ablur_all             (* possibly any line *)
   | Anone
 
 let access_of_instr (lay : Target.Layout.t) (st : Valueanalysis.state)
@@ -126,13 +160,13 @@ let access_of_instr (lay : Target.Layout.t) (st : Valueanalysis.state)
   | Some (lo, hi) when lo = min_int ->
     ignore hi;
     (* unresolved: may touch anything — blur every set *)
-    Ablur (List.init nsets (fun s -> s))
+    Ablur_all
   | Some (lo, hi) ->
     let l1 = lo / line_size and l2 = hi / line_size in
     if l1 = l2 then Aline l1
     else if l2 - l1 < nsets then
       Ablur (List.sort_uniq compare (List.init (l2 - l1 + 1) (fun k -> set_of (l1 + k))))
-    else Ablur (List.init nsets (fun s -> s))
+    else Ablur_all
 
 (* The access sequence of a block is fully determined by the value
    analysis, not by the cache state, so it is classified once up front
@@ -153,6 +187,7 @@ let transfer_access (c : acache) (a : access) : acache =
   | Anone -> c
   | Aline l -> access_line c l
   | Ablur sets -> blur_sets c sets
+  | Ablur_all -> blur_all c
 
 let transfer_block (accs : access array array) (b : int) (c : acache) : acache
   =
@@ -176,10 +211,7 @@ let analyze ?(fuel = Fuel.default.Fuel.fl_widen) (cfg : Cfg.t)
     let out = transfer_block accs b c in
     List.map (fun (s, _) -> (s, out)) (Cfg.successors cfg b)
   in
-  let merge _ old c =
-    let j = join old c in
-    if equal j old then None else Some j
-  in
+  let merge _ old c = if leq c old then None else Some (join old c) in
   { mc_entry =
       Cfg.fixpoint ~fuel ~what:"must-cache ageing fixpoint" cfg empty ~step
         ~merge;
@@ -192,7 +224,7 @@ let analyze ?(fuel = Fuel.default.Fuel.fl_widen) (cfg : Cfg.t)
 let stable (cfg : Cfg.t) (res : result) : bool =
   let covers (e : acache option) (c : acache) =
     match e with
-    | Some e -> equal (join e c) e
+    | Some e -> leq c e
     | None -> false
   in
   covers res.mc_entry.(cfg.Cfg.c_entry) empty
@@ -208,24 +240,27 @@ let stable (cfg : Cfg.t) (res : result) : bool =
 
 (* Classification of every data access of block [b]: for each
    memory-accessing instruction (in order), true when the access is an
-   ALWAYS-HIT at that point. The walk updates one private copy of the
-   entry state in place (one array copy per block rather than one per
-   access, which halves this pass); the copy never escapes. *)
+   ALWAYS-HIT at that point. *)
 let block_hits (res : result) (b : int) : bool list =
   match res.mc_entry.(b) with
   | None -> []
   | Some c0 ->
-    let c = Array.copy c0 in
+    let c = ref c0 in
     let hits = ref [] in
     Array.iter
       (fun a ->
          match a with
-         | Anone -> ()
          | Aline l ->
-           hits := must_hit c l :: !hits;
-           c.(set_of l) <- touch_set c.(set_of l) l
-         | Ablur sets ->
+           (* one lookup of the line serves the classification and the
+              update; a line the map holds is younger than [assoc] *)
+           let s = set_of l in
+           let m = set_map !c s in
+           let age = Intmap.find_opt l m in
+           hits := Option.is_some age :: !hits;
+           c := put !c s (touch_set m l age)
+         | Ablur _ | Ablur_all ->
            hits := false :: !hits;
-           List.iter (fun s -> c.(s) <- blur_set c.(s)) sets)
+           c := transfer_access !c a
+         | Anone -> ())
       res.mc_accs.(b);
     List.rev !hits

@@ -5,10 +5,28 @@
     classification of {!Cacheanalysis} via {!Cacheanalysis.refine}. *)
 
 type acache
+(** Per touched cache set, an upper bound on the age of each line it
+    holds, on shared Patricia maps: states that differ in a few sets
+    share the rest. *)
 
 val empty : acache
+val equal : acache -> acache -> bool
+
 val join : acache -> acache -> acache
+(** The lines both sides hold, at the larger age bound. *)
+
+val leq : acache -> acache -> bool
+(** [leq a b]: [join a b] equals [b], without building it. *)
+
 val access_line : acache -> int -> acache
+(** A precise access to one line, which becomes the youngest. *)
+
+val blur_sets : acache -> int list -> acache
+(** An imprecise access that may touch any line of the given sets. *)
+
+val age : acache -> int -> int option
+(** The age bound of a line; [None] when it may have been evicted. *)
+
 val must_hit : acache -> int -> bool
 
 type result
@@ -22,9 +40,8 @@ val analyze :
 val stable : Cfg.t -> result -> bool
 (** Post-fixpoint check, independent of the iteration order: the entry
     state covers the empty cache, and for every edge out of a reachable
-    block, joining the source's transfer into the target's entry state
-    leaves that state unchanged. Off the analysis path; the test suite
-    runs it. *)
+    block, the source's transfer is below the target's entry state by
+    [leq]. Off the analysis path; the test suite runs it. *)
 
 val block_hits : result -> int -> bool list
 (** One boolean per data access of the block, in order: true when the

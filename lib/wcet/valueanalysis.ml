@@ -10,7 +10,7 @@
    imprecise. *)
 
 module Asm = Target.Asm
-module IMap = Map.Make (Int)
+module Intmap = Flow.Intmap
 
 type absval =
   | Vint of Interval.t            (* plain 32-bit data *)
@@ -28,74 +28,137 @@ let absval_equal (a : absval) (b : absval) : bool =
   | Vtop, Vtop -> true
   | (Vint _ | Vsym _ | Vsp _ | Vtop), _ -> false
 
+(* [b] over-approximates [a]: their join is [b]. *)
+let absval_leq (a : absval) (b : absval) : bool =
+  match a, b with
+  | _, Vtop -> true
+  | Vint x, Vint y | Vsp x, Vsp y -> Interval.leq x y
+  | Vsym (s1, x), Vsym (s2, y) -> String.equal s1 s2 && Interval.leq x y
+  | (Vint _ | Vsym _ | Vsp _ | Vtop), _ -> false
+
+(* The join and the widening return an argument itself when the result
+   equals it, as [Interval]'s do. *)
 let join_absval (a : absval) (b : absval) : absval =
   match a, b with
-  | Vint x, Vint y -> Vint (Interval.join x y)
+  | Vint x, Vint y ->
+    let z = Interval.join x y in
+    if z == x then a else if z == y then b else Vint z
   | Vsym (s1, x), Vsym (s2, y) when String.equal s1 s2 ->
-    Vsym (s1, Interval.join x y)
-  | Vsp x, Vsp y -> Vsp (Interval.join x y)
+    let z = Interval.join x y in
+    if z == x then a else if z == y then b else Vsym (s1, z)
+  | Vsp x, Vsp y ->
+    let z = Interval.join x y in
+    if z == x then a else if z == y then b else Vsp z
   | _, _ -> Vtop
 
 let widen_absval (old_v : absval) (new_v : absval) : absval =
   match old_v, new_v with
-  | Vint x, Vint y -> Vint (Interval.widen x y)
+  | Vint x, Vint y ->
+    let z = Interval.widen x y in
+    if z == x then old_v else Vint z
   | Vsym (s1, x), Vsym (s2, y) when String.equal s1 s2 ->
-    Vsym (s1, Interval.widen x y)
-  | Vsp x, Vsp y -> Vsp (Interval.widen x y)
+    let z = Interval.widen x y in
+    if z == x then old_v else Vsym (s1, z)
+  | Vsp x, Vsp y ->
+    let z = Interval.widen x y in
+    if z == x then old_v else Vsp z
   | _, _ -> if absval_equal old_v new_v then old_v else Vtop
 
 (* Abstract machine state: integer registers and stack slots (keyed by
    offset from the *entry* value of sp). Float registers carry no
-   analysis information (loop guards are integer — MISRA rule 13.4). *)
+   analysis information (loop guards are integer — MISRA rule 13.4).
+   Both live in shared Patricia maps, so a register write rebuilds one
+   path and a join or an order test skips what both states share. A
+   register absent from [regs] is [Vtop], and [regs] never binds [Vtop],
+   so equal states have one shape. A slot absent from [slots] reads as
+   [vint_top], which differs from a [Vtop] binding (a slot a float
+   occupies, or one known on one side of a join only). *)
 type state = {
-  regs : absval array; (* 32 integer registers *)
-  slots : absval IMap.t;
+  regs : absval Intmap.t;
+  slots : absval Intmap.t;
 }
 
-let init_state : state =
-  let regs = Array.make 32 Vtop in
-  regs.(Asm.sp) <- Vsp (Interval.of_int_const 0);
-  regs.(0) <- vint_top;
-  { regs; slots = IMap.empty }
-
-let state_equal (a : state) (b : state) : bool =
-  let rec regs_eq i =
-    i >= 32 || (absval_equal a.regs.(i) b.regs.(i) && regs_eq (i + 1))
-  in
-  regs_eq 0 && IMap.equal absval_equal a.slots b.slots
-
-let join_state (a : state) (b : state) : state =
-  { regs = Array.init 32 (fun i -> join_absval a.regs.(i) b.regs.(i));
-    slots =
-      IMap.merge
-        (fun _ x y ->
-           match x, y with
-           | Some x, Some y -> Some (join_absval x y)
-           | Some _, None | None, Some _ | None, None -> Some Vtop)
-        a.slots b.slots }
-
-let widen_state (old_s : state) (new_s : state) : state =
-  { regs = Array.init 32 (fun i -> widen_absval old_s.regs.(i) new_s.regs.(i));
-    slots =
-      IMap.merge
-        (fun _ x y ->
-           match x, y with
-           | Some x, Some y -> Some (widen_absval x y)
-           | Some _, None | None, Some _ | None, None -> Some Vtop)
-        old_s.slots new_s.slots }
-
-let get_reg (st : state) (r : Asm.ireg) : absval = st.regs.(r)
+let get_reg (st : state) (r : Asm.ireg) : absval =
+  match Intmap.find_opt r st.regs with
+  | Some v -> v
+  | None -> Vtop
 
 let set_reg (st : state) (r : Asm.ireg) (v : absval) : state =
-  let regs = Array.copy st.regs in
-  regs.(r) <- v;
-  { st with regs }
+  let regs =
+    match v with
+    | Vtop -> Intmap.remove r st.regs
+    | Vint _ | Vsym _ | Vsp _ -> Intmap.add r v st.regs
+  in
+  if regs == st.regs then st else { st with regs }
+
+let find_slot (st : state) (key : int) : absval option =
+  Intmap.find_opt key st.slots
+
+let set_slot (st : state) (key : int) (v : absval) : state =
+  { st with slots = Intmap.add key v st.slots }
+
+let init_state : state =
+  set_reg
+    (set_reg { regs = Intmap.empty; slots = Intmap.empty } Asm.sp
+       (Vsp (Interval.of_int_const 0)))
+    0 vint_top
+
+let state_equal (a : state) (b : state) : bool =
+  a == b
+  || (Intmap.equal absval_equal a.regs b.regs
+      && Intmap.equal absval_equal a.slots b.slots)
+
+(* Registers only one side binds are [Vtop] on the other, and so in the
+   result; a slot only one side binds becomes a [Vtop] binding. *)
+let combine (f : absval -> absval -> absval) (a : state) (b : state) : state =
+  let regs =
+    Intmap.inter
+      (fun _ x y ->
+         match f x y with
+         | Vtop -> None
+         | v -> Some v)
+      a.regs b.regs
+  and slots =
+    Intmap.merge
+      (fun _ x y ->
+         match x, y with
+         | Some x, Some y -> Some (f x y)
+         | Some _, None | None, Some _ | None, None -> Some Vtop)
+      a.slots b.slots
+  in
+  if regs == a.regs && slots == a.slots then a
+  else if regs == b.regs && slots == b.slots then b
+  else { regs; slots }
+
+let join_state (a : state) (b : state) : state = combine join_absval a b
+
+let widen_state (old_s : state) (new_s : state) : state =
+  combine widen_absval old_s new_s
+
+(* [b] over-approximates [a]: their join is [b]. *)
+let state_leq (a : state) (b : state) : bool =
+  a == b
+  || Intmap.leq
+       (fun _ x y ->
+          match x, y with
+          | Some x, Some y -> absval_leq x y
+          | _, None -> true
+          | None, Some _ -> false)
+       a.regs b.regs
+     && Intmap.leq
+          (fun _ x y ->
+             match x, y with
+             | Some x, Some y -> absval_leq x y
+             | Some _, None -> false
+             | None, Some y -> y = Vtop
+             | None, None -> true)
+          a.slots b.slots
 
 (* Exact stack-slot key of an address, if statically known. *)
 let slot_key (st : state) (a : Asm.address) : int option =
   match a with
   | Asm.Aind (b, off) ->
-    (match st.regs.(b) with
+    (match get_reg st b with
      | Vsp itv ->
        (match Interval.is_const itv with
         | Some sp_off -> Some (sp_off + Int32.to_int off)
@@ -116,7 +179,7 @@ let region_of_address (st : state) (a : Asm.address) : region =
   | Asm.Aglob (s, off) | Asm.Asda (s, off) ->
     Rsym (s, Interval.of_const off)
   | Asm.Aind (b, off) ->
-    (match st.regs.(b) with
+    (match get_reg st b with
      | Vsp itv ->
        let shifted = Interval.add itv (Interval.of_const off) in
        (match Interval.is_const shifted with
@@ -125,7 +188,7 @@ let region_of_address (st : state) (a : Asm.address) : region =
      | Vsym (s, itv) -> Rsym (s, Interval.add itv (Interval.of_const off))
      | Vint _ | Vtop -> Runknown)
   | Asm.Aindx (b, x) ->
-    (match st.regs.(b), st.regs.(x) with
+    (match get_reg st b, get_reg st x with
      | Vsym (s, itv), Vint i -> Rsym (s, Interval.add itv i)
      | Vsym (s, itv), Vtop -> Rsym (s, Interval.add itv Interval.top)
      | Vsp itv, Vint i ->
@@ -199,7 +262,7 @@ let apply_annot (st : state) (text : string) (args : Asm.annot_arg list) :
     set_reg st r refined
   | Some (lo, hi), [ Asm.AA_stack_int off ] ->
     (match slot_key st (Asm.Aind (Asm.sp, off)) with
-     | Some key -> { st with slots = IMap.add key (Vint (Interval.make lo hi)) st.slots }
+     | Some key -> set_slot st key (Vint (Interval.make lo hi))
      | None -> st)
   | _, _ -> st
 
@@ -208,26 +271,26 @@ let transfer (st : state) (i : Asm.instr) : state =
   match i with
   | Asm.Plabel _ | Asm.Pb _ | Asm.Pbc _ | Asm.Pblr -> st
   | Asm.Pannot (text, args) -> apply_annot st text args
-  | Asm.Padd (d, a, b) -> set_reg st d (eval_add st.regs.(a) st.regs.(b))
-  | Asm.Psubf (d, a, b) -> set_reg st d (eval_sub st.regs.(b) st.regs.(a))
+  | Asm.Padd (d, a, b) -> set_reg st d (eval_add (get_reg st a) (get_reg st b))
+  | Asm.Psubf (d, a, b) -> set_reg st d (eval_sub (get_reg st b) (get_reg st a))
   | Asm.Pmullw (d, a, b) ->
     set_reg st d
-      (Vint (Interval.mul (as_int_itv st.regs.(a)) (as_int_itv st.regs.(b))))
+      (Vint (Interval.mul (as_int_itv (get_reg st a)) (as_int_itv (get_reg st b))))
   | Asm.Pdivw (d, _, _) -> set_reg st d vint_top
   | Asm.Pand (d, _, _) | Asm.Por (d, _, _) | Asm.Pxor (d, _, _)
   | Asm.Pslw (d, _, _) | Asm.Psraw (d, _, _) -> set_reg st d vint_top
-  | Asm.Pneg (d, a) -> set_reg st d (Vint (Interval.neg (as_int_itv st.regs.(a))))
-  | Asm.Pmr (d, a) -> set_reg st d st.regs.(a)
+  | Asm.Pneg (d, a) -> set_reg st d (Vint (Interval.neg (as_int_itv (get_reg st a))))
+  | Asm.Pmr (d, a) -> set_reg st d (get_reg st a)
   | Asm.Paddi (d, a, imm) ->
-    let base = if a = 0 then Vint (Interval.of_int_const 0) else st.regs.(a) in
+    let base = if a = 0 then Vint (Interval.of_int_const 0) else get_reg st a in
     set_reg st d (eval_addi base (Int32.to_int imm))
   | Asm.Paddis (d, a, imm) ->
-    let base = if a = 0 then Vint (Interval.of_int_const 0) else st.regs.(a) in
+    let base = if a = 0 then Vint (Interval.of_int_const 0) else get_reg st a in
     let imm16 = Int32.to_int imm * 65536 in
     (match eval_addi base imm16 with
      | v -> set_reg st d v)
   | Asm.Pori (d, a, imm) ->
-    (match st.regs.(a) with
+    (match get_reg st a with
      | Vint itv ->
        (match Interval.is_const itv with
         | Some v ->
@@ -238,22 +301,22 @@ let transfer (st : state) (i : Asm.instr) : state =
         | None -> set_reg st d vint_top)
      | _ -> set_reg st d vint_top)
   | Asm.Pslwi (d, a, k) ->
-    set_reg st d (Vint (Interval.shift_left_const (as_int_itv st.regs.(a)) k))
+    set_reg st d (Vint (Interval.shift_left_const (as_int_itv (get_reg st a)) k))
   | Asm.Plwz (d, a) ->
     (match slot_key st a with
      | Some key ->
-       (match IMap.find_opt key st.slots with
+       (match find_slot st key with
         | Some v -> set_reg st d v
         | None -> set_reg st d vint_top)
      | None -> set_reg st d vint_top)
   | Asm.Pstw (s, a) ->
     (match slot_key st a with
-     | Some key -> { st with slots = IMap.add key st.regs.(s) st.slots }
+     | Some key -> set_slot st key (get_reg st s)
      | None ->
        (match region_of_address st a with
         | Rstack _ | Runknown ->
           (* imprecise store that may hit the stack: kill all slots *)
-          { st with slots = IMap.empty }
+          { st with slots = Intmap.empty }
         | Rslot _ | Rsym _ | Rpool _ -> st))
   | Asm.Plfd _ | Asm.Pfadd _ | Asm.Pfsub _ | Asm.Pfmul _ | Asm.Pfdiv _
   | Asm.Pfneg _ | Asm.Pfabs _ | Asm.Pfmr _ | Asm.Plfdc _ | Asm.Pfcfiw _
@@ -263,10 +326,10 @@ let transfer (st : state) (i : Asm.instr) : state =
     (match slot_key st a with
      | Some key ->
        (* a float occupies the slot: integer reads would be malformed *)
-       { st with slots = IMap.add key Vtop st.slots }
+       set_slot st key Vtop
      | None ->
        (match region_of_address st a with
-        | Rstack _ | Runknown -> { st with slots = IMap.empty }
+        | Rstack _ | Runknown -> { st with slots = Intmap.empty }
         | Rslot _ | Rsym _ | Rpool _ -> st))
   | Asm.Pcmpw _ | Asm.Pcmpwi _ | Asm.Pfcmpu _ -> st
   | Asm.Psetcc (d, _) -> set_reg st d (Vint (Interval.make 0 1))
@@ -274,15 +337,15 @@ let transfer (st : state) (i : Asm.instr) : state =
   | Asm.Pacqi (d, _) -> set_reg st d vint_top
   | Asm.Pouti _ -> st
   | Asm.Pla (d, sym) -> set_reg st d (Vsym (sym, Interval.of_int_const 0))
-  | Asm.Pmovcc (d, s, _) -> set_reg st d (join_absval st.regs.(d) st.regs.(s))
+  | Asm.Pmovcc (d, s, _) -> set_reg st d (join_absval (get_reg st d) (get_reg st s))
   | Asm.Pfmovcc _ -> st
   | Asm.Pallocframe sz ->
-    (match st.regs.(Asm.sp) with
+    (match get_reg st Asm.sp with
      | Vsp itv ->
        set_reg st Asm.sp (Vsp (Interval.sub itv (Interval.of_int_const sz)))
      | _ -> set_reg st Asm.sp Vtop)
   | Asm.Pfreeframe sz ->
-    (match st.regs.(Asm.sp) with
+    (match get_reg st Asm.sp with
      | Vsp itv ->
        set_reg st Asm.sp (Vsp (Interval.add itv (Interval.of_int_const sz)))
      | _ -> set_reg st Asm.sp Vtop)
@@ -336,13 +399,13 @@ let refine_state (st : state) (blk : Cfg.block) (cmp : Minic.Ast.comparison) :
   | Some (left, right) ->
     let right_itv =
       match right with
-      | CmpReg r -> as_int_itv st.regs.(r)
+      | CmpReg r -> as_int_itv (get_reg st r)
       | CmpImm imm -> Interval.of_const imm
     in
-    let left_itv = as_int_itv st.regs.(left) in
+    let left_itv = as_int_itv (get_reg st left) in
     let st =
       match Interval.refine_cmp cmp left_itv right_itv with
-      | Some itv when (match st.regs.(left) with Vint _ | Vtop -> true | _ -> false) ->
+      | Some itv when (match get_reg st left with Vint _ | Vtop -> true | _ -> false) ->
         set_reg st left (Vint itv)
       | _ -> st
     in
@@ -350,9 +413,9 @@ let refine_state (st : state) (blk : Cfg.block) (cmp : Minic.Ast.comparison) :
      | CmpReg r ->
        (match
           Interval.refine_cmp (Minic.Ast.swap_comparison cmp)
-            (as_int_itv st.regs.(r)) left_itv
+            (as_int_itv (get_reg st r)) left_itv
         with
-        | Some itv when (match st.regs.(r) with Vint _ | Vtop -> true | _ -> false) ->
+        | Some itv when (match get_reg st r with Vint _ | Vtop -> true | _ -> false) ->
           set_reg st r (Vint itv)
         | _ -> st)
      | CmpImm _ -> st)
@@ -395,9 +458,9 @@ let analyze ?(widen_after = 3) ?(fuel = Fuel.default.Fuel.fl_widen)
     List.map (fun (s, kind) -> (s, edge_state blk st_out kind)) blk.Cfg.b_succs
   in
   let merge s old st_edge =
-    let joined = join_state old st_edge in
-    if state_equal joined old then None
+    if state_leq st_edge old then None
     else begin
+      let joined = join_state old st_edge in
       visits.(s) <- visits.(s) + 1;
       if visits.(s) > widen_after then Some (widen_state old joined)
       else Some joined
@@ -431,7 +494,7 @@ let iter_block (res : result) (b : int) (f : int -> state -> Asm.instr -> unit)
 let stable (cfg : Cfg.t) (res : result) : bool =
   let covers (e : state option) (st : state) =
     match e with
-    | Some e -> state_equal (join_state e st) e
+    | Some e -> state_leq st e
     | None -> false
   in
   let entries = res.r_entry_states in

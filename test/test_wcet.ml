@@ -763,6 +763,107 @@ let suite =
   @ [ ("reports: digests pinned (4 compilers x 2 engines x 40 nodes)", `Quick,
        test_report_digests) ]
 
+(* ---- pinned fixpoint visit counts ---- *)
+
+(* For each node of the same 40, the sum over its functions of the
+   smallest [fuel] with which each fixpoint succeeds, that is, the
+   number of blocks the shared worklist processes. A join that stops
+   returning its argument when nothing changes, or an equality that
+   moves, changes these counts even when the reports stay the same. *)
+
+let visit_counts =
+  [ (Fcstack.Chain.Cdefault_o0,
+     ([ 7; 13; 1; 31; 19; 97; 119; 127; 92; 236; 8; 11; 22; 7; 14; 116; 195;
+        121; 111; 302; 13; 11; 20; 11; 29; 55; 57; 55; 91; 254; 13; 10; 13;
+        22; 23; 48; 89; 122; 132; 227 ],
+      [ 7; 13; 1; 31; 19; 118; 120; 169; 98; 258; 8; 11; 22; 7; 14; 158; 206;
+        163; 128; 361; 13; 11; 20; 11; 29; 55; 61; 55; 118; 292; 13; 10; 13;
+        22; 23; 48; 110; 164; 133; 269 ]));
+    (Fcstack.Chain.Cdefault_o1,
+     ([ 7; 10; 1; 31; 19; 97; 116; 127; 92; 236; 5; 11; 22; 7; 11; 116; 180;
+        118; 108; 296; 13; 11; 20; 11; 29; 55; 57; 49; 91; 248; 7; 7; 10; 19;
+        23; 48; 89; 119; 132; 227 ],
+      [ 7; 10; 1; 31; 19; 118; 117; 169; 98; 258; 5; 11; 22; 7; 11; 158; 191;
+        160; 125; 355; 13; 11; 20; 11; 29; 55; 61; 49; 118; 286; 7; 7; 10;
+        19; 23; 48; 110; 161; 133; 269 ]));
+    (Fcstack.Chain.Cdefault_o2,
+     ([ 1; 10; 1; 25; 19; 76; 107; 100; 47; 176; 5; 5; 1; 7; 11; 89; 159; 97;
+        105; 262; 13; 5; 20; 5; 29; 16; 39; 25; 82; 209; 1; 1; 10; 19; 17;
+        27; 68; 92; 99; 146 ],
+      [ 1; 10; 1; 25; 19; 97; 108; 142; 53; 198; 5; 5; 1; 7; 11; 131; 171;
+        139; 122; 322; 13; 5; 20; 5; 29; 16; 43; 25; 109; 245; 1; 1; 10; 19;
+        17; 27; 89; 146; 100; 188 ]));
+    (Fcstack.Chain.Cvcomp,
+     ([ 6; 9; 1; 25; 14; 93; 279; 127; 89; 279; 5; 10; 16; 5; 10; 114; 300;
+        117; 251; 423; 11; 5; 18; 10; 26; 37; 122; 41; 118; 304; 6; 6; 9; 15;
+        20; 41; 86; 102; 363; 202 ],
+      [ 6; 9; 1; 25; 14; 118; 117; 177; 112; 251; 5; 10; 16; 5; 10; 164; 197;
+        167; 212; 399; 11; 5; 18; 10; 26; 37; 180; 41; 171; 279; 6; 6; 9; 15;
+        20; 41; 111; 166; 127; 252 ])) ]
+
+(* The smallest fuel in [1, ..] with which [run] does not exhaust it;
+   success is monotone in the fuel. *)
+let least_fuel (run : int -> unit) : int =
+  let ok fuel =
+    match run fuel with
+    | () -> true
+    | exception Wcet.Fuel.Exhausted _ -> false
+  in
+  let rec up hi = if ok hi then hi else up (2 * hi) in
+  let rec bisect lo hi =
+    (* [lo] fails (or is 0), [hi] succeeds *)
+    if hi - lo <= 1 then hi
+    else
+      let mid = (lo + hi) / 2 in
+      if ok mid then bisect lo mid else bisect mid hi
+  in
+  let hi = up 1 in
+  bisect (hi / 2) hi
+
+let node_visits (b : Fcstack.Chain.built) : int * int =
+  let lay = b.Fcstack.Chain.b_layout in
+  List.fold_left
+    (fun (value, must) f ->
+       let name = f.Asm.fn_name in
+       let cfg =
+         Wcet.Cfg.build name (Hashtbl.find lay.Target.Layout.lay_code name)
+           f.Asm.fn_code
+       in
+       let v = least_fuel (fun fuel -> ignore (Wcet.Valueanalysis.analyze ~fuel cfg)) in
+       let va = Wcet.Valueanalysis.analyze cfg in
+       let m =
+         least_fuel (fun fuel -> ignore (Wcet.Mustcache.analyze ~fuel cfg va lay))
+       in
+       (value + v, must + m))
+    (0, 0) b.Fcstack.Chain.b_asm.Asm.pr_funcs
+
+let test_visit_counts () =
+  let ints l = "[ " ^ String.concat "; " (List.map string_of_int l) ^ " ]" in
+  let moved =
+    List.filter_map
+      (fun (c, (value, must)) ->
+         let counts =
+           List.init 40 (fun i ->
+               node_visits
+                 (Fcstack.Chain.build c
+                    (Scade.Acg.generate (Scade.Workload.node_at ~seed:2026 i))))
+         in
+         let value' = List.map fst counts and must' = List.map snd counts in
+         if value' = value && must' = must then None
+         else
+           Some
+             (Printf.sprintf "%s: value %s must %s"
+                (Fcstack.Chain.compiler_name c) (ints value') (ints must')))
+      visit_counts
+  in
+  if moved <> [] then
+    Alcotest.failf "visit counts moved:\n%s" (String.concat "\n" moved)
+
+let suite =
+  suite
+  @ [ ("fixpoints: visit counts pinned (4 compilers x 40 nodes)", `Quick,
+       test_visit_counts) ]
+
 (* ---- the shared fixpoint and its post-fixpoint oracles ---- *)
 
 (* A one-function program around [code], for the layout. *)
@@ -912,3 +1013,277 @@ let suite =
       ("value oracle rejects a narrowed loop header", `Quick,
        test_value_stable_rejects_narrowed);
       QCheck_alcotest.to_alcotest fixpoints_stable_prop ]
+
+(* ---- shared maps, and the domains on them against their references ---- *)
+
+module IMap = Map.Make (Int)
+
+(* The first failed check of a property, by name. *)
+let first_failure (checks : (string * bool) list) : bool =
+  match List.find_opt (fun (_, ok) -> not ok) checks with
+  | None -> true
+  | Some (what, _) -> QCheck.Test.fail_reportf "%s differs" what
+
+let intmap_of (l : (int * int) list) : int Flow.Intmap.t =
+  List.fold_left (fun m (k, v) -> Flow.Intmap.add k v m) Flow.Intmap.empty l
+
+let intmap_bindings (m : 'a Flow.Intmap.t) : (int * 'a) list =
+  List.sort compare (Flow.Intmap.fold (fun k v acc -> (k, v) :: acc) m [])
+
+(* Keys from a small range and from far apart, so that prefixes are
+   shared and differ at high bits, the sign bit included; a second map
+   edits the first, so that the two share subtrees as analysis states
+   do. *)
+let intmap_pair_arb =
+  let key =
+    QCheck.Gen.(
+      oneof
+        [ int_range (-20) 40; map (fun k -> k lsl 20) (int_range (-3) 3);
+          map (fun k -> min_int + k) (int_range 0 3) ])
+  in
+  let binding = QCheck.Gen.(pair key (int_range 0 6)) in
+  let edit = QCheck.Gen.(pair key (opt (int_range 0 6))) in
+  QCheck.make
+    ~print:(fun (a, ea, eb) ->
+        let show l =
+          String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) l)
+        and showe l =
+          String.concat ";"
+            (List.map
+               (fun (k, v) ->
+                  Printf.sprintf "%d:%s" k
+                    (match v with Some v -> string_of_int v | None -> "-"))
+               l)
+        in
+        Printf.sprintf "base %s / a %s / b %s" (show a) (showe ea) (showe eb))
+    QCheck.Gen.(
+      triple (list_size (int_bound 24) binding) (list_size (int_bound 4) edit)
+        (list_size (int_bound 4) edit))
+
+let apply_edits (add : int -> 'v -> 'm -> 'm) (remove : int -> 'm -> 'm)
+    (m : 'm) (edits : (int * 'v option) list) : 'm =
+  List.fold_left
+    (fun m (k, v) -> match v with Some v -> add k v m | None -> remove k m)
+    m edits
+
+let intmap_oracle_prop =
+  QCheck.Test.make ~count:1000
+    ~name:"Intmap: add/remove/inter/merge/equal/leq match Map, sharing kept"
+    intmap_pair_arb
+    (fun (base, ea, eb) ->
+       let module I = Flow.Intmap in
+       let m0 = intmap_of base
+       and r0 = List.fold_left (fun m (k, v) -> IMap.add k v m) IMap.empty base in
+       let a = apply_edits I.add I.remove m0 ea and b = apply_edits I.add I.remove m0 eb
+       and ra = apply_edits IMap.add IMap.remove r0 ea
+       and rb = apply_edits IMap.add IMap.remove r0 eb in
+       let same m r = intmap_bindings m = IMap.bindings r in
+       (* the function is the identity where both sides agree *)
+       let fi k x y =
+         if x = y then Some x else if (k + x + y) mod 3 = 0 then None else Some (x + y)
+       in
+       let fm k x y =
+         match x, y with
+         | Some x, Some y -> fi k x y
+         | Some x, None -> if x mod 2 = 0 then Some x else None
+         | None, Some y -> if y mod 3 = 0 then None else Some (y + 1)
+         | None, None -> None
+       in
+       let fl _ x y =
+         match x, y with
+         | Some x, Some y -> x <= y
+         | _, None -> true
+         | None, Some _ -> false
+       in
+       let ref_leq ra rb =
+         IMap.for_all
+           (fun k y ->
+              match IMap.find_opt k ra with Some x -> x <= y | None -> false)
+           rb
+       in
+       (* a result with the first argument's bindings is that argument *)
+       let shared r = (not (same r ra)) || r == a in
+       let inter = I.inter fi a b and merge = I.merge fm a b in
+       let max_inter = I.inter (fun _ x y -> Some (max x y)) a b in
+       first_failure
+         [ ("add/remove", same a ra && same b rb);
+           ("inter",
+            same inter
+              (IMap.merge
+                 (fun k x y -> match x, y with Some x, Some y -> fi k x y | _ -> None)
+                 ra rb));
+           ("merge", same merge (IMap.merge fm ra rb));
+           ("equal", I.equal Int.equal a b = IMap.equal Int.equal ra rb);
+           ("leq", I.leq fl a b = ref_leq ra rb);
+           ("leq is the order of the max-join",
+            I.leq fl a b = I.equal Int.equal max_inter b);
+           ("shared inter", shared inter);
+           ("shared merge", shared merge);
+           ("shared max-join", shared max_inter);
+           ("equal arguments",
+            I.inter fi a a == a && I.merge fm a a == a && I.leq fl a a) ])
+
+(* Abstract values over a few intervals and two symbols, so that joins
+   both change and keep their arguments. *)
+let absval_gen : Wcet.Valueanalysis.absval QCheck.Gen.t =
+  let itv =
+    QCheck.Gen.(
+      frequency
+        [ (6, map2 (fun a b -> Wcet.Interval.make (min a b) (max a b))
+               (int_range (-3) 3) (int_range (-3) 3));
+          (1, return Wcet.Interval.top) ])
+  in
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun i -> Wcet.Valueanalysis.Vint i) itv);
+        (2, map2 (fun s i -> Wcet.Valueanalysis.Vsym (s, i)) (oneofl [ "g"; "h" ]) itv);
+        (2, map (fun i -> Wcet.Valueanalysis.Vsp i) itv);
+        (1, return Wcet.Valueanalysis.Vtop) ])
+
+type value_op =
+  | Reg of int * Wcet.Valueanalysis.absval
+  | Slot of int * Wcet.Valueanalysis.absval
+
+let value_slots = List.init 9 (fun i -> 4 * (i - 4))
+
+let value_ops_gen : value_op list QCheck.Gen.t =
+  QCheck.Gen.(
+    list_size (int_bound 12)
+      (frequency
+         [ (2, map2 (fun r v -> Reg ((if r = Asm.sp then 0 else r), v))
+                   (int_range 0 31) absval_gen);
+           (1, map2 (fun k v -> Slot (k, v)) (oneofl value_slots) absval_gen) ]))
+
+(* The same edits on both domains, slots through the store they model;
+   [sp] keeps its entry value, so every store resolves to its slot. *)
+let value_states (ops : value_op list) (st, rst) =
+  let slots, regs = List.partition (function Slot _ -> true | Reg _ -> false) ops in
+  let st, rst =
+    List.fold_left
+      (fun (st, rst) op ->
+         match op with
+         | Slot (k, v) ->
+           let st = Wcet.Valueanalysis.set_reg st 31 v in
+           ( Wcet.Valueanalysis.transfer st
+               (Asm.Pstw (31, Asm.Aind (Asm.sp, Int32.of_int k))),
+             Absdom_ref.set_slot (Absdom_ref.set_reg rst 31 v) k v )
+         | Reg _ -> (st, rst))
+      (st, rst) slots
+  in
+  List.fold_left
+    (fun (st, rst) op ->
+       match op with
+       | Reg (r, v) -> (Wcet.Valueanalysis.set_reg st r v, Absdom_ref.set_reg rst r v)
+       | Slot _ -> (st, rst))
+    (st, rst) regs
+
+let value_agrees (st : Wcet.Valueanalysis.state) (rst : Absdom_ref.state) : bool =
+  let module V = Wcet.Valueanalysis in
+  List.for_all
+    (fun r -> V.absval_equal (V.get_reg st r) rst.Absdom_ref.regs.(r))
+    (List.init 32 Fun.id)
+  && List.for_all
+       (fun k ->
+          match V.find_slot st k, IMap.find_opt k rst.Absdom_ref.slots with
+          | Some x, Some y -> V.absval_equal x y
+          | None, None -> true
+          | Some _, None | None, Some _ -> false)
+       value_slots
+
+let value_domain_prop =
+  QCheck.Test.make ~count:1000
+    ~name:"value domain: join/widen/equal/leq match the array domain"
+    (QCheck.make QCheck.Gen.(triple value_ops_gen value_ops_gen value_ops_gen))
+    (fun (base, oa, ob) ->
+       let module V = Wcet.Valueanalysis in
+       let s0 = value_states base (V.init_state, Absdom_ref.init_state) in
+       let a, ra = value_states oa s0 and b, rb = value_states ob s0 in
+       let j = V.join_state a b and rj = Absdom_ref.join_state ra rb in
+       first_failure
+         [ ("set_reg/store", value_agrees a ra && value_agrees b rb);
+           ("join", value_agrees j rj);
+           ("widen",
+            value_agrees (V.widen_state a b) (Absdom_ref.widen_state ra rb)
+            && value_agrees (V.widen_state a j) (Absdom_ref.widen_state ra rj));
+           ("equal", V.state_equal a b = Absdom_ref.state_equal ra rb);
+           ("leq",
+            V.state_leq a b = Absdom_ref.state_leq ra rb
+            && V.state_leq j a = Absdom_ref.state_leq rj ra);
+           ("leq is the order of the join",
+            V.state_leq a b = V.state_equal (V.join_state a b) b);
+           ("join is an upper bound", V.state_leq a j && V.state_leq b j);
+           ("equal arguments", V.join_state a a == a && V.widen_state a a == a) ])
+
+type cache_op = Line of int | Blur of int list
+
+(* Lines of four sets (the last one the highest) and, for the sign
+   correction, below zero; blurs of a few sets or of every set. *)
+let cache_lines =
+  let n = Absdom_ref.nsets in
+  List.concat_map (fun s -> List.init 6 (fun k -> s + (k * n))) [ 0; 1; 2; n - 1 ]
+  @ [ -1; -2 ]
+
+let cache_ops_gen : cache_op list QCheck.Gen.t =
+  QCheck.Gen.(
+    list_size (int_bound 16)
+      (frequency
+         [ (6, map (fun l -> Line l) (oneofl cache_lines));
+           (1, map (fun ss -> Blur (List.sort_uniq compare ss))
+                (list_size (int_range 1 3)
+                   (oneofl [ 0; 1; 2; 3; Absdom_ref.nsets - 1 ])));
+           (1, return (Blur (List.init Absdom_ref.nsets Fun.id))) ]))
+
+let cache_states (ops : cache_op list) (c, rc) =
+  List.fold_left
+    (fun (c, rc) op ->
+       match op with
+       | Line l -> (Wcet.Mustcache.access_line c l, Absdom_ref.access_line rc l)
+       | Blur ss -> (Wcet.Mustcache.blur_sets c ss, Absdom_ref.blur_sets rc ss))
+    (c, rc) ops
+
+let cache_agrees (c : Wcet.Mustcache.acache) (rc : Absdom_ref.acache) : bool =
+  List.for_all
+    (fun l ->
+       Wcet.Mustcache.age c l = Absdom_ref.age rc l
+       && Wcet.Mustcache.must_hit c l = (Absdom_ref.age rc l <> None))
+    cache_lines
+
+let show_cache_ops (ops : cache_op list) : string =
+  String.concat ";"
+    (List.map
+       (function
+         | Line l -> string_of_int l
+         | Blur ss when List.length ss = Absdom_ref.nsets -> "blur*"
+         | Blur ss -> "blur" ^ String.concat "," (List.map string_of_int ss))
+       ops)
+
+let mustcache_domain_prop =
+  QCheck.Test.make ~count:1000
+    ~name:"must-cache domain: access/blur/join/equal/leq match the array domain"
+    (QCheck.make
+       ~print:(fun (base, oa, ob) ->
+           Printf.sprintf "base %s / a %s / b %s" (show_cache_ops base)
+             (show_cache_ops oa) (show_cache_ops ob))
+       QCheck.Gen.(triple cache_ops_gen cache_ops_gen cache_ops_gen))
+    (fun (base, oa, ob) ->
+       let module M = Wcet.Mustcache in
+       let s0 = cache_states base (M.empty, Absdom_ref.empty) in
+       let a, ra = cache_states oa s0 and b, rb = cache_states ob s0 in
+       let j = M.join a b and rj = Absdom_ref.join ra rb in
+       first_failure
+         [ ("access/blur", cache_agrees a ra && cache_agrees b rb);
+           ("join", cache_agrees j rj);
+           ("equal", M.equal a b = Absdom_ref.equal ra rb);
+           ("leq",
+            M.leq a b = Absdom_ref.leq ra rb && M.leq j a = Absdom_ref.leq rj ra);
+           ("leq is the order of the join", M.leq a b = M.equal (M.join a b) b);
+           ("join is an upper bound", M.leq a j && M.leq b j);
+           ("join of equal arguments", M.join a a == a);
+           (* equal states have one shape, whatever built them *)
+           ("one shape", M.equal a b = (cache_agrees a rb && cache_agrees b ra)) ])
+
+let suite =
+  suite
+  @ [ QCheck_alcotest.to_alcotest intmap_oracle_prop;
+      QCheck_alcotest.to_alcotest value_domain_prop;
+      QCheck_alcotest.to_alcotest mustcache_domain_prop ]
