@@ -234,3 +234,81 @@ let uses (i : instr) : reg list =
   | Pallocframe _ | Pfreeframe _ -> [ IR sp ]
   | Plfdc _ | Pla _ | Psetcc _ | Pacqi _ | Pacqf _ | Plabel _ | Pb _
   | Pbc _ | Pblr -> []
+
+(* The same sets as bit masks, bit [n] for register n of the class (32
+   of each), split by class: [defs i] holds [IR n] exactly when bit n of
+   [idefs_mask i] is set, and so on. They are for the per-instruction
+   tests of the timing model, which must not allocate. *)
+
+let bit (r : int) : int = 1 lsl r
+
+let addr_mask (a : address) : int =
+  match a with
+  | Aind (b, _) -> bit b
+  | Aindx (b, x) -> bit b lor bit x
+  | Aglob _ | Asda _ -> 0
+
+let idefs_mask (i : instr) : int =
+  match i with
+  | Padd (d, _, _) | Psubf (d, _, _) | Pmullw (d, _, _) | Pdivw (d, _, _)
+  | Pand (d, _, _) | Por (d, _, _) | Pxor (d, _, _) | Pslw (d, _, _)
+  | Psraw (d, _, _) | Pneg (d, _) | Pmr (d, _) | Paddi (d, _, _)
+  | Paddis (d, _, _) | Pori (d, _, _) | Pslwi (d, _, _) | Plwz (d, _)
+  | Pla (d, _) | Psetcc (d, _) | Pmovcc (d, _, _) | Pacqi (d, _)
+  | Pfctiwz (d, _) -> bit d
+  | Pallocframe _ | Pfreeframe _ -> bit sp
+  | Plfd _ | Plfdc _ | Pfadd _ | Pfsub _ | Pfmul _ | Pfdiv _ | Pfmadd _
+  | Pfmsub _ | Pfneg _ | Pfabs _ | Pfmr _ | Pfmovcc _ | Pacqf _ | Pfcfiw _
+  | Pstw _ | Pstfd _ | Pouti _ | Poutf _ | Pcmpw _ | Pcmpwi _ | Pfcmpu _
+  | Pannot _ | Plabel _ | Pb _ | Pbc _ | Pblr -> 0
+
+let fdefs_mask (i : instr) : int =
+  match i with
+  | Plfd (d, _) | Plfdc (d, _) | Pfadd (d, _, _) | Pfsub (d, _, _)
+  | Pfmul (d, _, _) | Pfdiv (d, _, _) | Pfmadd (d, _, _, _)
+  | Pfmsub (d, _, _, _) | Pfneg (d, _) | Pfabs (d, _) | Pfmr (d, _)
+  | Pfmovcc (d, _, _) | Pacqf (d, _) | Pfcfiw (d, _) -> bit d
+  | Padd _ | Psubf _ | Pmullw _ | Pdivw _ | Pand _ | Por _ | Pxor _
+  | Pslw _ | Psraw _ | Pneg _ | Pmr _ | Paddi _ | Paddis _ | Pori _
+  | Pslwi _ | Plwz _ | Pla _ | Psetcc _ | Pmovcc _ | Pacqi _ | Pfctiwz _
+  | Pallocframe _ | Pfreeframe _ | Pstw _ | Pstfd _ | Pouti _ | Poutf _
+  | Pcmpw _ | Pcmpwi _ | Pfcmpu _ | Pannot _ | Plabel _ | Pb _ | Pbc _
+  | Pblr -> 0
+
+let iuses_mask (i : instr) : int =
+  match i with
+  | Padd (_, a, b) | Psubf (_, a, b) | Pmullw (_, a, b) | Pdivw (_, a, b)
+  | Pand (_, a, b) | Por (_, a, b) | Pxor (_, a, b) | Pslw (_, a, b)
+  | Psraw (_, a, b) | Pcmpw (a, b) | Pmovcc (a, b, _) -> bit a lor bit b
+  | Pneg (_, a) | Pmr (_, a) | Pori (_, a, _) | Pslwi (_, a, _)
+  | Pcmpwi (a, _) | Pfcfiw (_, a) | Pouti (_, a) -> bit a
+  | Paddi (_, a, _) | Paddis (_, a, _) -> if a = 0 then 0 else bit a
+  | Plwz (_, a) | Plfd (_, a) | Pstfd (_, a) -> addr_mask a
+  | Pstw (s, a) -> bit s lor addr_mask a
+  | Pannot (_, args) ->
+    List.fold_left
+      (fun m a -> match a with AA_ireg r -> m lor bit r | _ -> m)
+      0 args
+  | Pallocframe _ | Pfreeframe _ -> bit sp
+  | Pfmovcc _ | Pfadd _ | Pfsub _ | Pfmul _ | Pfdiv _ | Pfcmpu _
+  | Pfmadd _ | Pfmsub _ | Pfneg _ | Pfabs _ | Pfmr _ | Pfctiwz _
+  | Poutf _ | Plfdc _ | Pla _ | Psetcc _ | Pacqi _ | Pacqf _ | Plabel _
+  | Pb _ | Pbc _ | Pblr -> 0
+
+let fuses_mask (i : instr) : int =
+  match i with
+  | Pstfd (s, _) -> bit s
+  | Pfmovcc (a, b, _) | Pfadd (_, a, b) | Pfsub (_, a, b)
+  | Pfmul (_, a, b) | Pfdiv (_, a, b) | Pfcmpu (a, b) -> bit a lor bit b
+  | Pfmadd (_, a, b, c) | Pfmsub (_, a, b, c) -> bit a lor bit b lor bit c
+  | Pfneg (_, a) | Pfabs (_, a) | Pfmr (_, a) | Pfctiwz (_, a)
+  | Poutf (_, a) -> bit a
+  | Pannot (_, args) ->
+    List.fold_left
+      (fun m a -> match a with AA_freg f -> m lor bit f | _ -> m)
+      0 args
+  | Padd _ | Psubf _ | Pmullw _ | Pdivw _ | Pand _ | Por _ | Pxor _
+  | Pslw _ | Psraw _ | Pcmpw _ | Pmovcc _ | Pneg _ | Pmr _ | Pori _
+  | Pslwi _ | Pcmpwi _ | Pfcfiw _ | Pouti _ | Paddi _ | Paddis _ | Plwz _
+  | Plfd _ | Pstw _ | Pallocframe _ | Pfreeframe _ | Plfdc _ | Pla _
+  | Psetcc _ | Pacqi _ | Pacqf _ | Plabel _ | Pb _ | Pbc _ | Pblr -> 0

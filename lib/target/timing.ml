@@ -28,32 +28,43 @@ let load_use_stall = 2 (* extra when the next instruction consumes the load *)
 let cost_acquisition = 3200  (* volatile signal read: slow serial bus *)
 let cost_actuator = 1000     (* actuator command write *)
 
-(* ---- the stepper behind [static_costs] ---- *)
+(* ---- the stepper behind [static_costs] ----
+
+   The window holds the registers the previous instruction defined, as
+   int and float masks ([Asm.idefs_mask] etc.), one pair per overlap
+   rule; an empty pair means the rule does not apply. Nothing here
+   allocates per instruction. *)
 
 type window = {
-  mutable pair_ready : bool;       (* prev was an unpaired 1-cycle int op *)
-  mutable pair_defs : Asm.reg list;
-  mutable fpu_busy : bool;         (* prev was a pipelined FPU arith op *)
-  mutable fpu_defs : Asm.reg list;
-  mutable load_defs : Asm.reg list; (* defs of prev instr when it was a load *)
+  mutable pair_ready : bool;  (* prev was an unpaired 1-cycle int op *)
+  mutable pair_i : int;       (* its defs, when it was pairable *)
+  mutable pair_f : int;
+  mutable fpu_busy : bool;    (* prev was a pipelined FPU arith op *)
+  mutable fpu_i : int;        (* its defs *)
+  mutable fpu_f : int;
+  mutable load_i : int;       (* defs of prev instr when it was a load *)
+  mutable load_f : int;
 }
 
 let fresh_window () : window =
   { pair_ready = false;
-    pair_defs = [];
+    pair_i = 0;
+    pair_f = 0;
     fpu_busy = false;
-    fpu_defs = [];
-    load_defs = [] }
+    fpu_i = 0;
+    fpu_f = 0;
+    load_i = 0;
+    load_f = 0 }
 
 let reset (w : window) : unit =
   w.pair_ready <- false;
-  w.pair_defs <- [];
+  w.pair_i <- 0;
+  w.pair_f <- 0;
   w.fpu_busy <- false;
-  w.fpu_defs <- [];
-  w.load_defs <- []
-
-let intersects (a : Asm.reg list) (b : Asm.reg list) : bool =
-  List.exists (fun x -> List.mem x b) a
+  w.fpu_i <- 0;
+  w.fpu_f <- 0;
+  w.load_i <- 0;
+  w.load_f <- 0
 
 (* 1-cycle integer ops eligible for dual-issue pairing. Expanded
    pseudo-instructions (setcc, movcc, la, ...) are excluded: their
@@ -105,23 +116,24 @@ let step (w : window) (i : Asm.instr) : int =
     0
   | Asm.Pannot _ -> 0  (* transparent: occupies no issue slot *)
   | _ ->
-    let uses = Asm.uses i in
-    let defs = Asm.defs i in
+    let ui = Asm.iuses_mask i and uf = Asm.fuses_mask i in
+    let di = Asm.idefs_mask i and df = Asm.fdefs_mask i in
+    (* the registers a window must miss for this instruction to overlap *)
+    let ti = ui lor di and tf = uf lor df in
     let stall =
-      if intersects w.load_defs uses then load_use_stall else 0
+      if w.load_i land ui <> 0 || w.load_f land uf <> 0 then load_use_stall
+      else 0
     in
+    let fpu = is_fpu_arith i and pair = pairable i in
     let cost =
-      if is_fpu_arith i then begin
-        if w.fpu_busy
-           && (not (intersects w.fpu_defs uses))
-           && not (intersects w.fpu_defs defs)
-        then cost_fpu_overlap
+      if fpu then begin
+        if w.fpu_busy && w.fpu_i land ti = 0 && w.fpu_f land tf = 0 then
+          cost_fpu_overlap
         else cost_fpu
       end
-      else if pairable i then begin
-        if stall = 0 && w.pair_ready
-           && (not (intersects w.pair_defs uses))
-           && not (intersects w.pair_defs defs)
+      else if pair then begin
+        if stall = 0 && w.pair_ready && w.pair_i land ti = 0
+           && w.pair_f land tf = 0
         then 0
         else base_cost i
       end
@@ -129,11 +141,15 @@ let step (w : window) (i : Asm.instr) : int =
     in
     let cost = cost + stall in
     (* window update *)
-    w.pair_ready <- pairable i && cost = 1;
-    w.pair_defs <- (if pairable i then defs else []);
-    w.fpu_busy <- is_fpu_arith i;
-    w.fpu_defs <- (if is_fpu_arith i then defs else []);
-    w.load_defs <- (if is_load i then defs else []);
+    let load = is_load i in
+    w.pair_ready <- pair && cost = 1;
+    w.pair_i <- (if pair then di else 0);
+    w.pair_f <- (if pair then df else 0);
+    w.fpu_busy <- fpu;
+    w.fpu_i <- (if fpu then di else 0);
+    w.fpu_f <- (if fpu then df else 0);
+    w.load_i <- (if load then di else 0);
+    w.load_f <- (if load then df else 0);
     cost
 
 (* Per-instruction costs of an instruction sequence, starting from a

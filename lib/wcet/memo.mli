@@ -1,9 +1,13 @@
 (** Content-addressed, Domain-safe cache of per-function WCET analysis.
 
-    The key digests everything the analysis consumes — the instruction
-    stream (with analysis-irrelevant volatile signal names normalized
-    away), the entry address, and the layout slice of symbols/constants
-    the code touches; see [lib/wcet/README.md] for the exact contract.
+    The key is a canonical, injective encoding of everything the
+    analysis consumes — the instruction stream (without the
+    analysis-irrelevant volatile signal names), the entry address, the
+    layout slice of symbols/constants the code touches, the fuel, the
+    pipeline spec and the engine — and its MD5 digest. It is a function
+    of content only: how the [Asm.func] was built (which strings are
+    physically shared) never changes it. See [lib/wcet/README.md] for
+    the exact contract.
     The value is the finished {!Report.t} plus the function's
     annotation-file fragment. The function {e name} is not part of the
     key (it only reaches the output), so structurally identical nodes

@@ -5,10 +5,12 @@
    abort, so every filesystem failure degrades to a miss or a skipped
    write. *)
 
-(* Bump on any change to the analysis semantics or to the marshalled
-   shapes (Report.t, Annotfile.entry, the Memo key payload). The OCaml
-   version is part of the stamp because entries are Marshal images. *)
-let toolchain_version = "vericomp-wcet-4 ocaml-" ^ Sys.ocaml_version
+(* Bump on any change to the analysis semantics, to the marshalled
+   shapes (Report.t, Annotfile.entry) or to the Memo key's payload
+   encoding (wcet-5: the canonical encoding replaced a Marshal image).
+   The OCaml version is part of the stamp because entries are Marshal
+   images. *)
+let toolchain_version = "vericomp-wcet-5 ocaml-" ^ Sys.ocaml_version
 
 let magic = "VCWS1"
 

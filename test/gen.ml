@@ -295,3 +295,100 @@ let gen_program ?(size = 12) (seed : int) : A.program =
           fn_ret = ret_t;
           fn_body = body } ];
     prog_main = "prop_main" }
+
+(* ---- random machine code ----
+
+   Instruction sequences for the oracles of the timing model and the
+   analysis-cache key: every constructor of [Target.Asm.instr], over
+   few registers (so operands collide and windows overlap), a small
+   symbol and volatile pool, and pool constants that include both
+   zeros. They need not be meaningful programs. *)
+
+module Asm = Target.Asm
+
+let asm_syms = [ "g_a"; "g_b"; "t_c"; "s_d" ]
+let asm_vols = [ "sig_a"; "sig_b"; "act_c" ]
+let asm_consts = [ 0.0; -0.0; 1.5; -2.25; 1e300; Float.nan ]
+let asm_texts = [ "loopbound 4"; "0 <= %1 <= 8"; "" ]
+
+let asm_instr : Asm.instr QCheck.Gen.t =
+ fun st ->
+  let int n = Random.State.int st n in
+  let one xs = List.nth xs (int (List.length xs)) in
+  (* mostly r0..r5 (r1 is the stack pointer), sometimes any of 32 *)
+  let r () = if int 4 = 0 then int 32 else int 6 in
+  let imm () = Int32.of_int (int 64 - 32) in
+  let lbl () = int 4 in
+  let cond () =
+    let b = one [ Asm.CRlt; Asm.CRgt; Asm.CReq ] in
+    if int 2 = 0 then Asm.BT b else Asm.BF b
+  in
+  let addr () =
+    match int 4 with
+    | 0 -> Asm.Aind (r (), imm ())
+    | 1 -> Asm.Aindx (r (), r ())
+    | 2 -> Asm.Aglob (one asm_syms, imm ())
+    | _ -> Asm.Asda (one asm_syms, imm ())
+  in
+  let annot_arg () =
+    match int 6 with
+    | 0 -> Asm.AA_ireg (r ())
+    | 1 -> Asm.AA_freg (r ())
+    | 2 -> Asm.AA_const_int (imm ())
+    | 3 -> Asm.AA_const_float (one asm_consts)
+    | 4 -> Asm.AA_stack_int (imm ())
+    | _ -> Asm.AA_stack_float (imm ())
+  in
+  match int 49 with
+  | 0 -> Asm.Plabel (lbl ())
+  | 1 -> Asm.Pb (lbl ())
+  | 2 -> Asm.Pbc (cond (), lbl ())
+  | 3 -> Asm.Pblr
+  | 4 -> Asm.Pannot (one asm_texts, List.init (int 3) (fun _ -> annot_arg ()))
+  | 5 -> Asm.Padd (r (), r (), r ())
+  | 6 -> Asm.Psubf (r (), r (), r ())
+  | 7 -> Asm.Pmullw (r (), r (), r ())
+  | 8 -> Asm.Pdivw (r (), r (), r ())
+  | 9 -> Asm.Pand (r (), r (), r ())
+  | 10 -> Asm.Por (r (), r (), r ())
+  | 11 -> Asm.Pxor (r (), r (), r ())
+  | 12 -> Asm.Pslw (r (), r (), r ())
+  | 13 -> Asm.Psraw (r (), r (), r ())
+  | 14 -> Asm.Pneg (r (), r ())
+  | 15 -> Asm.Pmr (r (), r ())
+  | 16 -> Asm.Paddi (r (), r (), imm ())
+  | 17 -> Asm.Paddis (r (), r (), imm ())
+  | 18 -> Asm.Pori (r (), r (), imm ())
+  | 19 -> Asm.Pslwi (r (), r (), int 32)
+  | 20 -> Asm.Plwz (r (), addr ())
+  | 21 -> Asm.Pstw (r (), addr ())
+  | 22 -> Asm.Plfd (r (), addr ())
+  | 23 -> Asm.Pstfd (r (), addr ())
+  | 24 -> Asm.Plfdc (r (), one asm_consts)
+  | 25 -> Asm.Pla (r (), one asm_syms)
+  | 26 -> Asm.Pcmpw (r (), r ())
+  | 27 -> Asm.Pcmpwi (r (), imm ())
+  | 28 -> Asm.Pfcmpu (r (), r ())
+  | 29 -> Asm.Psetcc (r (), cond ())
+  | 30 -> Asm.Pmovcc (r (), r (), cond ())
+  | 31 -> Asm.Pfmovcc (r (), r (), cond ())
+  | 32 -> Asm.Pfadd (r (), r (), r ())
+  | 33 -> Asm.Pfsub (r (), r (), r ())
+  | 34 -> Asm.Pfmul (r (), r (), r ())
+  | 35 -> Asm.Pfdiv (r (), r (), r ())
+  | 36 -> Asm.Pfmadd (r (), r (), r (), r ())
+  | 37 -> Asm.Pfmsub (r (), r (), r (), r ())
+  | 38 -> Asm.Pfneg (r (), r ())
+  | 39 -> Asm.Pfabs (r (), r ())
+  | 40 -> Asm.Pfmr (r (), r ())
+  | 41 -> Asm.Pfcfiw (r (), r ())
+  | 42 -> Asm.Pfctiwz (r (), r ())
+  | 43 -> Asm.Pacqi (r (), one asm_vols)
+  | 44 -> Asm.Pacqf (r (), one asm_vols)
+  | 45 -> Asm.Pouti (one asm_vols, r ())
+  | 46 -> Asm.Poutf (one asm_vols, r ())
+  | 47 -> Asm.Pallocframe (8 * int 8)
+  | _ -> Asm.Pfreeframe (8 * int 8)
+
+let asm_code : Asm.instr list QCheck.Gen.t =
+  QCheck.Gen.(list_size (int_range 1 80) asm_instr)

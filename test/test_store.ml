@@ -239,6 +239,33 @@ let test_stale_version_is_miss () =
         checkb "pre-OMT generation (wcet-3) is a miss" true
           (Wcet.Store.load st ~digest ~payload = None))
 
+(* The generation before the canonical key encoding (vericomp-wcet-4)
+   keyed entries by a Marshal image of the code: even a well-framed
+   wcet-4 entry whose stored payload matches must be a silent miss
+   under the current stamp. *)
+let test_wcet4_generation_is_miss () =
+  with_dir (fun dir ->
+      match Wcet.Store.create ~dir () with
+      | None -> Alcotest.fail "store creation failed"
+      | Some st ->
+        let b = small_built () in
+        let report, annots =
+          Wcet.Driver.analyze_full b.Fcstack.Chain.b_asm
+            b.Fcstack.Chain.b_layout
+        in
+        let digest = Digest.string "store-test-entry" in
+        let payload = "key-payload-bytes" in
+        checkb "current generation roundtrips" true
+          (Wcet.Store.save st ~digest ~payload (report, annots)
+           && Wcet.Store.load st ~digest ~payload = Some (report, annots));
+        let wcet4 = "vericomp-wcet-4 ocaml-" ^ Sys.ocaml_version in
+        let body = Marshal.to_string (wcet4, payload, report, annots) [] in
+        write_file
+          (entry_path dir (Digest.to_hex digest))
+          ("VCWS1" ^ Digest.string body ^ body);
+        checkb "wcet-4 generation is a miss" true
+          (Wcet.Store.load st ~digest ~payload = None))
+
 (* ---- fault injection: WRITE failures are silent misses too ---- *)
 
 (* Occupy every 2-hex shard slot with a regular FILE: each entry write
@@ -470,6 +497,8 @@ let suite =
      test_fault_injection);
     ("store: stale version stamp is a miss", `Quick,
      test_stale_version_is_miss);
+    ("store: previous generation (wcet-4) is a miss", `Quick,
+     test_wcet4_generation_is_miss);
     ("store: write failure is a silent miss (clogged shards)", `Quick,
      test_write_failure_is_silent_miss);
     ("store: GC tolerates a torn recency index", `Quick,

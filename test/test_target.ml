@@ -130,6 +130,38 @@ let test_window_reset_at_label () =
   in
   checki "label resets the overlap window" 4 (Timing.static_costs code).(2)
 
+(* The mask windows against the list stepper they replaced
+   (test/timing_ref.ml), on random instruction sequences over few
+   registers, so that pairing, FPU overlap and load-use stalls all
+   occur and all get blocked. *)
+let asm_code_arb : Asm.instr list QCheck.arbitrary =
+  QCheck.make
+    ~print:(fun code -> String.concat "\n" (List.map Target.Emit.instr_str code))
+    Testlib.Gen.asm_code
+
+let timing_oracle_prop =
+  QCheck.Test.make ~count:500
+    ~name:"timing: mask windows = list windows (static_costs)" asm_code_arb
+    (fun code ->
+       let code = Array.of_list code in
+       Timing.static_costs code = Timing_ref.static_costs code)
+
+(* the masks encode exactly the register sets of [Asm.defs]/[Asm.uses] *)
+let reg_masks_prop =
+  let masks (rs : Asm.reg list) : int * int =
+    List.fold_left
+      (fun (mi, mf) r ->
+         match r with
+         | Asm.IR n -> (mi lor (1 lsl n), mf)
+         | Asm.FR n -> (mi, mf lor (1 lsl n)))
+      (0, 0) rs
+  in
+  QCheck.Test.make ~count:500 ~name:"asm: register masks = defs/uses lists"
+    asm_code_arb
+    (List.for_all (fun i ->
+         masks (Asm.defs i) = (Asm.idefs_mask i, Asm.fdefs_mask i)
+         && masks (Asm.uses i) = (Asm.iuses_mask i, Asm.fuses_mask i)))
+
 (* ---- simulator ---- *)
 
 let empty_source : Minic.Ast.program =
@@ -487,6 +519,8 @@ let suite =
     ("timing: FPU overlap", `Quick, test_fpu_overlap);
     ("timing: load-to-use stall", `Quick, test_load_use_stall);
     ("timing: window reset at labels", `Quick, test_window_reset_at_label);
+    QCheck_alcotest.to_alcotest timing_oracle_prop;
+    QCheck_alcotest.to_alcotest reg_masks_prop;
     ("sim: arithmetic", `Quick, test_sim_arith);
     ("sim: loop and branches", `Quick, test_sim_loop_and_branch);
     ("sim: memory and globals", `Quick, test_sim_memory_and_global);
