@@ -102,8 +102,11 @@ let rec filter_map (f : int -> 'a -> 'a option) (e : 'a t) : 'a t =
      | Some v' -> if v' == v then e else Leaf (k, v'))
   | Branch (p, m, l, h) -> rebuild e p m (filter_map f l) (filter_map f h)
 
-let filter (keep : 'a -> bool) (e : 'a t) : 'a t =
-  filter_map (fun _ v -> if keep v then Some v else None) e
+let rec filter (keep : 'a -> bool) (e : 'a t) : 'a t =
+  match e with
+  | Empty -> Empty
+  | Leaf (_, v) -> if keep v then e else Empty
+  | Branch (p, m, l, h) -> rebuild e p m (filter keep l) (filter keep h)
 
 let rec fold (f : int -> 'a -> 'b -> 'b) (e : 'a t) (acc : 'b) : 'b =
   match e with

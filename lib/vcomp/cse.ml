@@ -8,64 +8,46 @@
    store advances (no alias analysis: any store kills all memoized
    loads). Volatile acquisitions are never memoized — each one is an
    observable event. Repeated float constants are value-numbered as
-   nullary operations, which removes duplicate constant-pool loads. *)
+   nullary operations, which removes duplicate constant-pool loads.
 
-type vn = int
-
-type key =
-  | Kop of Rtl.operation * vn list
-  | Kload of Rtl.chunk * Rtl.addressing * vn list * int (* memory epoch *)
-
-(* Operation keys rely on structural equality of [Rtl.operation]; float
-   constants compare by bits to avoid NaN pitfalls. *)
-let key_equal (a : key) (b : key) : bool =
-  match a, b with
-  | Kop (op1, a1), Kop (op2, a2) ->
-    (match op1, op2 with
-     | Rtl.Ofloatconst f1, Rtl.Ofloatconst f2 ->
-       Int64.equal (Int64.bits_of_float f1) (Int64.bits_of_float f2)
-       && a1 = a2
-     | _, _ -> op1 = op2 && a1 = a2)
-  | Kload (c1, ad1, a1, e1), Kload (c2, ad2, a2, e2) ->
-    c1 = c2 && ad1 = ad2 && a1 = a2 && e1 = e2
-  | (Kop _ | Kload _), _ -> false
+   Keys are [Term]s ([Top], [Tload]) over value numbers, and value
+   numbers are [Term.fresh] ids, all from one table per function. A key
+   maps to the value numbers it was given, newest first. A value number
+   no register holds any more has no representative and can never come
+   back, so lookup skips it and finds the newest live entry. *)
 
 type state = {
-  mutable next_vn : vn;
   mutable epoch : int;
-  mutable table : (key * vn) list;        (* expression -> value number *)
-  reg_vn : (Rtl.reg, vn) Hashtbl.t;       (* register -> its current vn *)
-  vn_rep : (vn, Rtl.reg) Hashtbl.t;       (* vn -> register holding it *)
+  table : (int, int list) Hashtbl.t;      (* key -> vns, newest first *)
+  reg_vn : (Rtl.reg, int) Hashtbl.t;      (* register -> its current vn *)
+  vn_rep : (int, Rtl.reg) Hashtbl.t;      (* vn -> register holding it *)
 }
 
 let create_state () : state =
-  { next_vn = 0;
-    epoch = 0;
-    table = [];
-    reg_vn = Hashtbl.create 61;
-    vn_rep = Hashtbl.create 61 }
+  let h () = Hashtbl.create 61 in
+  { epoch = 0; table = h (); reg_vn = h (); vn_rep = h () }
 
-let fresh_vn (st : state) : vn =
-  let v = st.next_vn in
-  st.next_vn <- v + 1;
-  v
+(* Forget everything at a block head. A reset table iterates as a new
+   one does, so [kill_reg]'s replacement rule sees the same order. *)
+let reset_state (st : state) : unit =
+  st.epoch <- 0;
+  Hashtbl.reset st.table;
+  Hashtbl.reset st.reg_vn;
+  Hashtbl.reset st.vn_rep
 
 (* Value number currently associated with register [r]. *)
-let vn_of_reg (st : state) (r : Rtl.reg) : vn =
+let vn_of_reg (tm : Term.t) (st : state) (r : Rtl.reg) : int =
   match Hashtbl.find_opt st.reg_vn r with
   | Some v -> v
   | None ->
-    let v = fresh_vn st in
+    let v = Term.fresh tm in
     Hashtbl.replace st.reg_vn r v;
     Hashtbl.replace st.vn_rep v r;
     v
 
-let lookup (st : state) (k : key) : vn option =
-  List.find_map (fun (k', v) -> if key_equal k k' then Some v else None) st.table
-
 (* Register [d] is about to be (re)defined: detach its old value number;
    if [d] was the representative of that vn, find a replacement
-   representative or forget the vn's expressions. *)
+   representative or let the vn die. *)
 let kill_reg (st : state) (d : Rtl.reg) : unit =
   match Hashtbl.find_opt st.reg_vn d with
   | None -> ()
@@ -74,112 +56,81 @@ let kill_reg (st : state) (d : Rtl.reg) : unit =
     (match Hashtbl.find_opt st.vn_rep v with
      | Some rep when rep = d ->
        (* look for another register still holding vn v *)
-       let replacement =
-         Hashtbl.fold
-           (fun r v' acc -> if v' = v && r <> d then Some r else acc)
-           st.reg_vn None
-       in
-       (match replacement with
+       (match
+          Hashtbl.fold
+            (fun r v' acc -> if v' = v && r <> d then Some r else acc)
+            st.reg_vn None
+        with
         | Some r -> Hashtbl.replace st.vn_rep v r
-        | None ->
-          Hashtbl.remove st.vn_rep v;
-          st.table <- List.filter (fun (_, v') -> v' <> v) st.table)
+        | None -> Hashtbl.remove st.vn_rep v)
      | Some _ | None -> ())
 
-let set_reg (st : state) (d : Rtl.reg) (v : vn) : unit =
+let set_reg (st : state) (d : Rtl.reg) (v : int) : unit =
   kill_reg st d;
   Hashtbl.replace st.reg_vn d v;
   if not (Hashtbl.mem st.vn_rep v) then Hashtbl.replace st.vn_rep v d
 
-(* Partition the CFG into basic blocks: heads are the entry, join points,
-   and both successors of conditional branches. Returns head nodes. *)
-let block_heads (f : Rtl.func) (w : Rtl.walk) : Rtl.node list =
-  List.filter
-    (fun n ->
-       if n = f.Rtl.f_entry then true
-       else
-         match w.Rtl.w_preds.(n) with
-         | [ p ] ->
-           (match w.Rtl.w_code.(p) with
-            | Rtl.Icond _ -> true
-            | _ -> false)
-         | _ -> true)
-    (Array.to_list w.Rtl.w_order)
+(* Node [n] defines [d] as [key] (successor [s]): reuse the newest live
+   value number of [key] if its representative can be moved into [d],
+   or give [d] a fresh one under [key]. *)
+let number (f : Rtl.func) (tm : Term.t) (st : state) (n : Rtl.node)
+    (key : Term.key) (d : Rtl.reg) (s : Rtl.node) : unit =
+  let k = Term.id tm key in
+  let vns = Option.value ~default:[] (Hashtbl.find_opt st.table k) in
+  let live = List.find_opt (Hashtbl.mem st.vn_rep) vns in
+  match Option.map (fun v -> (v, Hashtbl.find st.vn_rep v)) live with
+  | Some (v, rep) when rep <> d && Rtl.reg_class f rep = Rtl.reg_class f d ->
+    Rtl.set_instr f n (Rtl.Iop (Rtl.Omove, [ rep ], d, s));
+    set_reg st d v
+  | Some _ | None ->
+    let v = Term.fresh tm in
+    set_reg st d v;
+    Hashtbl.replace st.table k (v :: vns)
+
+(* Basic blocks start at the entry, at join points, and at both
+   successors of a conditional branch. *)
+let is_head (f : Rtl.func) (w : Rtl.walk) (n : Rtl.node) : bool =
+  n = f.Rtl.f_entry
+  ||
+  match w.Rtl.w_preds.(n) with
+  | [ p ] -> (match w.Rtl.w_code.(p) with Rtl.Icond _ -> true | _ -> false)
+  | _ -> true
 
 (* Walk one basic block starting at [head], rewriting instructions. A
    node is visited once, so its instruction in the walk is still its
    instruction in [f]. *)
-let process_block (f : Rtl.func) (w : Rtl.walk) (head : Rtl.node) : unit =
-  let st = create_state () in
+let process_block (f : Rtl.func) (w : Rtl.walk) (tm : Term.t) (st : state)
+    (head : Rtl.node) : unit =
+  reset_state st;
+  let vns = List.map (vn_of_reg tm st) in
   let rec walk (n : Rtl.node) : unit =
     let i = w.Rtl.w_code.(n) in
     (match i with
-     | Rtl.Iop (Rtl.Omove, [ src ], d, _) ->
-       let v = vn_of_reg st src in
-       set_reg st d v
-     | Rtl.Iop (op, args, d, s) ->
-       let vargs = List.map (vn_of_reg st) args in
-       let k = Kop (op, vargs) in
-       (match lookup st k with
-        | Some v ->
-          (match Hashtbl.find_opt st.vn_rep v with
-           | Some rep when rep <> d
-                        && Rtl.reg_class f rep = Rtl.reg_class f d ->
-             Rtl.set_instr f n (Rtl.Iop (Rtl.Omove, [ rep ], d, s));
-             set_reg st d v
-           | Some _ | None ->
-             let v' = fresh_vn st in
-             set_reg st d v';
-             st.table <- (k, v') :: st.table)
-        | None ->
-          let v = fresh_vn st in
-          set_reg st d v;
-          st.table <- (k, v) :: st.table)
+     | Rtl.Iop (Rtl.Omove, [ src ], d, _) -> set_reg st d (vn_of_reg tm st src)
+     | Rtl.Iop (op, args, d, s) -> number f tm st n (Term.op op (vns args)) d s
      | Rtl.Iload (chunk, addr, args, d, s) ->
-       let vargs = List.map (vn_of_reg st) args in
-       let k = Kload (chunk, addr, vargs, st.epoch) in
-       (match lookup st k with
-        | Some v ->
-          (match Hashtbl.find_opt st.vn_rep v with
-           | Some rep when rep <> d
-                        && Rtl.reg_class f rep = Rtl.reg_class f d ->
-             Rtl.set_instr f n (Rtl.Iop (Rtl.Omove, [ rep ], d, s));
-             set_reg st d v
-           | Some _ | None ->
-             let v' = fresh_vn st in
-             set_reg st d v';
-             st.table <- (k, v') :: st.table)
-        | None ->
-          let v = fresh_vn st in
-          set_reg st d v;
-          st.table <- (k, v) :: st.table)
+       number f tm st n (Term.Tload (chunk, addr, vns args, st.epoch)) d s
      | Rtl.Istore _ ->
        (* conservatively kill all memoized loads *)
        st.epoch <- st.epoch + 1
      | Rtl.Iacq (_, d, _) ->
        (* volatile read: fresh, never memoized *)
-       let v = fresh_vn st in
-       set_reg st d v
+       set_reg st d (Term.fresh tm)
      | Rtl.Inop _ | Rtl.Icond _ | Rtl.Iout _ | Rtl.Iannot _ | Rtl.Ireturn _ ->
        ());
     (* continue along the block *)
     match Rtl.successors i with
-    | [ s ] ->
-      let s_is_head =
-        s = f.Rtl.f_entry
-        ||
-        (match w.Rtl.w_preds.(s) with
-         | [ _ ] -> false
-         | _ -> true)
-      in
-      if not s_is_head then walk s
+    | [ s ] -> if not (is_head f w s) then walk s
     | [] | _ :: _ :: _ -> ()
   in
   walk head
 
 let transform_func (f : Rtl.func) : unit =
   let w = Rtl.walk f in
-  List.iter (process_block f w) (block_heads f w)
+  let tm = Term.create w and st = create_state () in
+  Array.iter
+    (fun n -> if is_head f w n then process_block f w tm st n)
+    w.Rtl.w_order
 
 let transform (p : Rtl.program) : Rtl.program =
   List.iter transform_func p.Rtl.p_funcs;

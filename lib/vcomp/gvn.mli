@@ -1,5 +1,5 @@
 (** Global CSE by value numbering over the whole RTL CFG (Monniaux &
-    Six style): pure operations whose hash-consed symbolic term is
+    Six style): pure operations whose hash-consed symbolic {!Term} is
     already held by another register become moves; operations whose
     destination already holds the term become no-ops. Loads are left to
     the local, epoch-aware [Cse]. The fixpoint runs under a fuel

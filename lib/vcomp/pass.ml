@@ -9,10 +9,11 @@
    means the pass skips (identity), never that it miscompiles.
 
    The canonical [spec] string of an option record names the enabled
-   passes and the fuel budget; it is what the CLI `--passes` flag
-   parses, and — because two pipelines can produce different assembly
-   for the same source — what the WCET layer folds into its
-   content-addressed cache key. *)
+   passes and the fuel budget. Because two pipelines can produce
+   different assembly for the same source, it is what the WCET layer
+   folds into its content-addressed cache key. The CLI `--passes` flag
+   goes through [of_spec], which reads the pass list alone: a spec with
+   a "#fuel" suffix is not a valid `--passes` value. *)
 
 type options = {
   opt_constprop : bool;

@@ -1000,6 +1000,50 @@ let test_gvn_loop_carried_load () =
             p 1))
     [ 3; 64; Vcomp.Pass.default_fuel ]
 
+(* Float constants are numbered by their bit pattern in both value
+   numberings: 0.0 and -0.0 stay apart, NaNs merge exactly when their
+   bits agree. The generator's floats are never -0.0 or NaN, so the
+   reference comparison never reaches this rule.
+     1: x1 = 0.0    2: x2 = -0.0    3: x3 = nan_a    4: x4 = nan_a
+     5: x5 = nan_b  6: x6 = -0.0    7: return x1 *)
+let test_float_constants_by_bits () =
+  let module R = Vcomp.Rtl in
+  let nan_a = 0x7FF8000000000001L and nan_b = 0x7FF8000000000002L in
+  let consts = [ 0L; Int64.bits_of_float (-0.0); nan_a; nan_a; nan_b;
+                 Int64.bits_of_float (-0.0) ] in
+  let build () =
+    let f = R.create_func "k" (Some Minic.Ast.Tfloat) in
+    let f = { f with R.f_entry = 1 } in
+    let regs = List.map (fun _ -> R.fresh_reg f R.Cfloat) consts in
+    List.iteri
+      (fun i (bits, d) ->
+         let c = Int64.float_of_bits bits in
+         ignore (R.add_instr f (R.Iop (R.Ofloatconst c, [], d, i + 2))))
+      (List.combine consts regs);
+    ignore (R.add_instr f (R.Ireturn (Some (List.hd regs))));
+    (f, Array.of_list regs)
+  in
+  let kept f n =
+    match R.get_instr f n with
+    | R.Iop (R.Ofloatconst c, [], _, _) ->
+      Int64.equal (Int64.bits_of_float c) (List.nth consts (n - 1))
+    | _ -> false
+  in
+  List.iter
+    (fun (name, pass) ->
+       let f, x = build () in
+       pass f;
+       checkb (name ^ ": 0.0, -0.0 and two NaN payloads kept") true
+         (List.for_all (kept f) [ 1; 2; 3; 5 ]);
+       checkb (name ^ ": equal NaN bits merged") true
+         (R.get_instr f 4 = R.Iop (R.Omove, [ x.(2) ], x.(3), 5));
+       checkb (name ^ ": -0.0 merged with -0.0") true
+         (R.get_instr f 6 = R.Iop (R.Omove, [ x.(1) ], x.(5), 7)))
+    [ ("cse", Vcomp.Cse.transform_func);
+      ( "gvn",
+        fun f ->
+          checkb "gvn converged" true (Vcomp.Gvn.transform_func ~fuel:1000 f) ) ]
+
 let suite =
   [ QCheck_alcotest.to_alcotest selection_preserves_prop;
     QCheck_alcotest.to_alcotest constprop_prop;
@@ -1045,4 +1089,6 @@ let suite =
     ("regalloc spills under int and float pressure", `Quick,
      test_register_pressure);
     ("gvn: loop-carried load copy stays distinct", `Quick,
-     test_gvn_loop_carried_load) ]
+     test_gvn_loop_carried_load);
+    ("cse/gvn: float constants numbered by bit pattern", `Quick,
+     test_float_constants_by_bits) ]

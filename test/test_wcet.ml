@@ -1287,3 +1287,23 @@ let suite =
   @ [ QCheck_alcotest.to_alcotest intmap_oracle_prop;
       QCheck_alcotest.to_alcotest value_domain_prop;
       QCheck_alcotest.to_alcotest mustcache_domain_prop ]
+
+(* [Intmap.filter] keeps what [Map.filter] keeps, and returns its
+   argument itself when it keeps every binding. *)
+let intmap_filter_prop =
+  QCheck.Test.make ~count:1000 ~name:"Intmap: filter matches Map, sharing kept"
+    intmap_pair_arb
+    (fun (base, ea, _) ->
+       let m =
+         apply_edits Flow.Intmap.add Flow.Intmap.remove (intmap_of base) ea
+       in
+       let r = IMap.of_seq (List.to_seq (intmap_bindings m)) in
+       List.for_all
+         (fun keep ->
+            let f = Flow.Intmap.filter keep m in
+            intmap_bindings f = IMap.bindings (IMap.filter (fun _ v -> keep v) r)
+            && (Flow.Intmap.fold (fun _ v ok -> ok && keep v) m true = (f == m)))
+         [ (fun v -> v mod 2 = 0); (fun v -> v < 5); (fun _ -> true);
+           (fun _ -> false) ])
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest intmap_filter_prop ]
