@@ -53,35 +53,37 @@ let () =
   let src = snd (List.hd nodes) in
   let rtl = Vcomp.Selection.trans_program src in
   let f = List.hd rtl.Vcomp.Rtl.p_funcs in
-  let res = Vcomp.Regalloc.allocate f in
-  (match Vcomp.Regalloc.verify f res with
+  let lv = Vcomp.Liveness.analyze f in
+  let res = Vcomp.Regalloc.allocate f lv in
+  (match Vcomp.Regalloc.verify f lv res with
    | Ok () -> print_endline "\nregalloc validator: correct allocation accepted"
    | Error msg -> Printf.printf "\nUNEXPECTED: %s\n" msg);
-  (* merge an interfering pair of pseudo-registers: by construction the
-     validator must reject the resulting allocation *)
+  (* merge an interfering pair of pseudo-registers (a register of the
+     same class live after a definition, not the source of its move): by
+     construction the validator must reject the resulting allocation *)
   let corrupt () : bool =
-    let g = res.Vcomp.Regalloc.ra_graph in
     let found = ref false in
-    Array.iteri
-      (fun a neighbors ->
-         if not !found then
-           Array.iter
-             (fun b ->
-                if (not !found) && Vcomp.Rtl.reg_class f a = Vcomp.Rtl.reg_class f b
-                   && not
-                        (Vcomp.Regalloc.loc_equal
-                           (Vcomp.Regalloc.location res a)
-                           (Vcomp.Regalloc.location res b)) then begin
-                  Hashtbl.replace res.Vcomp.Regalloc.ra_alloc a
-                    (Vcomp.Regalloc.location res b);
-                  found := true
-                end)
-             neighbors)
-      (Lazy.force g.Vcomp.Regalloc.g_adj);
+    Vcomp.Liveness.iter_nodes lv (fun n i ->
+        match Vcomp.Rtl.instr_def i with
+        | Some d when not !found ->
+          let src =
+            match i with Vcomp.Rtl.Iop (Vcomp.Rtl.Omove, [ s ], _, _) -> s | _ -> d
+          in
+          Vcomp.Liveness.iter_live_after lv n (fun r ->
+              if (not !found) && r <> d && r <> src
+                 && Vcomp.Rtl.reg_class f r = Vcomp.Rtl.reg_class f d
+                 && not
+                      (Vcomp.Regalloc.loc_equal
+                         (Vcomp.Regalloc.location res r)
+                         (Vcomp.Regalloc.location res d)) then begin
+                res.Vcomp.Regalloc.ra_alloc.(r) <- res.Vcomp.Regalloc.ra_alloc.(d);
+                found := true
+              end)
+        | _ -> ());
     !found
   in
   if corrupt () then
-    match Vcomp.Regalloc.verify f res with
+    match Vcomp.Regalloc.verify f lv res with
     | Ok () ->
       print_endline
         "regalloc validator: UNEXPECTED acceptance of a corrupted allocation"

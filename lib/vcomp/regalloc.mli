@@ -9,32 +9,26 @@ type loc =
   | Lfreg of Target.Asm.freg
   | Lslot of int  (** index of an 8-byte spill slot in the frame *)
 
-type allocation = (Rtl.reg, loc) Hashtbl.t
+type allocation = loc option array
+(** By register: [None] for a register the function never mentions. *)
 
 val loc_equal : loc -> loc -> bool
-
-(** The interference graph as built, before coalescing. Every table is
-    indexed by register. *)
-type graph = {
-  g_node : bool array;  (** the register occurs in the function *)
-  g_adj : Rtl.reg array array Lazy.t;
-      (** interfering registers, ascending; sorted when first forced *)
-  g_uses : int array;  (** occurrence count, for spill cost *)
-  g_moves : (Rtl.reg * Rtl.reg) list;  (** move-related pairs, same class *)
-}
 
 type result = {
   ra_alloc : allocation;
   ra_nslots : int;
-  ra_graph : graph;
 }
 
-val allocate : Rtl.func -> result
+val allocate : Rtl.func -> Liveness.t -> result
+(** [allocate f lv] colors [f] from its liveness [lv], which it only
+    reads. *)
+
 val location : result -> Rtl.reg -> loc
 
-val verify : Rtl.func -> result -> (unit, string) Result.t
-(** Independent structural validator: recomputes liveness and checks
-    that no two simultaneously-live pseudo-registers share a location.
-    Rejects deliberately corrupted allocations (mutation-tested). The
-    first conflict in reverse postorder, registers ascending, is the
-    [Error]; so is a compared register without a class or a location. *)
+val verify : Rtl.func -> Liveness.t -> result -> (unit, string) Result.t
+(** Independent structural validator: checks, on the liveness it is
+    given and only reads, that no two simultaneously-live
+    pseudo-registers share a location. Rejects deliberately corrupted
+    allocations (mutation-tested). The first conflict in reverse
+    postorder, registers ascending, is the [Error]; so is a compared
+    register without a class or a location. *)
