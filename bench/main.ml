@@ -1,6 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section (see DESIGN.md, per-experiment index) and adds
-   Bechamel micro-benchmarks of the toolchain itself.
+   evaluation section (see DESIGN.md, per-experiment index). It times
+   nothing itself: the toolchain's wall clock, throughput and per-layer
+   costs are measured by perfbench (perfbench/README.md).
 
    Usage:
      bench/main.exe                 run everything (default workload)
@@ -10,7 +11,6 @@
      bench/main.exe -e annot       only the annotation-flow demo
      bench/main.exe -e ablation    only the ablations
      bench/main.exe -e overestimation   bound tightness study
-     bench/main.exe -e micro       only the Bechamel micro-benchmarks
      bench/main.exe -n 120         workload size (default 60)
      bench/main.exe -j 4           per-node parallelism (default 1)
      bench/main.exe --engine omt   WCET path engine (ipet|omt|both)
@@ -18,120 +18,19 @@
      bench/main.exe --cache-dir D  persist the cache across runs
      bench/main.exe --cache-gc-mb M  LRU-bound the persistent cache
 
-   With -j > 1 every workload-driven experiment is measured both
-   sequentially and in parallel; the wall-clock comparison goes to
-   stderr so the tables on stdout stay byte-identical to a -j 1 run.
-
    All flags fold into one Fcstack.Toolchain.config (the cache trio and
    -j are the shared Fcstack.Cliopts terms, same surface as fcc/aitw).
    One content-addressed WCET-analysis cache (Wcet.Memo) is shared by
    all experiments and all domains of the process — and, with
-   --cache-dir, across process runs; the sequential reference leg of a
-   -j comparison deliberately runs uncached, so the stderr line is a
-   seq-uncached vs parallel-cached wall-clock comparison.
-   Hit/miss/phase accounting also goes to stderr (Report.pp_stats);
-   stdout tables are byte-identical with and without the cache — cold,
-   warm or --no-cache, the cache changes wall clock, never results
-   (CI cmp-enforces all three). *)
+   --cache-dir, across process runs. Hit/miss/phase accounting goes to
+   stderr (Report.pp_stats); stdout tables are byte-identical at every
+   -j and with and without the cache — cold, warm or --no-cache, the
+   cache changes wall clock, never results (CI cmp-enforces these). *)
 
 let ppf = Format.std_formatter
 
 let sep (title : string) : unit =
   Format.fprintf ppf "@.%s@.%s@.@." title (String.make (String.length title) '=')
-
-let run_micro () : unit =
-  sep "Micro-benchmarks (Bechamel): toolchain phases on one medium node";
-  let node =
-    Scade.Workload.generate_node ~profile:Scade.Workload.medium_node ~seed:42
-      "bench"
-  in
-  let src = Scade.Acg.generate node in
-  let vcomp_asm = Fcstack.Chain.build Fcstack.Chain.Cvcomp src in
-  let tests =
-    [ Bechamel.Test.make ~name:"acg"
-        (Bechamel.Staged.stage (fun () -> ignore (Scade.Acg.generate node)));
-      Bechamel.Test.make ~name:"compile-default-O0"
-        (Bechamel.Staged.stage (fun () ->
-             ignore (Cotsc.Driver.compile ~level:Cotsc.Driver.Onone src)));
-      Bechamel.Test.make ~name:"compile-default-O2"
-        (Bechamel.Staged.stage (fun () ->
-             ignore (Cotsc.Driver.compile ~level:Cotsc.Driver.Ofull src)));
-      Bechamel.Test.make ~name:"compile-vcomp"
-        (Bechamel.Staged.stage (fun () ->
-             ignore
-               (Vcomp.Driver.compile ~options:Vcomp.Driver.no_validation src)));
-      Bechamel.Test.make ~name:"compile-vcomp-validated"
-        (Bechamel.Staged.stage (fun () -> ignore (Vcomp.Driver.compile src)));
-      Bechamel.Test.make ~name:"wcet-analysis"
-        (Bechamel.Staged.stage (fun () ->
-             ignore (Fcstack.Chain.wcet vcomp_asm)));
-      Bechamel.Test.make ~name:"simulate-one-cycle"
-        (Bechamel.Staged.stage (fun () ->
-             ignore
-               (Fcstack.Chain.simulate vcomp_asm
-                  (Minic.Interp.seeded_world ~seed:1 ())))) ]
-  in
-  let benchmark test =
-    let open Bechamel in
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-    let raw = Benchmark.all cfg instances test in
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  List.iter
-    (fun test ->
-       let results = benchmark test in
-       Hashtbl.iter
-         (fun name ols ->
-            match Bechamel.Analyze.OLS.estimates ols with
-            | Some [ t ] -> Format.fprintf ppf "  %-28s %12.1f ns/run@." name t
-            | Some _ | None -> Format.fprintf ppf "  %-28s (no estimate)@." name)
-         results)
-    tests
-
-(* Wall-clock of one run; with -j > 1, run sequentially first and then
-   in parallel, report the comparison on stderr and check the results
-   agree byte-for-byte (the determinism contract of Fcstack.Par and
-   the cached-equals-uncached contract of Wcet.Memo: the sequential
-   reference leg runs without the cache). *)
-let timed (f : unit -> 'a) : 'a * float =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let run_maybe_parallel (name : string) (config : Fcstack.Toolchain.config)
-    (run : config:Fcstack.Toolchain.config -> 'a) : 'a =
-  let { Fcstack.Toolchain.jobs; cache; _ } = config in
-  if jobs <= 1 then run ~config
-  else begin
-    let seq_config = { config with Fcstack.Toolchain.jobs = 1; cache = None } in
-    let seq, t_seq = timed (fun () -> run ~config:seq_config) in
-    let all_hits (st : Wcet.Report.analysis_stats) : int =
-      st.Wcet.Report.st_hits + st.Wcet.Report.st_disk_hits
-    in
-    let hits0 =
-      match cache with None -> 0 | Some c -> all_hits (Wcet.Memo.stats c)
-    in
-    let par, t_par = timed (fun () -> run ~config) in
-    let cache_note =
-      match cache with
-      | None -> "uncached"
-      | Some c ->
-        let st = Wcet.Memo.stats c in
-        Printf.sprintf "cached: +%d hits, %.1f%% cumulative hit rate"
-          (all_hits st - hits0)
-          (Wcet.Report.hit_rate st)
-    in
-    Printf.eprintf
-      "%s: sequential uncached %.2fs, parallel (%d jobs, %s) %.2fs, \
-       speedup %.2fx, results %s\n%!"
-      name t_seq jobs cache_note t_par
-      (if t_par > 0.0 then t_seq /. t_par else 0.0)
-      (if seq = par then "identical" else "DIFFERENT (determinism bug!)");
-    par
-  end
 
 (* Hidden chaos mode (--chaos): run the deterministic fault-injection
    harness (Fcstack.Chaos) instead of the experiments. Everything goes
@@ -186,10 +85,7 @@ let run_bench (experiment : string) (nodes : int)
   in
   let workload =
     lazy
-      (let wr =
-         run_maybe_parallel "workload" config (fun ~config ->
-             Fcstack.Experiments.run_workload ~nodes ~config ())
-       in
+      (let wr = Fcstack.Experiments.run_workload ~nodes ~config () in
        (* per-node failures: stderr-only summary, tables show survivors *)
        Fcstack.Diag.print_summary ~total:nodes
          wr.Fcstack.Experiments.wr_diags;
@@ -249,7 +145,6 @@ let run_bench (experiment : string) (nodes : int)
       ();
     Format.fprintf ppf "@."
   end;
-  if want "micro" then run_micro ();
   Format.pp_print_flush ppf ();
   (* cache accounting to stderr only: stdout tables stay byte-identical
      with and without the cache (CI cmp-enforces this) *)
@@ -260,11 +155,15 @@ let run_bench (experiment : string) (nodes : int)
 
 open Cmdliner
 
+let experiments =
+  [ "all"; "listings"; "table1"; "figure2"; "annot"; "ablation";
+    "overestimation"; "gvnlicm"; "engines"; "scale-leg" ]
+
 let experiment_arg =
-  Arg.(value & opt string "all"
+  Arg.(value & opt (enum (List.map (fun e -> (e, e)) experiments)) "all"
        & info [ "e"; "experiment" ] ~docv:"EXPERIMENT"
            ~doc:"Run only $(docv): listings, table1, figure2, annot, \
-                 ablation, overestimation, micro, gvnlicm (pure-JSON \
+                 ablation, overestimation, gvnlicm (pure-JSON \
                  GVN/LICM deltas; never part of $(b,all)), engines \
                  (pure-JSON IPET-vs-OMT differential study; never part \
                  of $(b,all)), scale-leg (pure-JSON wall clock, peak \
@@ -277,9 +176,7 @@ let nodes_arg =
 
 let jobs_arg =
   Fcstack.Cliopts.jobs_term
-    ~doc:"Per-node parallelism; with $(docv) > 1 every workload-driven \
-          experiment is also timed sequentially and the comparison goes \
-          to stderr (stdout tables stay byte-identical)."
+    ~doc:"Per-node parallelism; stdout is byte-identical at every $(docv)."
 
 (* maintenance flags, hidden from the man page *)
 let chaos_arg =

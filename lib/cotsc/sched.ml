@@ -36,23 +36,27 @@ let boundary (i : Asm.instr) : bool =
   | Asm.Pfreeframe _ -> true
   | _ -> false
 
-(* CR0 is modelled as an extra dependence register so that compares and
-   setcc participate in scheduling soundly. Branches are boundaries, so
-   a compare can never be moved past the Pbc consuming its result. *)
-let cr0 : Asm.reg = Asm.IR (-1)
+(* Register sets are (integer, float) pairs of [Asm] masks. CR0 is
+   modelled as an extra dependence register, bit 32 of the integer mask
+   (registers take bits 0-31), so that compares and setcc participate
+   in scheduling soundly. Branches are boundaries, so a compare can
+   never be moved past the Pbc consuming its result. *)
+let cr0 : int = 1 lsl 32
 
-let sdefs (i : Asm.instr) : Asm.reg list =
-  match i with
-  | Asm.Pcmpw _ | Asm.Pcmpwi _ | Asm.Pfcmpu _ -> cr0 :: Asm.defs i
-  | _ -> Asm.defs i
+let sdefs (i : Asm.instr) : int * int =
+  let cr =
+    match i with Asm.Pcmpw _ | Asm.Pcmpwi _ | Asm.Pfcmpu _ -> cr0 | _ -> 0
+  in
+  (Asm.idefs_mask i lor cr, Asm.fdefs_mask i)
 
-let suses (i : Asm.instr) : Asm.reg list =
-  match i with
-  | Asm.Psetcc _ | Asm.Pmovcc _ | Asm.Pfmovcc _ -> cr0 :: Asm.uses i
-  | _ -> Asm.uses i
+let suses (i : Asm.instr) : int * int =
+  let cr =
+    match i with Asm.Psetcc _ | Asm.Pmovcc _ | Asm.Pfmovcc _ -> cr0 | _ -> 0
+  in
+  (Asm.iuses_mask i lor cr, Asm.fuses_mask i)
 
-let intersects (a : Asm.reg list) (b : Asm.reg list) : bool =
-  List.exists (fun x -> List.exists (fun y -> x = y) b) a
+let intersects ((ai, af) : int * int) ((bi, bf) : int * int) : bool =
+  ai land bi <> 0 || af land bf <> 0
 
 (* Schedule one region (no boundaries inside). *)
 let schedule_region (instrs : Asm.instr array) : Asm.instr list =
@@ -62,10 +66,11 @@ let schedule_region (instrs : Asm.instr array) : Asm.instr list =
     (* dependence predecessors *)
     let preds = Array.make n [] in
     let add_edge i j = if i <> j then preds.(j) <- i :: preds.(j) in
+    let defs = Array.map sdefs instrs and uses = Array.map suses instrs in
     for j = 0 to n - 1 do
       for i = 0 to j - 1 do
-        let di = sdefs instrs.(i) and dj = sdefs instrs.(j) in
-        let ui = suses instrs.(i) and uj = suses instrs.(j) in
+        let di = defs.(i) and dj = defs.(j) in
+        let ui = uses.(i) and uj = uses.(j) in
         let reg_dep =
           intersects di uj (* RAW *)
           || intersects ui dj (* WAR *)
@@ -85,7 +90,7 @@ let schedule_region (instrs : Asm.instr array) : Asm.instr list =
     let scheduled = Array.make n false in
     let npreds = Array.map List.length preds in
     let out = ref [] in
-    let last_defs = ref [] in
+    let last_defs = ref (0, 0) in
     for _ = 1 to n do
       (* ready instructions *)
       let ready = ref [] in
@@ -96,14 +101,14 @@ let schedule_region (instrs : Asm.instr array) : Asm.instr list =
       let pick =
         match
           List.find_opt
-            (fun j -> not (intersects !last_defs (suses instrs.(j))))
+            (fun j -> not (intersects !last_defs uses.(j)))
             !ready
         with
         | Some j -> j
         | None -> List.hd !ready
       in
       scheduled.(pick) <- true;
-      last_defs := sdefs instrs.(pick);
+      last_defs := defs.(pick);
       out := pick :: !out;
       for j = 0 to n - 1 do
         if (not scheduled.(j)) && List.mem pick preds.(j) then

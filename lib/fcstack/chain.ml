@@ -55,6 +55,7 @@ type built = {
   b_compiler : compiler;
   b_spec : string;
   b_pass_stats : Vcomp.Pass.pass_stats list; (* empty for COTS builds *)
+  b_rtl : Vcomp.Rtl.func list; (* optimized RTL; empty for COTS builds *)
 }
 
 (* Compile and lay out a mini-C program under a configuration.
@@ -64,20 +65,22 @@ type built = {
 let build ?(exact = false) ?(validate = false)
     ?(passes = Vcomp.Pass.default_options) (c : compiler)
     (src : Minic.Ast.program) : built =
-  let asm, stats =
+  let asm, stats, rtl =
     match c with
     | Cvcomp ->
-      let _, asm, stats =
+      let rtl, asm, stats =
         Vcomp.Driver.compile_full
           ~options:{ passes with opt_validate = validate } src
       in
-      (asm, stats)
-    | Cdefault_o0 -> (Cotsc.Driver.compile ~level:Cotsc.Driver.Onone src, [])
+      (asm, stats, rtl.Vcomp.Rtl.p_funcs)
+    | Cdefault_o0 ->
+      (Cotsc.Driver.compile ~level:Cotsc.Driver.Onone src, [], [])
     | Cdefault_o1 ->
-      (Cotsc.Driver.compile ~level:Cotsc.Driver.Onoregalloc src, [])
+      (Cotsc.Driver.compile ~level:Cotsc.Driver.Onoregalloc src, [], [])
     | Cdefault_o2 ->
       ( Cotsc.Driver.compile ~level:Cotsc.Driver.Ofull
           ~contract_fma:(not exact) src,
+        [],
         [] )
   in
   { b_source = src;
@@ -85,7 +88,8 @@ let build ?(exact = false) ?(validate = false)
     b_layout = Target.Layout.build src asm;
     b_compiler = c;
     b_spec = pipeline_spec ~exact ~passes c;
-    b_pass_stats = stats }
+    b_pass_stats = stats;
+    b_rtl = rtl }
 
 (* The built node loaded into the simulator, for a caller that runs it
    on several worlds with [Target.Sim.exec]. *)

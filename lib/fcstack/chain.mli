@@ -28,6 +28,9 @@ type built = {
   b_spec : string;  (** {!pipeline_spec} of the producing configuration *)
   b_pass_stats : Vcomp.Pass.pass_stats list;
       (** per-pass middle-end stats; empty for COTS builds *)
+  b_rtl : Vcomp.Rtl.func list;
+      (** the optimized RTL the assembly was generated from; empty for
+          COTS builds *)
 }
 
 val build :

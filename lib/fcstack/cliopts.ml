@@ -89,8 +89,9 @@ let opt_level_arg : int Term.t =
            off, 1 is the paper's CompCert 1.7 pipeline (constant \
            propagation, local CSE, dead-code elimination), 2 (the \
            default) adds global value numbering and loop-invariant \
-           code motion. Each enabled pass runs under translation \
-           validation. Only the vcomp configuration consults this.")
+           code motion. Each enabled pass is checked by its \
+           translation validator only under fcc's --validate. Only the \
+           vcomp configuration consults this.")
 
 let passes_arg : Vcomp.Pass.options option Term.t =
   Arg.(

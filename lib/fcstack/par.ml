@@ -240,13 +240,13 @@ type node_result = {
    diagnostic records node, stage and message. The compiler typechecks
    its input on entry, and [Diag.of_exn] turns its rejection into a
    Typecheck diagnostic. Exceptions never escape this function. *)
-let chain_node ~(config : Toolchain.config) ?exact ?validate ?cycles
+let chain_node ~(config : Toolchain.config) ?exact ?cycles
     (name : string) (src : Minic.Ast.program) :
   (node_result, Diag.t) Result.t =
   let ( let* ) = Result.bind in
   let* b =
     Diag.capture ~node:name ~stage:Diag.Compile (fun () ->
-        Chain.build ?exact ?validate ~passes:config.Toolchain.passes
+        Chain.build ?exact ~passes:config.Toolchain.passes
           config.Toolchain.compiler src)
   in
   let* report =
@@ -272,14 +272,14 @@ let chain_node ~(config : Toolchain.config) ?exact ?validate ?cycles
    failing node, an ACG failure included (a Compile-stage diagnostic),
    is recorded as its [Diag.t]; every other node completes exactly as
    in a fault-free run. *)
-let run_chain_nodes ?(config = Toolchain.default) ?exact ?validate ?cycles
+let run_chain_nodes ?(config = Toolchain.default) ?exact ?cycles
     (nodes : Scade.Symbol.node list) : (node_result, Diag.t) Result.t list =
   let task (node : Scade.Symbol.node) () =
     let name = node.Scade.Symbol.n_name in
     Result.bind
       (Diag.capture ~node:name ~stage:Diag.Compile (fun () ->
            Scade.Acg.generate node))
-      (chain_node ~config ?exact ?validate ?cycles name)
+      (chain_node ~config ?exact ?cycles name)
   in
   List.rev
     (fold ~jobs:config.Toolchain.jobs

@@ -57,7 +57,7 @@ type node_result = {
     differential-validation verdict. Structural — compare runs with [=]. *)
 
 val chain_node :
-  config:Toolchain.config -> ?exact:bool -> ?validate:bool -> ?cycles:int ->
+  config:Toolchain.config -> ?exact:bool -> ?cycles:int ->
   string -> Minic.Ast.program -> (node_result, Diag.t) Result.t
 (** One node's chain (compile/link → WCET → validation) with per-stage
     failure containment: any failure becomes a {!Diag.t} naming the
@@ -68,15 +68,15 @@ val chain_node :
     drives it directly with per-node configs. *)
 
 val run_chain_nodes :
-  ?config:Toolchain.config -> ?exact:bool -> ?validate:bool -> ?cycles:int ->
+  ?config:Toolchain.config -> ?exact:bool -> ?cycles:int ->
   Scade.Symbol.node list -> (node_result, Diag.t) Result.t list
 (** Full per-node chain over SCADE nodes under one {!Toolchain.config}:
     the ACG (an ACG failure is a Compile-stage diagnostic), then
     {!chain_node}, {!fold}ed over [config.jobs] domains, analyses
     shared through [config.cache] (safely: sharded, mutex-per-shard;
     results are unchanged by hits), validation battery from
-    [config.worlds]. [exact]/[validate]/[cycles] remain per-call
-    semantic knobs. Default config: sequential, cacheless, vcomp.
+    [config.worlds]. [exact]/[cycles] remain per-call semantic
+    knobs. Default config: sequential, cacheless, vcomp.
 
     Per-node failure containment: a failing node yields [Error diag];
     all other nodes complete and merge by index, their results

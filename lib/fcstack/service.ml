@@ -47,12 +47,11 @@ let gc (s : session) : unit =
 
 (* ---- the request executor -------------------------------------------- *)
 
-(* Ported verbatim from fcc's per-file body: parse / compile (which
-   typechecks on entry) with per-stage containment, optional RTL dump,
-   optional whole-chain differential validation. Byte-compatible with the
-   pre-service fcc — including the partial artifacts of a failed
-   request (RTL dumped before the failure, assembly of a chain whose
-   validation failed). *)
+(* fcc's per-file body: parse / compile (which typechecks on entry)
+   with per-stage containment, an optional dump of the RTL of that one
+   compile (empty unless the compiler is vcomp), optional whole-chain
+   differential validation. A request refused by validation keeps its
+   partial artifacts: the RTL dump and the assembly. *)
 let run_compile (config : Toolchain.config) ~(name : string)
     ~(dump_rtl : bool) ~(validate : bool) ~(exact : bool) (source : string) :
   Response.t =
@@ -66,19 +65,14 @@ let run_compile (config : Toolchain.config) ~(name : string)
     in
     let* b =
       Diag.capture ~node:name ~stage:Diag.Compile (fun () ->
-          if dump_rtl then begin
-            let rtl, _ =
-              Vcomp.Driver.compile_with_rtl ~options:config.Toolchain.passes
-                src
-            in
-            List.iter
-              (fun f -> Buffer.add_string rtl_dump (Vcomp.Rtl.dump_func f))
-              rtl.Vcomp.Rtl.p_funcs
-          end;
           Chain.build ~exact
             ~validate:(validate && config.Toolchain.compiler = Toolchain.Cvcomp)
             ~passes:config.Toolchain.passes config.Toolchain.compiler src)
     in
+    if dump_rtl then
+      List.iter
+        (fun f -> Buffer.add_string rtl_dump (Vcomp.Rtl.dump_func f))
+        b.Chain.b_rtl;
     asm := Target.Emit.program_to_string b.Chain.b_asm;
     stats := b.Chain.b_pass_stats;
     if validate then

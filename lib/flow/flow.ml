@@ -70,22 +70,6 @@ let dominates (d : 'e t) (a : int) (b : int) : bool =
   let rec up x = x = a || (d.idom.(x) <> x && up d.idom.(x)) in
   d.idom.(b) <> -1 && up b
 
-(* [a] dominates [b] iff [b] is reachable from the entry, and is not
-   once [a] is removed from the graph. *)
-let dominates_naive (g : 'e graph) (a : int) (b : int) : bool =
-  let reaches_b ~avoid =
-    let seen = Array.make (Array.length g.succs) false in
-    let rec dfs x =
-      if x <> avoid && not seen.(x) then begin
-        seen.(x) <- true;
-        List.iter (fun (s, _) -> dfs s) g.succs.(x)
-      end
-    in
-    dfs g.entry;
-    seen.(b)
-  in
-  reaches_b ~avoid:(-1) && (a = b || not (reaches_b ~avoid:a))
-
 exception Irreducible of int * int
 
 type 'e loop = {

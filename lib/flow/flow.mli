@@ -27,9 +27,6 @@ val dominates : 'e t -> int -> int -> bool
 (** [dominates d a b]: is [b] reachable, and does every path from the
     entry to [b] pass through [a]? *)
 
-val dominates_naive : 'e graph -> int -> int -> bool
-(** Reachability-removal oracle for {!dominates}, O(n) per query. *)
-
 exception Irreducible of int * int
 (** [(src, dst)]: an edge retreating in reverse postorder whose target
     does not dominate its source. *)

@@ -6,8 +6,9 @@
    and assembly emission.
 
    Every enabled optimization runs under its translation validator
-   unless [opt_validate] is turned off (benchmark runs disable it for
-   compile-time measurements; correctness tests always keep it on). *)
+   when [opt_validate] is on. The default options turn it on, but the
+   toolchain's [Fcstack.Chain.build] sets it from its [~validate]
+   argument, which only [fcc --validate] turns on. *)
 
 type options = Pass.options = {
   opt_constprop : bool;
@@ -36,8 +37,3 @@ let compile_full ?(options = default_options) (src : Minic.Ast.program) :
 let compile ?options (src : Minic.Ast.program) : Target.Asm.program =
   let _, asm, _ = compile_full ?options src in
   asm
-
-let compile_with_rtl ?options (src : Minic.Ast.program) :
-  Rtl.program * Target.Asm.program =
-  let rtl, asm, _ = compile_full ?options src in
-  (rtl, asm)

@@ -30,12 +30,9 @@ val compile : ?options:options -> Minic.Ast.program -> Target.Asm.program
     @raise Validate.Validation_failed if a validator rejects a pass;
     @raise Asmgen.Error if the register-allocation checker rejects. *)
 
-val compile_with_rtl :
-  ?options:options -> Minic.Ast.program -> Rtl.program * Target.Asm.program
-(** Also return the optimized RTL, for inspection and tests. *)
-
 val compile_full :
   ?options:options ->
   Minic.Ast.program ->
   Rtl.program * Target.Asm.program * Pass.pass_stats list
-(** Also return the per-pass stats, for stderr accounting. *)
+(** Also return the optimized RTL (for [--dump-rtl]) and the per-pass
+    stats (for stderr accounting). *)

@@ -16,8 +16,6 @@
    register allocator reads the rows a word at a time ([word]) and keeps
    its interference rows in the same layout. *)
 
-module RegSet = Set.Make (Int)
-
 type t = {
   regs : int;        (* register bound: every register is below it *)
   words : int;       (* words per row *)
@@ -27,15 +25,6 @@ type t = {
   code : Rtl.instruction array;   (* by node; meaningful where reachable *)
   preds : Rtl.node list array;    (* by node, as in [Rtl.walk] *)
 }
-
-(* live_before(n) = (live_after(n) \ def(n)) ∪ use(n) *)
-let live_before (i : Rtl.instruction) (after : RegSet.t) : RegSet.t =
-  let minus_def =
-    match Rtl.instr_def i with
-    | Some d -> RegSet.remove d after
-    | None -> after
-  in
-  List.fold_left (fun s r -> RegSet.add r s) minus_def (Rtl.instr_uses i)
 
 (* Set or clear bit [r] of the row starting at [base]. *)
 let set_bit (a : int array) (base : int) (r : Rtl.reg) : unit =
@@ -185,38 +174,3 @@ let iter_live_after (lv : t) (n : Rtl.node) (k : Rtl.reg -> unit) : unit =
     for w = 0 to lv.words - 1 do
       iter_bits w lv.bits.((n * lv.words) + w) k
     done
-
-let live_after (lv : t) (n : Rtl.node) : RegSet.t =
-  let rev = ref [] in
-  iter_live_after lv n (fun r -> rev := r :: !rev);
-  RegSet.of_list !rev
-
-(* Naive recomputation used by property tests: iterate the equations
-   globally over register sets until fixpoint, no worklist. *)
-let analyze_naive (f : Rtl.func) : t =
-  let nodes = Rtl.reverse_postorder f in
-  let live_after : (Rtl.node, RegSet.t) Hashtbl.t = Hashtbl.create 251 in
-  let get n = Option.value ~default:RegSet.empty (Hashtbl.find_opt live_after n) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun n ->
-         let i = Rtl.get_instr f n in
-         let after =
-           List.fold_left
-             (fun acc s ->
-                RegSet.union acc (live_before (Rtl.get_instr f s) (get s)))
-             RegSet.empty (Rtl.successors i)
-         in
-         if not (RegSet.equal after (get n)) then begin
-           Hashtbl.replace live_after n after;
-           changed := true
-         end)
-      nodes
-  done;
-  let lv = empty f (Rtl.walk f) in
-  Hashtbl.iter
-    (fun n s -> RegSet.iter (set_bit lv.bits (n * lv.words)) s)
-    live_after;
-  lv

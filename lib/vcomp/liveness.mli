@@ -3,8 +3,6 @@
     elimination, LICM, the interference graph construction and the
     allocation validator. *)
 
-module RegSet : Set.S with type elt = int
-
 type t
 (** Live-after sets of every node of one function, with the reachable
     nodes and their instructions as the analysis saw them. *)
@@ -56,10 +54,3 @@ val iter_bits : int -> int -> (Rtl.reg -> unit) -> unit
     in [x], ascending. *)
 
 val popcount : int -> int
-
-val live_after : t -> Rtl.node -> RegSet.t
-(** The row as a set, for tests and reference checkers. *)
-
-val analyze_naive : Rtl.func -> t
-(** Global fixpoint over register sets, without a worklist; property
-    tests compare it with {!analyze}. *)

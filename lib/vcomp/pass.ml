@@ -1,6 +1,6 @@
 (* The middle-end pass manager: the pipeline is a declarative list of
    named passes, each enabled by a predicate over the option record,
-   each run under the translation validator (unless validation is off),
+   each run under the translation validator when [opt_validate] is on,
    and each measured — instructions rewritten/removed/hoisted and wall
    time — by diffing the snapshot the validator needs anyway.
 

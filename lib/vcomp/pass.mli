@@ -1,6 +1,6 @@
 (** The middle-end pass manager: a declarative pipeline of named
-    passes, each enabled by a predicate over {!options}, run under the
-    translation validator, and measured. GVN, LICM and the dead-code
+    passes, each enabled by a predicate over {!options}, checked by its
+    translation validator when [opt_validate] is set, and measured. GVN, LICM and the dead-code
     fixpoint run under a fuel budget — exhaustion skips work, it never
     miscompiles. The canonical {!spec} string joins the WCET layer's
     content-addressed cache key, since two pipelines can produce
@@ -23,12 +23,13 @@ val default_options : options
 (** Everything on, including GVN and LICM ([-O 2]). *)
 
 val all_off : options
-(** No optimization passes ([-O 0]); validation still on. *)
+(** No optimization passes ([-O 0]); [opt_validate] on. *)
 
 val level : int -> options
 (** [-O] levels: 0 = none, 1 = constprop+cse+deadcode (the classic
     CompCert 1.7 pipeline of the paper), 2 and above = plus GVN-CSE
-    and LICM. Validation on in all levels. *)
+    and LICM. Every level has [opt_validate] on; a caller that compiles
+    for a CLI sets it from [--validate] instead. *)
 
 val spec : options -> string
 (** Canonical pipeline spec: enabled pass names comma-separated

@@ -67,7 +67,7 @@ let count_reg_defs (cfg : Cfg.t) (l : Loops.loop) (r : Asm.ireg) : int =
     (fun acc b ->
        Array.fold_left
          (fun acc i ->
-            if List.exists (fun d -> d = Asm.IR r) (Asm.defs i) then acc + 1
+            if Asm.idefs_mask i land Asm.bit r <> 0 then acc + 1
             else acc)
          acc (Cfg.block cfg b).Cfg.b_instrs)
     0 l.Loops.l_body
@@ -156,7 +156,7 @@ let trace_to_counter (va : Valueanalysis.result) (b : int) (r : Asm.ireg)
         match i with
         | Asm.Plwz (d, a) when d = r ->
           loaded_from := Valueanalysis.slot_key st a
-        | i when List.exists (fun d -> d = Asm.IR r) (Asm.defs i) ->
+        | i when Asm.idefs_mask i land Asm.bit r <> 0 ->
           loaded_from := None
         | _ -> ());
     (match !loaded_from with

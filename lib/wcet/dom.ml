@@ -6,6 +6,3 @@ type t = Cfg.edge_kind Flow.t
 let compute (cfg : Cfg.t) : t = Flow.dominators (Cfg.graph cfg)
 
 let dominates : t -> int -> int -> bool = Flow.dominates
-
-let dominates_naive (cfg : Cfg.t) : int -> int -> bool =
-  Flow.dominates_naive (Cfg.graph cfg)

@@ -6,7 +6,3 @@ type t = Cfg.edge_kind Flow.t
 
 val compute : Cfg.t -> t
 val dominates : t -> int -> int -> bool
-
-val dominates_naive : Cfg.t -> int -> int -> bool
-(** Reachability-removal oracle; property tests compare it against
-    {!dominates}. *)

@@ -206,7 +206,7 @@ let rec trace_ireg (stream : (int * int * Asm.instr) array) (pos : int)
     | Asm.Paddi (d, base, k) when d = r ->
       if base = 0 then Some (Oconst k) else None
     | Asm.Pmr (d, s) when d = r -> trace_ireg stream (pos + 1) s
-    | i when List.mem (Asm.IR r) (Asm.defs i) -> None
+    | i when Asm.idefs_mask i land Asm.bit r <> 0 -> None
     | _ -> trace_ireg stream (pos + 1) r
 
 let rec trace_freg (stream : (int * int * Asm.instr) array) (pos : int)
@@ -229,7 +229,7 @@ let rec trace_freg (stream : (int * int * Asm.instr) array) (pos : int)
     | Asm.Plfdc (d, c) when d = r ->
       if Float.is_nan c then None else Some (Oconstf c)
     | Asm.Pfmr (d, s) when d = r -> trace_freg stream (pos + 1) s
-    | i when List.mem (Asm.FR r) (Asm.defs i) -> None
+    | i when Asm.fdefs_mask i land Asm.bit r <> 0 -> None
     | _ -> trace_freg stream (pos + 1) r
 
 (* ---------------------------------------------------------------- *)

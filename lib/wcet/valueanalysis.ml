@@ -441,6 +441,9 @@ type result = {
   r_cfg : Cfg.t;
 }
 
+(* Joins at one block before its state is widened. *)
+let widen_after = 3
+
 (* Fixpoint with widening after [widen_after] joins at the same block,
    on the shared reverse-postorder worklist [Cfg.fixpoint]. Widening
    makes the result depend on the iteration order in principle; the
@@ -449,8 +452,7 @@ type result = {
    height in theory; [fuel] bounds the worklist iterations
    unconditionally (one per processed block), so a transfer-function
    bug or a pathological CFG yields a refusal upstream, never a hang. *)
-let analyze ?(widen_after = 3) ?(fuel = Fuel.default.Fuel.fl_widen)
-    (cfg : Cfg.t) : result =
+let analyze ?(fuel = Fuel.default.Fuel.fl_widen) (cfg : Cfg.t) : result =
   let visits = Array.make (Cfg.num_blocks cfg) 0 in
   let step b st_in =
     let blk = Cfg.block cfg b in

@@ -82,9 +82,9 @@ type result = {
   r_cfg : Cfg.t;
 }
 
-val analyze : ?widen_after:int -> ?fuel:int -> Cfg.t -> result
+val analyze : ?fuel:int -> Cfg.t -> result
 (** The fixpoint over the reverse-postorder worklist of [Cfg.fixpoint],
-    widening after [widen_after] joins at a block. [fuel] bounds the
+    widening after 3 joins at a block. [fuel] bounds the
     worklist iterations (default [Fuel.default.fl_widen]).
     @raise Fuel.Exhausted when the budget runs out. *)
 

@@ -1,6 +1,11 @@
-(* Reference natural-loop scan: [Flow.loops] as it was before it tested
-   dominance on retreating edges alone. Every edge out of a reachable
-   node runs the [dominates] walk, and a retreating edge whose target
+(* Reference dominance and natural-loop scan.
+
+   [dominates] is the reachability-removal oracle for [Flow.dominates]
+   (and so [Wcet.Dom.dominates]), O(n) per query.
+
+   [loops] is [Flow.loops] as it was before it tested dominance on
+   retreating edges alone. Every edge out of a reachable node runs the
+   [Flow.dominates] walk, and a retreating edge whose target
    does not dominate its source raises [Irreducible]. Ranks and
    predecessors are rebuilt here from the graph and the public
    [Flow.reverse_postorder]; the back-edge table has the same initial
@@ -53,3 +58,19 @@ let loops (g : 'e Flow.graph) (d : 'e Flow.t) : 'e Flow.loop list =
          l_entry_edges = List.rev !entry_edges }
        :: acc)
     back []
+
+(* [a] dominates [b] iff [b] is reachable from the entry, and is not
+   once [a] is removed from the graph. *)
+let dominates (g : 'e Flow.graph) (a : int) (b : int) : bool =
+  let reaches_b ~avoid =
+    let seen = Array.make (Array.length g.Flow.succs) false in
+    let rec dfs x =
+      if x <> avoid && not seen.(x) then begin
+        seen.(x) <- true;
+        List.iter (fun (s, _) -> dfs s) g.Flow.succs.(x)
+      end
+    in
+    dfs g.Flow.entry;
+    seen.(b)
+  in
+  reaches_b ~avoid:(-1) && (a = b || not (reaches_b ~avoid:a))

@@ -12,13 +12,13 @@
    [verify] is [Vcomp.Regalloc.verify] as it was written over register
    sets. It builds a [RegSet] per node and per definition and looks
    classes and locations up in the hash table and the dense table; it
-   reads the naive set-based liveness fixpoint, so it shares no
-   liveness code with the validator under test. The verdict and the
-   first message of both must agree on every allocation in which each
-   compared register has a class and a location (this one raises
-   otherwise). *)
+   reads the naive set-based liveness fixpoint of [Liveness_ref], so it
+   shares no liveness code with the validator under test. The verdict
+   and the first message of both must agree on every allocation in
+   which each compared register has a class and a location (this one
+   raises otherwise). *)
 
-module RegSet = Vcomp.Liveness.RegSet
+module RegSet = Liveness_ref.RegSet
 module Rtl = Vcomp.Rtl
 module Regalloc = Vcomp.Regalloc
 module Liveness = Vcomp.Liveness
@@ -344,14 +344,14 @@ let agrees (ref_res : result) (res : Regalloc.result) : bool =
        ref_res.ra_alloc true
 
 let verify (f : Rtl.func) (res : Regalloc.result) : (unit, string) Result.t =
-  let lv = Vcomp.Liveness.analyze_naive f in
+  let live_after = Liveness_ref.analyze f in
   let bad = ref None in
   List.iter
     (fun n ->
        let i = Rtl.get_instr f n in
        match Rtl.instr_def i with
        | Some d ->
-         let live = Vcomp.Liveness.live_after lv n in
+         let live = live_after n in
          let exclude =
            match i with
            | Rtl.Iop (Rtl.Omove, [ s ], _, _) -> RegSet.of_list [ d; s ]

@@ -146,7 +146,8 @@ let timing_oracle_prop =
        let code = Array.of_list code in
        Timing.static_costs code = Timing_ref.static_costs code)
 
-(* the masks encode exactly the register sets of [Asm.defs]/[Asm.uses] *)
+(* the masks encode exactly the register lists of [Asm_ref.defs] and
+   [Asm_ref.uses] *)
 let reg_masks_prop =
   let masks (rs : Asm.reg list) : int * int =
     List.fold_left
@@ -159,8 +160,8 @@ let reg_masks_prop =
   QCheck.Test.make ~count:500 ~name:"asm: register masks = defs/uses lists"
     asm_code_arb
     (List.for_all (fun i ->
-         masks (Asm.defs i) = (Asm.idefs_mask i, Asm.fdefs_mask i)
-         && masks (Asm.uses i) = (Asm.iuses_mask i, Asm.fuses_mask i)))
+         masks (Asm_ref.defs i) = (Asm.idefs_mask i, Asm.fdefs_mask i)
+         && masks (Asm_ref.uses i) = (Asm.iuses_mask i, Asm.fuses_mask i)))
 
 (* ---- simulator ---- *)
 

@@ -93,7 +93,8 @@ let dominators_prop =
          (fun a ->
             List.for_all
               (fun b ->
-                 Wcet.Dom.dominates dom a b = Wcet.Dom.dominates_naive cfg a b)
+                 Wcet.Dom.dominates dom a b
+                 = Flow_ref.dominates (Wcet.Cfg.graph cfg) a b)
               reachable)
          reachable)
 
@@ -153,7 +154,7 @@ let flow_toolkit_prop =
               else List.map (fun (s, k) -> (b, s, k)) g.Flow.succs.(b))
            nodes
        in
-       let is_back (b, s, _) = Flow.dominates_naive g s b in
+       let is_back (b, s, _) = Flow_ref.dominates g s b in
        (* does [x] reach [y] without passing through [avoid]? *)
        let reaches ~avoid x y =
          let seen = Array.make n false in
@@ -194,7 +195,7 @@ let flow_toolkit_prop =
        List.for_all
          (fun a ->
             List.for_all
-              (fun b -> Flow.dominates d a b = Flow.dominates_naive g a b)
+              (fun b -> Flow.dominates d a b = Flow_ref.dominates g a b)
               nodes)
          nodes
        &&

@@ -64,8 +64,8 @@ let step (w : window) (i : Asm.instr) : int =
     0
   | Asm.Pannot _ -> 0
   | _ ->
-    let uses = Asm.uses i in
-    let defs = Asm.defs i in
+    let uses = Asm_ref.uses i in
+    let defs = Asm_ref.defs i in
     let stall =
       if intersects w.load_defs uses then Timing.load_use_stall else 0
     in
