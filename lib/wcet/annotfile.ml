@@ -103,9 +103,3 @@ let parse_line (line : string) : entry option =
 
 let parse (text : string) : entry list =
   String.split_on_char '\n' text |> List.filter_map parse_line
-
-(* Write the annotation file next to an assembly output. *)
-let write_file (path : string) (p : Asm.program) : unit =
-  let oc = open_out path in
-  output_string oc (render (extract p));
-  close_out oc

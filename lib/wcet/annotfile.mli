@@ -18,5 +18,3 @@ exception Parse_error of string
 
 val parse : string -> entry list
 (** @raise Parse_error on malformed lines. *)
-
-val write_file : string -> Target.Asm.program -> unit

@@ -77,24 +77,36 @@ let count_reg_defs (cfg : Cfg.t) (l : Loops.loop) (r : Asm.ireg) : int =
    different slot key counts. *)
 let slot_clobbers (va : Valueanalysis.result) (l : Loops.loop) (key : int)
     ~(skip : int * int) : int =
+  let may_touch (ac : Valueanalysis.access) =
+    match ac.Valueanalysis.ac_slot, ac.Valueanalysis.ac_region with
+    | Some k, _ -> k = key
+    | None, (Valueanalysis.Rsym _ | Valueanalysis.Rpool _) -> false
+    | None, (Valueanalysis.Rslot _ | Valueanalysis.Rstack _
+            | Valueanalysis.Runknown) -> true
+  in
   let clobbers = ref 0 in
   List.iter
     (fun b ->
-       Valueanalysis.iter_block va b (fun idx st i ->
-           if (b, idx) <> skip then
-             match i with
-             | Asm.Pstw (_, a) | Asm.Pstfd (_, a) ->
-               (match Valueanalysis.slot_key st a with
-                | Some k when k <> key -> ()
-                | Some _ -> incr clobbers
-                | None ->
-                  (match Valueanalysis.region_of_address st a with
-                   | Valueanalysis.Rsym _ | Valueanalysis.Rpool _ -> ()
-                   | Valueanalysis.Rslot _ | Valueanalysis.Rstack _
-                   | Valueanalysis.Runknown -> incr clobbers))
-             | _ -> ()))
+       let instrs = (Cfg.block va.Valueanalysis.r_cfg b).Cfg.b_instrs in
+       Array.iter
+         (fun ac ->
+            let idx = ac.Valueanalysis.ac_index in
+            match instrs.(idx) with
+            | Asm.Pstw _ | Asm.Pstfd _
+              when (b, idx) <> skip && may_touch ac -> incr clobbers
+            | _ -> ())
+         va.Valueanalysis.r_accesses.(b))
     l.Loops.l_body;
   !clobbers
+
+(* The exact slot key of instruction [idx] of block [b], read from the
+   value analysis's access table. *)
+let slot_at (va : Valueanalysis.result) (b : int) (idx : int) : int option =
+  Option.bind
+    (Array.find_opt
+       (fun ac -> ac.Valueanalysis.ac_index = idx)
+       va.Valueanalysis.r_accesses.(b))
+    (fun ac -> ac.Valueanalysis.ac_slot)
 
 (* Find register counters: Paddi (r, r, c) unique def of r in the loop.
    Also records the block holding the increment: a counter only bounds
@@ -123,20 +135,17 @@ let slot_counters (va : Valueanalysis.result) (cfg : Cfg.t) (l : Loops.loop) :
   List.iter
     (fun b ->
        let instrs = (Cfg.block cfg b).Cfg.b_instrs in
-       let n = Array.length instrs in
-       Valueanalysis.iter_block va b (fun idx st _ ->
-           if idx <= n - 3 then
-             match instrs.(idx), instrs.(idx + 1), instrs.(idx + 2) with
-             | Asm.Plwz (r1, a1), Asm.Paddi (r2, r3, c), Asm.Pstw (r4, a2)
-               when r1 = r2 && r2 = r3 && r3 = r4 ->
-               (match
-                  (Valueanalysis.slot_key st a1, Valueanalysis.slot_key st a2)
-                with
-                | Some k1, Some k2 when k1 = k2 ->
-                  if slot_clobbers va l k1 ~skip:(b, idx + 2) = 0 then
-                    found := (k1, Int32.to_int c, b) :: !found
-                | _, _ -> ())
-             | _, _, _ -> ()))
+       for idx = 0 to Array.length instrs - 3 do
+         match instrs.(idx), instrs.(idx + 1), instrs.(idx + 2) with
+         | Asm.Plwz (r1, _), Asm.Paddi (r2, r3, c), Asm.Pstw (r4, _)
+           when r1 = r2 && r2 = r3 && r3 = r4 ->
+           (match slot_at va b idx, slot_at va b (idx + 2) with
+            | Some k1, Some k2 when k1 = k2 ->
+              if slot_clobbers va l k1 ~skip:(b, idx + 2) = 0 then
+                found := (k1, Int32.to_int c, b) :: !found
+            | _, _ -> ())
+         | _, _, _ -> ()
+       done)
     l.Loops.l_body;
   !found
 
@@ -151,20 +160,17 @@ let trace_to_counter (va : Valueanalysis.result) (b : int) (r : Asm.ireg)
   match List.assoc_opt r regc with
   | Some step -> Some (Creg r, step)
   | None ->
-    let loaded_from = ref None in
-    Valueanalysis.iter_block va b (fun _ st i ->
-        match i with
-        | Asm.Plwz (d, a) when d = r ->
-          loaded_from := Valueanalysis.slot_key st a
-        | i when Asm.idefs_mask i land Asm.bit r <> 0 ->
-          loaded_from := None
-        | _ -> ());
-    (match !loaded_from with
-     | Some k ->
-       (match List.assoc_opt k slotc with
-        | Some step -> Some (Cslot k, step)
-        | None -> None)
-     | None -> None)
+    let instrs = (Cfg.block va.Valueanalysis.r_cfg b).Cfg.b_instrs in
+    let rec loaded_from idx =
+      if idx < 0 then None
+      else
+        match instrs.(idx) with
+        | Asm.Plwz (d, _) when d = r -> slot_at va b idx
+        | i when Asm.idefs_mask i land Asm.bit r <> 0 -> None
+        | _ -> loaded_from (idx - 1)
+    in
+    Option.bind (loaded_from (Array.length instrs - 1)) (fun k ->
+        Option.map (fun step -> (Cslot k, step)) (List.assoc_opt k slotc))
 
 (* Preheader interval of a counter: join of the counter's value along
    all entry edges of the loop. *)
@@ -250,14 +256,15 @@ let exit_bound (va : Valueanalysis.result) (cfg : Cfg.t) (dom : Dom.t)
               match limit_operand with
               | Valueanalysis.CmpImm imm -> Some (Interval.of_const imm)
               | Valueanalysis.CmpReg r ->
-                let limit = ref None in
-                Valueanalysis.iter_block va b (fun idx st _ ->
-                    if idx = ci then
-                      match Valueanalysis.get_reg st r with
-                      | Valueanalysis.Vint itv when not (Interval.is_top itv) ->
-                        limit := Some itv
-                      | _ -> ());
-                !limit
+                Option.bind va.Valueanalysis.r_entry_states.(b) (fun st ->
+                    let st =
+                      Array.fold_left Valueanalysis.transfer st
+                        (Array.sub blk.Cfg.b_instrs 0 ci)
+                    in
+                    match Valueanalysis.get_reg st r with
+                    | Valueanalysis.Vint itv when not (Interval.is_top itv) ->
+                      Some itv
+                    | _ -> None)
             in
             (match limit_itv with
              | None -> None

@@ -22,8 +22,6 @@
    costs. Soundness versus the simulator is checked by the test suite on
    random programs. *)
 
-module Asm = Target.Asm
-
 type t = {
   ca_dextra : int array;    (* per-block per-execution data-miss cycles *)
   ca_iextra : int array;    (* per-block per-execution fetch-miss cycles *)
@@ -51,48 +49,36 @@ let lines_of_range (lo : int) (hi : int) : int list =
   let first = lo / line_size and last = hi / line_size in
   List.init (last - first + 1) (fun i -> first + i)
 
-(* Data access of one instruction: Some (lo, hi) inclusive byte range(s),
-   or None for "no data access", or raises Not_resolved. *)
-exception Not_resolved
-
-let access_range (lay : Target.Layout.t) (st : Valueanalysis.state)
-    (a : Asm.address) (size : int) : int * int =
+(* The memory lines a table entry may touch, first and last; [None]
+   when its address is statically unknown. *)
+let line_span (lay : Target.Layout.t) (ac : Valueanalysis.access) :
+  (int * int) option =
+  let size = ac.Valueanalysis.ac_size in
   let stack_top = lay.Target.Layout.lay_stack_top in
-  match Valueanalysis.region_of_address st a with
-  | Valueanalysis.Rslot k -> (stack_top + k, stack_top + k + size - 1)
+  (* inclusive byte range *)
+  let span lo hi = Some (lo / line_size, hi / line_size) in
+  match ac.Valueanalysis.ac_region with
+  | Valueanalysis.Rslot k -> span (stack_top + k) (stack_top + k + size - 1)
   | Valueanalysis.Rstack itv ->
     (* clamp to a frame-sized window below the entry stack pointer *)
     let lo = max itv.Interval.lo (-65536) and hi = min itv.Interval.hi 0 in
-    if lo > hi then raise Not_resolved
-    else (stack_top + lo, stack_top + hi + size - 1)
+    if lo > hi then None else span (stack_top + lo) (stack_top + hi + size - 1)
   | Valueanalysis.Rsym (s, itv) ->
-    let base =
-      match Hashtbl.find_opt lay.Target.Layout.lay_sym s with
-      | Some b -> b
-      | None -> raise Not_resolved
-    in
-    let sym_size =
-      Option.value ~default:size
-        (Hashtbl.find_opt lay.Target.Layout.lay_sym_size s)
-    in
-    let lo = max 0 itv.Interval.lo in
-    let hi = min (sym_size - size) itv.Interval.hi in
-    if lo > hi then (base, base + sym_size - 1) (* degenerate: whole symbol *)
-    else (base + lo, base + hi + size - 1)
+    (match Hashtbl.find_opt lay.Target.Layout.lay_sym s with
+     | None -> None
+     | Some base ->
+       let sym_size =
+         Option.value ~default:size
+           (Hashtbl.find_opt lay.Target.Layout.lay_sym_size s)
+       in
+       let lo = max 0 itv.Interval.lo in
+       let hi = min (sym_size - size) itv.Interval.hi in
+       if lo > hi then span base (base + sym_size - 1) (* degenerate: whole symbol *)
+       else span (base + lo) (base + hi + size - 1))
   | Valueanalysis.Rpool c ->
     let a = Target.Layout.const_addr lay c in
-    (a, a + size - 1)
-  | Valueanalysis.Runknown -> raise Not_resolved
-
-let data_access (lay : Target.Layout.t) (st : Valueanalysis.state)
-    (i : Asm.instr) : (int * int) option =
-  match i with
-  | Asm.Plwz (_, a) | Asm.Pstw (_, a) -> Some (access_range lay st a 4)
-  | Asm.Plfd (_, a) | Asm.Pstfd (_, a) -> Some (access_range lay st a 8)
-  | Asm.Plfdc (_, c) ->
-    let addr = Target.Layout.const_addr lay c in
-    Some (addr, addr + 7)
-  | _ -> None
+    span a (a + size - 1)
+  | Valueanalysis.Runknown -> None
 
 let analyze (cfg : Cfg.t) (va : Valueanalysis.result) (lay : Target.Layout.t) :
   t =
@@ -113,19 +99,18 @@ let analyze (cfg : Cfg.t) (va : Valueanalysis.result) (lay : Target.Layout.t) :
            (fun l -> Hashtbl.replace ilines l ())
            (lines_of_range blk.Cfg.b_addr (blk.Cfg.b_addr + blk.Cfg.b_size - 1));
        (* data lines *)
-       let accs = ref [] in
-       Valueanalysis.iter_block va b (fun _ st instr ->
-           try
-             match data_access lay st instr with
-             | Some (lo, hi) ->
-               let ls = lines_of_range lo hi in
-               List.iter (fun l -> Hashtbl.replace dlines l ()) ls;
-               accs := ls :: !accs
-             | None -> ()
-           with Not_resolved ->
-             imprecise := true;
-             accs := [] :: !accs (* marker: unresolved access *));
-       block_daccesses.(b) <- List.rev !accs)
+       block_daccesses.(b) <-
+         Array.fold_right
+           (fun ac accs ->
+              match line_span lay ac with
+              | Some (l1, l2) ->
+                let ls = List.init (l2 - l1 + 1) (fun i -> l1 + i) in
+                List.iter (fun l -> Hashtbl.replace dlines l ()) ls;
+                ls :: accs
+              | None ->
+                imprecise := true;
+                [] :: accs (* marker: unresolved access *))
+           va.Valueanalysis.r_accesses.(b) [])
     reachable;
   (* ---- per-set capacity check ---- *)
   let count_per_set (lines : (int, unit) Hashtbl.t) : int array =

@@ -26,14 +26,9 @@ val assoc : int
 val set_of : int -> int
 (** The cache set of a memory line (address / [line_size]). *)
 
-exception Not_resolved
-
-val data_access :
-  Target.Layout.t -> Valueanalysis.state -> Target.Asm.instr ->
-  (int * int) option
-(** Byte range of the instruction's data access, resolved through the
-    value analysis; [None] when the instruction accesses no data.
-    @raise Not_resolved on statically unknown addresses. *)
+val line_span : Target.Layout.t -> Valueanalysis.access -> (int * int) option
+(** The first and last memory line an access of the value analysis's
+    table may touch; [None] when its address is statically unknown. *)
 
 val analyze : Cfg.t -> Valueanalysis.result -> Target.Layout.t -> t
 

@@ -189,19 +189,3 @@ let fixpoint ~(fuel : int) ~(what : string) (cfg : t) (init : 'a)
         (step b st)
   done;
   states
-
-let pp (ppf : Format.formatter) (cfg : t) : unit =
-  Format.fprintf ppf "@[<v>cfg %s (%d blocks)@," cfg.c_fname (num_blocks cfg);
-  Array.iter
-    (fun b ->
-       Format.fprintf ppf "  B%d @%#x (%d bytes, %d instrs) -> %s%s@,"
-         b.b_id b.b_addr b.b_size (Array.length b.b_instrs)
-         (String.concat ", "
-            (List.map
-               (fun (s, k) ->
-                  Printf.sprintf "B%d%s" s
-                    (match k with Etaken -> "(t)" | Efall -> ""))
-               b.b_succs))
-         (if b.b_is_exit then " [exit]" else ""))
-    cfg.c_blocks;
-  Format.fprintf ppf "@]"

@@ -51,5 +51,3 @@ val fixpoint :
     Pending blocks are processed in reverse postorder; each one costs
     one {!Fuel.tick} and one unit of [fuel].
     @raise Fuel.Exhausted [what] when the budget runs out. *)
-
-val pp : Format.formatter -> t -> unit

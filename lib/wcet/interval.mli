@@ -48,7 +48,6 @@ val refine_cmp : Minic.Ast.comparison -> t -> t -> t option
 (** Refine the left operand assuming "left CMP right" holds; [None]
     when the comparison cannot hold. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val in_range : int -> bool

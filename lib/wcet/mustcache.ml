@@ -27,10 +27,8 @@
    it takes. [stable] re-checks a result as a post-fixpoint without
    using the order at all. *)
 
-module Asm = Target.Asm
 module Intmap = Flow.Intmap
 
-let line_size = Cacheanalysis.line_size
 let nsets = Cacheanalysis.nsets
 let assoc = Cacheanalysis.assoc
 let set_of = Cacheanalysis.set_of
@@ -76,28 +74,29 @@ let leq (a : acache) (b : acache) : bool =
        | None, Some _ -> false)
     a b
 
-(* age every line of one set by one, dropping lines reaching assoc *)
-let age_set (m : int Intmap.t) ~(except : int) ~(limit : int) : int Intmap.t =
+(* age every line of one set younger than [limit] by one, dropping
+   lines reaching assoc *)
+let age_set (m : int Intmap.t) ~(limit : int) : int Intmap.t =
   Intmap.filter_map
-    (fun l age ->
-       if l <> except && age < limit then
+    (fun _ age ->
+       if age < limit then
          if age + 1 >= assoc then None else Some (age + 1)
        else Some age)
     m
 
 (* Precise access to one line of set map [m], where it has age bound
    [age]: the line becomes most-recently-used; other lines of the set
-   younger than its (worst-case) previous age grow older by one. If the
-   line was possibly absent, every line of the set ages. *)
+   younger than its (worst-case) previous age grow older by one (the
+   line itself, at [limit], does not). If the line was possibly absent,
+   every line of the set ages. *)
 let touch_set (m : int Intmap.t) (line : int) (age : int option) :
   int Intmap.t =
   let limit = Option.value ~default:assoc age in
-  Intmap.add line 0 (age_set m ~except:line ~limit)
+  Intmap.add line 0 (age_set m ~limit)
 
 (* Imprecise access possibly touching the set: no line becomes young,
    every line may age. *)
-let blur_set (m : int Intmap.t) : int Intmap.t =
-  age_set m ~except:min_int ~limit:assoc
+let blur_set (m : int Intmap.t) : int Intmap.t = age_set m ~limit:assoc
 
 (* [c] with set [s] mapped to [m], an empty [m] unbound. *)
 let put (c : acache) (s : int) (m : int Intmap.t) : acache =
@@ -143,48 +142,21 @@ let must_hit (c : acache) (line : int) : bool =
 
 (* ---- data-cache analysis over the reconstructed CFG ---- *)
 
-(* Per-instruction data access as seen by the must analysis. *)
+(* A data access as seen by the must analysis. *)
 type access =
   | Aline of int          (* exactly this line *)
   | Ablur of int list     (* possibly any line of these sets *)
   | Ablur_all             (* possibly any line *)
-  | Anone
 
-let access_of_instr (lay : Target.Layout.t) (st : Valueanalysis.state)
-    (i : Asm.instr) : access =
-  match
-    (try Cacheanalysis.data_access lay st i
-     with Cacheanalysis.Not_resolved -> Some (min_int, min_int))
-  with
-  | None -> Anone
-  | Some (lo, hi) when lo = min_int ->
-    ignore hi;
-    (* unresolved: may touch anything — blur every set *)
-    Ablur_all
-  | Some (lo, hi) ->
-    let l1 = lo / line_size and l2 = hi / line_size in
-    if l1 = l2 then Aline l1
-    else if l2 - l1 < nsets then
-      Ablur (List.sort_uniq compare (List.init (l2 - l1 + 1) (fun k -> set_of (l1 + k))))
-    else Ablur_all
-
-(* The access sequence of a block is fully determined by the value
-   analysis, not by the cache state, so it is classified once up front
-   and the fixpoint below iterates transfer over the precomputed
-   sequence. [Anone] accesses are dropped: they neither age lines nor
-   classify. *)
-let block_accesses (lay : Target.Layout.t) (va : Valueanalysis.result)
-    (b : int) : access array =
-  let accs = ref [] in
-  Valueanalysis.iter_block va b (fun _ st i ->
-      match access_of_instr lay st i with
-      | Anone -> ()
-      | a -> accs := a :: !accs);
-  Array.of_list (List.rev !accs)
+let access_of_span (span : (int * int) option) : access =
+  match span with
+  | Some (l1, l2) when l1 = l2 -> Aline l1
+  | Some (l1, l2) when l2 - l1 < nsets ->
+    Ablur (List.sort_uniq compare (List.init (l2 - l1 + 1) (fun k -> set_of (l1 + k))))
+  | Some _ | None -> Ablur_all (* unresolved: may touch anything *)
 
 let transfer_access (c : acache) (a : access) : acache =
   match a with
-  | Anone -> c
   | Aline l -> access_line c l
   | Ablur sets -> blur_sets c sets
   | Ablur_all -> blur_all c
@@ -206,7 +178,14 @@ type result = {
    join/transfer bug is a refusal upstream, not a hang. *)
 let analyze ?(fuel = Fuel.default.Fuel.fl_widen) (cfg : Cfg.t)
     (va : Valueanalysis.result) (lay : Target.Layout.t) : result =
-  let accs = Array.init (Cfg.num_blocks cfg) (block_accesses lay va) in
+  (* The access sequence of a block is fully determined by the value
+     analysis, not by the cache state, so it is read once from the
+     access table and the fixpoint iterates transfer over it. *)
+  let accs =
+    Array.map
+      (Array.map (fun ac -> access_of_span (Cacheanalysis.line_span lay ac)))
+      va.Valueanalysis.r_accesses
+  in
   let step b c =
     let out = transfer_block accs b c in
     List.map (fun (s, _) -> (s, out)) (Cfg.successors cfg b)
@@ -260,7 +239,6 @@ let block_hits (res : result) (b : int) : bool list =
            c := put !c s (touch_set m l age)
          | Ablur _ | Ablur_all ->
            hits := false :: !hits;
-           c := transfer_access !c a
-         | Anone -> ())
+           c := transfer_access !c a)
       res.mc_accs.(b);
     List.rev !hits

@@ -42,7 +42,6 @@ type t = {
   rp_omt_cuts : int;           (** infeasible-path cuts in the encoding *)
 }
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** Accounting for a batch of analyses run against a {!Memo} cache:

@@ -7,10 +7,11 @@
 
 (* Bump on any change to the analysis semantics, to the marshalled
    shapes (Report.t, Annotfile.entry) or to the Memo key's payload
-   encoding (wcet-5: the canonical encoding replaced a Marshal image).
-   The OCaml version is part of the stamp because entries are Marshal
-   images. *)
-let toolchain_version = "vericomp-wcet-5 ocaml-" ^ Sys.ocaml_version
+   encoding (wcet-5: the canonical encoding replaced a Marshal image;
+   wcet-6: a slot counter's store is resolved from the state just before
+   it). The OCaml version is part of the stamp because entries are
+   Marshal images. *)
+let toolchain_version = "vericomp-wcet-6 ocaml-" ^ Sys.ocaml_version
 
 let magic = "VCWS1"
 

@@ -436,9 +436,35 @@ let edge_state (blk : Cfg.block) (out_st : state) (kind : Cfg.edge_kind) :
      | Cfg.Efall ->
        refine_state out_st blk (Minic.Ast.negate_comparison cmp))
 
+(* The data access of a memory instruction, resolved from the state
+   just before it. The slot key and the region are both kept: an
+   [Aindx] whose base is an sp copy and whose index is a constant has
+   no slot key but the region [Rslot k]. *)
+type access = {
+  ac_index : int;          (* the instruction's index in its block *)
+  ac_size : int;           (* bytes *)
+  ac_slot : int option;    (* [slot_key] *)
+  ac_region : region;      (* [region_of_address]; [Rpool] for [Plfdc] *)
+}
+
+let access_of (st : state) (ac_index : int) (i : Asm.instr) : access option =
+  let mem ac_size a =
+    Some { ac_index; ac_size; ac_slot = slot_key st a;
+           ac_region = region_of_address st a }
+  in
+  match i with
+  | Asm.Plwz (_, a) | Asm.Pstw (_, a) -> mem 4 a
+  | Asm.Plfd (_, a) | Asm.Pstfd (_, a) -> mem 8 a
+  | Asm.Plfdc (_, c) ->
+    Some { ac_index; ac_size = 8; ac_slot = None; ac_region = Rpool c }
+  | _ -> None
+
 type result = {
   r_entry_states : state option array; (* per block; None = unreachable *)
   r_cfg : Cfg.t;
+  r_accesses : access array array;
+  (* per block, its memory instructions in order; none in an
+     unreachable block *)
 }
 
 (* Joins at one block before its state is widened. *)
@@ -468,26 +494,25 @@ let analyze ?(fuel = Fuel.default.Fuel.fl_widen) (cfg : Cfg.t) : result =
       else Some joined
     end
   in
-  { r_entry_states =
-      Cfg.fixpoint ~fuel ~what:"value-analysis widening fixpoint" cfg
-        init_state ~step ~merge;
-    r_cfg = cfg }
-
-(* [iter_block res b f] calls [f idx st instr] for each instruction of
-   block [b] in order, [st] being the state just before it: one
-   incremental walk per block. Nothing is called for an unreachable
-   block. *)
-let iter_block (res : result) (b : int) (f : int -> state -> Asm.instr -> unit)
-  : unit =
-  match res.r_entry_states.(b) with
-  | None -> ()
-  | Some st ->
-    let cur = ref st in
-    Array.iteri
-      (fun idx i ->
-         f idx !cur i;
-         cur := transfer !cur i)
-      (Cfg.block res.r_cfg b).Cfg.b_instrs
+  let entries =
+    Cfg.fixpoint ~fuel ~what:"value-analysis widening fixpoint" cfg init_state
+      ~step ~merge
+  in
+  (* the access table: one walk per reachable block *)
+  let accesses b entry =
+    match entry with
+    | None -> [||]
+    | Some st ->
+      let cur = ref st and accs = ref [] in
+      Array.iteri
+        (fun idx i ->
+           Option.iter (fun ac -> accs := ac :: !accs) (access_of !cur idx i);
+           cur := transfer !cur i)
+        (Cfg.block cfg b).Cfg.b_instrs;
+      Array.of_list (List.rev !accs)
+  in
+  { r_entry_states = entries; r_cfg = cfg;
+    r_accesses = Array.mapi accesses entries }
 
 (* Post-fixpoint check, independent of the order, widening and visit
    counts that produced [res]: the entry block's state covers

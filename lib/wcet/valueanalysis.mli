@@ -77,25 +77,36 @@ val edge_state : Cfg.block -> state -> Cfg.edge_kind -> state
 (** The block's out-state along one of its edges, refined by the
     branch condition. *)
 
+(** The data access of a memory instruction, resolved from the state
+    just before it. Both the slot key and the region are kept: an
+    [Aindx] whose base is an sp copy and whose index is a constant has
+    no slot key but the region [Rslot k]. *)
+type access = {
+  ac_index : int;          (** the instruction's index in its block *)
+  ac_size : int;           (** bytes *)
+  ac_slot : int option;    (** [slot_key] *)
+  ac_region : region;      (** [region_of_address]; [Rpool] for [Plfdc] *)
+}
+
 type result = {
   r_entry_states : state option array; (** per block; [None] = unreachable *)
   r_cfg : Cfg.t;
+  r_accesses : access array array;
+      (** The access table, built once by [analyze]: per block, the
+          accesses of its memory instructions in order; none in an
+          unreachable block. *)
 }
 
 val analyze : ?fuel:int -> Cfg.t -> result
 (** The fixpoint over the reverse-postorder worklist of [Cfg.fixpoint],
-    widening after 3 joins at a block. [fuel] bounds the
-    worklist iterations (default [Fuel.default.fl_widen]).
+    widening after 3 joins at a block, then one walk per reachable block
+    to build [r_accesses]. [fuel] bounds the worklist iterations
+    (default [Fuel.default.fl_widen]).
     @raise Fuel.Exhausted when the budget runs out. *)
-
-val iter_block : result -> int -> (int -> state -> Target.Asm.instr -> unit) -> unit
-(** [iter_block res b f] calls [f idx st instr] for each instruction of
-    block [b] in order, [st] being the state just before it. Nothing is
-    called for an unreachable block. *)
 
 val stable : Cfg.t -> result -> bool
 (** Post-fixpoint check, independent of the iteration order, widening
     and visit counts: the entry block's state covers [init_state], and
     along every edge out of a reachable block the target's entry state
-    is above the source's transfer by [state_leq]. Off the analysis
-    path; the test suite runs it. *)
+    is above the source's transfer by [state_leq]. It reads only
+    [r_entry_states]. Off the analysis path; the test suite runs it. *)

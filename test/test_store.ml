@@ -240,9 +240,10 @@ let test_stale_version_is_miss () =
           (Wcet.Store.load st ~digest ~payload = None))
 
 (* The generation before the canonical key encoding (vericomp-wcet-4)
-   keyed entries by a Marshal image of the code: even a well-framed
-   wcet-4 entry whose stored payload matches must be a silent miss
-   under the current stamp. *)
+   keyed entries by a Marshal image of the code, and the one before the
+   access table (vericomp-wcet-5) resolved a slot counter's store from
+   a stale state: even a well-framed entry of either whose stored
+   payload matches must be a silent miss under the current stamp. *)
 let test_wcet4_generation_is_miss () =
   with_dir (fun dir ->
       match Wcet.Store.create ~dir () with
@@ -258,13 +259,16 @@ let test_wcet4_generation_is_miss () =
         checkb "current generation roundtrips" true
           (Wcet.Store.save st ~digest ~payload (report, annots)
            && Wcet.Store.load st ~digest ~payload = Some (report, annots));
-        let wcet4 = "vericomp-wcet-4 ocaml-" ^ Sys.ocaml_version in
-        let body = Marshal.to_string (wcet4, payload, report, annots) [] in
-        write_file
-          (entry_path dir (Digest.to_hex digest))
-          ("VCWS1" ^ Digest.string body ^ body);
-        checkb "wcet-4 generation is a miss" true
-          (Wcet.Store.load st ~digest ~payload = None))
+        List.iter
+          (fun gen ->
+             let stamp = "vericomp-" ^ gen ^ " ocaml-" ^ Sys.ocaml_version in
+             let body = Marshal.to_string (stamp, payload, report, annots) [] in
+             write_file
+               (entry_path dir (Digest.to_hex digest))
+               ("VCWS1" ^ Digest.string body ^ body);
+             checkb (gen ^ " generation is a miss") true
+               (Wcet.Store.load st ~digest ~payload = None))
+          [ "wcet-4"; "wcet-5" ])
 
 (* ---- fault injection: WRITE failures are silent misses too ---- *)
 

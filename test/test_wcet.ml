@@ -868,15 +868,15 @@ let suite =
 (* ---- the shared fixpoint and its post-fixpoint oracles ---- *)
 
 (* A one-function program around [code], for the layout. *)
+let f_source : Minic.Ast.program =
+  { Minic.Ast.prog_globals = []; prog_arrays = []; prog_volatiles = [];
+    prog_funcs =
+      [ { Minic.Ast.fn_name = "f"; fn_params = []; fn_locals = [];
+          fn_ret = None; fn_body = Minic.Ast.Sskip } ];
+    prog_main = "f" }
+
 let layout_of (code : Asm.instr list) : Target.Layout.t =
-  let src =
-    { Minic.Ast.prog_globals = []; prog_arrays = []; prog_volatiles = [];
-      prog_funcs =
-        [ { Minic.Ast.fn_name = "f"; fn_params = []; fn_locals = [];
-            fn_ret = None; fn_body = Minic.Ast.Sskip } ];
-      prog_main = "f" }
-  in
-  Target.Layout.build src
+  Target.Layout.build f_source
     { Asm.pr_funcs = [ { Asm.fn_name = "f"; fn_code = code } ]; pr_main = "f" }
 
 (* An unreachable block that branches to itself lies on no path from
@@ -1308,3 +1308,103 @@ let intmap_filter_prop =
            (fun _ -> false) ])
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest intmap_filter_prop ]
+
+(* ---- the access table ---- *)
+
+(* The table equals the per-instruction reference on every function the
+   four compilers emit. *)
+let access_table_prop =
+  QCheck.Test.make ~count:40
+    ~name:"value analysis: access table = per-instruction reference"
+    QCheck.small_int
+    (fun seed ->
+       let p = Testlib.Gen.gen_program (seed land 0xFFFF) in
+       List.for_all
+         (fun comp ->
+            let b = Fcstack.Chain.build ~exact:true comp p in
+            let lay = b.Fcstack.Chain.b_layout in
+            List.for_all
+              (fun f ->
+                 let name = f.Asm.fn_name in
+                 let va =
+                   Wcet.Valueanalysis.analyze
+                     (Wcet.Cfg.build name
+                        (Hashtbl.find lay.Target.Layout.lay_code name)
+                        f.Asm.fn_code)
+                 in
+                 Access_ref.equal va.Wcet.Valueanalysis.r_accesses
+                   (Access_ref.accesses va))
+              b.Fcstack.Chain.b_asm.Asm.pr_funcs)
+         Fcstack.Chain.all_compilers)
+
+(* An indexed load whose base is an sp copy and whose index is a
+   constant: no exact slot key, yet the region is the slot. *)
+let test_access_table_aindx () =
+  let code =
+    [ Asm.Paddi (5, Asm.sp, 0l); Asm.Paddi (6, 0, 8l);
+      Asm.Plwz (3, Asm.Aindx (5, 6)); Asm.Pblr ]
+  in
+  let va = Wcet.Valueanalysis.analyze (Wcet.Cfg.build "f" 0x100000 code) in
+  let table = va.Wcet.Valueanalysis.r_accesses in
+  (match table.(0) with
+   | [| { Wcet.Valueanalysis.ac_index = 2; ac_size = 4; ac_slot = None;
+          ac_region = Wcet.Valueanalysis.Rslot 8 } |] -> ()
+   | _ -> Alcotest.fail "expected one 4-byte access to Rslot 8, no slot key");
+  checkb "equals the reference" true
+    (Access_ref.equal table (Access_ref.accesses va))
+
+(* A slot counter's increment [lwz r5,8(sp); addi r5,r5,1; stw r5,8(base)]
+   after r5 was made an sp copy. Through sp the store steps slot 8 and
+   the loop runs 10 times; through r5 it writes the incremented value's
+   address, slot 8 never changes, and the loop never ends. *)
+let stale_store_code (base : Asm.ireg) : Asm.instr list =
+  [ Asm.Paddi (3, 0, 0l); Asm.Pstw (3, Asm.Aind (Asm.sp, 8l));
+    Asm.Plabel 1;
+    Asm.Paddi (5, Asm.sp, 0l); Asm.Plwz (5, Asm.Aind (Asm.sp, 8l));
+    Asm.Paddi (5, 5, 1l); Asm.Pstw (5, Asm.Aind (base, 8l));
+    Asm.Plwz (6, Asm.Aind (Asm.sp, 8l)); Asm.Pcmpwi (6, 10l);
+    Asm.Pbc (Asm.BT Asm.CRlt, 1); Asm.Pblr ]
+
+(* The analyzer bounds the sp variant, within the simulated cycles, and
+   refuses the r5 variant, whose loop the simulator never finishes. *)
+let test_stale_store () =
+  let run base =
+    let code = stale_store_code base in
+    let prog =
+      { Asm.pr_funcs = [ { Asm.fn_name = "f"; fn_code = code } ];
+        pr_main = "f" }
+    in
+    let lay = layout_of code in
+    ( (match Wcet.Driver.analyze prog lay with
+       | r -> Ok r
+       | exception Wcet.Driver.Error msg -> Error msg),
+      match
+        Target.Sim.run ~fuel:100_000 ~source:f_source prog lay
+          (Minic.Interp.constant_world 0.0) []
+      with
+      | r -> Some r.Target.Sim.rr_stats.Target.Sim.cycles
+      | exception Minic.Interp.Out_of_fuel -> None )
+  in
+  (match run Asm.sp with
+   | Ok r, Some cycles ->
+     (match r.Wcet.Report.rp_loops with
+      | [ l ] -> checki "bound 10 via slot counter" 10 l.Wcet.Report.li_bound
+      | _ -> Alcotest.fail "one loop expected");
+     checkb "simulated cycles within the bound" true
+       (cycles <= r.Wcet.Report.rp_wcet)
+   | _ -> Alcotest.fail "the sp variant is bounded and ends");
+  match run 5 with
+  | Error msg, None ->
+    Alcotest.(check string) "no counter, so no bound"
+      "loop at B1: no derivable bound (counter analysis failed and no \
+       loopbound annotation)"
+      msg
+  | _ -> Alcotest.fail "the r5 variant is refused and never ends"
+
+let suite =
+  suite
+  @ [ QCheck_alcotest.to_alcotest access_table_prop;
+      ("access table: an indexed sp access keeps both fields", `Quick,
+       test_access_table_aindx);
+      ("bounds: a slot counter's store is resolved at its own index",
+       `Quick, test_stale_store) ]
